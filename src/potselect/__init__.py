@@ -16,7 +16,6 @@ from .augmentation import (
     extract_answer_block,
     load_pool,
     save_pool,
-    seed_example,
 )
 from .cache import CacheStore, cached_complete
 from .evalharness import (
@@ -107,7 +106,6 @@ __all__ = [
     "prune",
     "save_pool",
     "score",
-    "seed_example",
     "select_examples",
     "tpe_suggest",
     "tune_weights",

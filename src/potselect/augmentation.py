@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -128,11 +129,13 @@ class Example:
 @dataclass(frozen=True)
 class ExamplePool:
     examples: tuple[Example, ...]
+    _by_id: dict[str, Example] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ids = [e.id for e in self.examples]
-        if len(set(ids)) != len(ids):
+        by_id = {e.id: e for e in self.examples}
+        if len(by_id) != len(self.examples):
             raise ValueError("duplicate example ids in pool")
+        object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -141,10 +144,7 @@ class ExamplePool:
         return iter(self.examples)
 
     def get(self, example_id: str) -> Example | None:
-        for example in self.examples:
-            if example.id == example_id:
-                return example
-        return None
+        return self._by_id.get(example_id)
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ def check_consistency(
         return ConsistencyReport(
             False, candidate_value, reference_value, None, "inconsistent", "output mismatch"
         )
-    similarity = cosine(services.embed_steps(candidate), services.embed_steps(reference))
+    similarity = cosine(services.embed(candidate), services.embed(reference))
     if similarity >= tau:
         return ConsistencyReport(True, candidate_value, reference_value, similarity, "consistent")
     return ConsistencyReport(
@@ -297,17 +297,6 @@ def rephrase_question(example: Example, services: Services) -> str:
 
 def infer_answer(original: Example, new_question: str, services: Services) -> str:
     prompt = prompts.few_shot_prompt([(original.question, original.answer_text)], new_question)
-    completion = services.complete_text(prompt, stop_sequences=("Question:",))
-    block = extract_answer_block(completion)
-    if block is None:
-        raise EmptyGeneration("completion contains no parseable answer block")
-    return block
-
-
-def generate_answer(reference_example: Example, question: str, services: Services) -> str:
-    prompt = prompts.few_shot_prompt(
-        [(reference_example.question, reference_example.answer_text)], question
-    )
     completion = services.complete_text(prompt, stop_sequences=("Question:",))
     block = extract_answer_block(completion)
     if block is None:
@@ -338,12 +327,9 @@ def random_chain(rng: np.random.Generator, length: int = 1) -> ModificationChain
 def _lineage_ids(example: Example, pool: ExamplePool) -> set[str]:
     ids = {example.id}
     current = example
-    while current.parent_id is not None:
+    while current is not None and current.parent_id is not None:
         ids.add(current.parent_id)
-        nxt = pool.get(current.parent_id)
-        if nxt is None:
-            break
-        current = nxt
+        current = pool.get(current.parent_id)
     return ids
 
 
@@ -353,6 +339,9 @@ def _stage2_reference(example: Example, pool: ExamplePool) -> Example | None:
     if not candidates:
         return None
     return min(candidates, key=lambda e: e.id)
+
+
+Proposal = tuple[str, str, str]  # (question, candidate answer, reference answer)
 
 
 def run_stage(
@@ -371,133 +360,112 @@ def run_stage(
     """
     log = attempts if attempts is not None else []
     if stage == 1:
-        return _run_stage1(example, config, services, log)
-    if stage == 2:
-        return _run_stage2(example, config, pool, services, log)
-    if stage == 3:
-        return _run_stage3(example, config, services, log, seed_index)
-    raise ValueError(f"stage must be 1, 2 or 3, got {stage}")
+
+        def propose() -> Proposal:
+            question = rephrase_question(example, services)
+            return question, infer_answer(example, question, services), example.answer_text
+
+    elif stage == 2:
+        reference = _stage2_reference(example, pool)
+        if reference is None:
+            skip = "no reference outside lineage"
+            log.append(AttemptRecord(example.id, 2, None, 0, False, None, skip))
+            return None
+
+        def propose() -> Proposal:
+            answer_text = infer_answer(reference, example.question, services)
+            return example.question, answer_text, example.answer_text
+
+    elif stage == 3:
+        return _stage3(example, config, services, log, seed_index)
+    else:
+        raise ValueError(f"stage must be 1, 2 or 3, got {stage}")
+    # stages 1 and 2 keep the candidate answer that passed the gate
+    found = _first_consistent(example.id, stage, None, config, services, log, propose)
+    if found is None:
+        return None
+    (question, answer_text, _), report = found
+    return _child(example, stage, question, answer_text, report)
 
 
-def _check(config: AugmentationConfig, candidate: str, reference: str, services: Services):
-    return check_consistency(
-        candidate, reference, services,
-        tau=config.tau, eps_abs=config.eps_abs, eps_rel=config.eps_rel,
+def _first_consistent(
+    seed_id: str,
+    stage: int,
+    iteration: int | None,
+    config: AugmentationConfig,
+    services: Services,
+    log: list[AttemptRecord],
+    propose: Callable[[], Proposal],
+) -> tuple[Proposal, ConsistencyReport] | None:
+    """The first of up to ``max_retries + 1`` proposals that passes the gate.
+
+    The gate checks the candidate answer against the reference answer.  A
+    proposal that cannot be generated counts as an inconsistent attempt.
+    Every attempt is logged; None means all of them failed.
+    """
+    for attempt in range(config.max_retries + 1):
+        try:
+            proposal = propose()
+        except (EmptyGeneration, InterpreterError) as exc:
+            report = ConsistencyReport(False, None, None, None, "inconsistent", str(exc))
+        else:
+            report = check_consistency(
+                proposal[1], proposal[2], services,
+                tau=config.tau, eps_abs=config.eps_abs, eps_rel=config.eps_rel,
+            )
+        accepted = report.verdict == "consistent"
+        log.append(AttemptRecord(seed_id, stage, iteration, attempt, accepted, report))
+        if accepted:
+            return proposal, report
+    return None
+
+
+def _child(
+    parent: Example,
+    stage: int,
+    question: str,
+    answer_text: str,
+    report: ConsistencyReport,
+    iteration: int | None = None,
+) -> Example:
+    return Example(
+        id=f"{parent.id}.s{stage}",
+        question=question,
+        answer_text=answer_text,
+        provenance=Provenance(f"stage{stage}", iteration),
+        parent_id=parent.id,
+        consistency=report,
     )
 
 
-def _run_stage1(
-    example: Example, config: AugmentationConfig, services: Services, log: list[AttemptRecord]
-) -> Example | None:
-    for attempt in range(config.max_retries + 1):
-        try:
-            new_question = rephrase_question(example, services)
-            new_answer = infer_answer(example, new_question, services)
-        except EmptyGeneration as exc:
-            report = ConsistencyReport(False, None, None, None, "inconsistent", str(exc))
-            log.append(AttemptRecord(example.id, 1, None, attempt, False, report))
-            continue
-        report = _check(config, new_answer, example.answer_text, services)
-        accepted = report.verdict == "consistent"
-        log.append(AttemptRecord(example.id, 1, None, attempt, accepted, report))
-        if accepted:
-            return Example(
-                id=f"{example.id}.s1",
-                question=new_question,
-                answer_text=new_answer,
-                provenance=Provenance("stage1"),
-                parent_id=example.id,
-                consistency=report,
-            )
-    return None
-
-
-def _run_stage2(
-    example: Example,
-    config: AugmentationConfig,
-    pool: ExamplePool,
-    services: Services,
-    log: list[AttemptRecord],
-) -> Example | None:
-    reference = _stage2_reference(example, pool)
-    if reference is None:
-        log.append(
-            AttemptRecord(example.id, 2, None, 0, False, None, "no reference outside lineage")
-        )
-        return None
-    for attempt in range(config.max_retries + 1):
-        try:
-            generated = generate_answer(reference, example.question, services)
-        except EmptyGeneration as exc:
-            report = ConsistencyReport(False, None, None, None, "inconsistent", str(exc))
-            log.append(AttemptRecord(example.id, 2, None, attempt, False, report))
-            continue
-        report = _check(config, generated, example.answer_text, services)
-        accepted = report.verdict == "consistent"
-        log.append(AttemptRecord(example.id, 2, None, attempt, accepted, report))
-        if accepted:
-            return Example(
-                id=f"{example.id}.s2",
-                question=example.question,
-                answer_text=generated,
-                provenance=Provenance("stage2"),
-                parent_id=example.id,
-                consistency=report,
-            )
-    return None
-
-
-def _run_stage3(
+def _stage3(
     example: Example,
     config: AugmentationConfig,
     services: Services,
     log: list[AttemptRecord],
     seed_index: int,
 ) -> Example | None:
+    """T rounds of modify-then-question; each round builds on the last accepted one.
+
+    The gate checks the answer inferred for the generated question against
+    the modified answer, which is the one the product keeps.
+    """
     rng = np.random.default_rng([abs(config.rng_seed) % 2**32, seed_index, 3])
-    question = example.question
-    answer_text = example.answer_text
-    final_report: ConsistencyReport | None = None
+    current = example
+
+    def propose() -> Proposal:
+        chain = random_chain(rng, length=1)
+        modified = interpreter.modify_answer(interpreter.parse(current.answer_text), chain)
+        question = generate_question(modified.source_text, current, services)
+        return question, infer_answer(current, question, services), modified.source_text
+
     for iteration in range(1, config.iterations + 1):
-        accepted = False
-        for attempt in range(config.max_retries + 1):
-            chain = random_chain(rng, length=1)
-            try:
-                modified = interpreter.modify_answer(interpreter.parse(answer_text), chain)
-                modified_text = modified.source_text
-                new_question = generate_question(
-                    modified_text,
-                    replace(example, question=question, answer_text=answer_text),
-                    services,
-                )
-                inferred = infer_answer(
-                    replace(example, question=question, answer_text=answer_text),
-                    new_question,
-                    services,
-                )
-            except (EmptyGeneration, InterpreterError) as exc:
-                report = ConsistencyReport(False, None, None, None, "inconsistent", str(exc))
-                log.append(AttemptRecord(example.id, 3, iteration, attempt, False, report))
-                continue
-            report = _check(config, inferred, modified_text, services)
-            ok = report.verdict == "consistent"
-            log.append(AttemptRecord(example.id, 3, iteration, attempt, ok, report))
-            if ok:
-                question = new_question
-                answer_text = modified_text
-                final_report = report
-                accepted = True
-                break
-        if not accepted:
+        found = _first_consistent(example.id, 3, iteration, config, services, log, propose)
+        if found is None:
             return None
-    return Example(
-        id=f"{example.id}.s3",
-        question=question,
-        answer_text=answer_text,
-        provenance=Provenance("stage3", iteration=config.iterations),
-        parent_id=example.id,
-        consistency=final_report,
-    )
+        (question, _, answer_text), report = found
+        current = replace(current, question=question, answer_text=answer_text)
+    return _child(example, 3, current.question, current.answer_text, report, config.iterations)
 
 
 def augment_pool(
@@ -517,29 +485,17 @@ def augment_pool(
     attempts: list[AttemptRecord] = []
     augmented: list[Example] = []
     for index, seed in enumerate(pool):
-        stage1 = stage2 = None
-        if 1 in stages:
-            stage1 = run_stage(seed, 1, config, pool, services, attempts, index)
-            if stage1 is not None:
-                augmented.append(stage1)
-        if 2 in stages:
-            if stage1 is None:
-                attempts.append(
-                    AttemptRecord(seed.id, 2, None, 0, False, None, "no stage-1 product")
-                )
+        product: Example | None = seed
+        for stage in (1, 2, 3):
+            if stage not in stages:
+                product = None
+            elif product is None:
+                skip = f"no stage-{stage - 1} product"
+                attempts.append(AttemptRecord(seed.id, stage, None, 0, False, None, skip))
             else:
-                stage2 = run_stage(stage1, 2, config, pool, services, attempts, index)
-                if stage2 is not None:
-                    augmented.append(stage2)
-        if 3 in stages:
-            if stage2 is None:
-                attempts.append(
-                    AttemptRecord(seed.id, 3, None, 0, False, None, "no stage-2 product")
-                )
-            else:
-                stage3 = run_stage(stage2, 3, config, pool, services, attempts, index)
-                if stage3 is not None:
-                    augmented.append(stage3)
+                product = run_stage(product, stage, config, pool, services, attempts, index)
+                if product is not None:
+                    augmented.append(product)
     out = ExamplePool(tuple(pool.examples) + tuple(augmented))
     return AugmentationResult(pool=out, attempts=attempts)
 
@@ -559,22 +515,16 @@ def load_pool(path: str | Path) -> ExamplePool:
     return ExamplePool(tuple(examples))
 
 
+def write_jsonl(path: str | Path, records: Iterable[dict], meta: dict | None = None) -> None:
+    """One JSON object per line (sorted keys, non-ASCII kept), after an optional meta record."""
+    lines = [] if meta is None else [{"meta": meta}]
+    lines.extend(records)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in lines)
+
+
 def save_pool(pool: ExamplePool, path: str | Path, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"meta": meta}, sort_keys=True, ensure_ascii=False) + "\n")
-        for example in pool:
-            fh.write(json.dumps(example.to_json(), sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def save_attempts(attempts: list[AttemptRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in attempts:
-            fh.write(json.dumps(record.to_json(), sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def seed_example(example_id: str, question: str, answer_text: str) -> Example:
-    return Example(id=example_id, question=question, answer_text=answer_text)
+    write_jsonl(path, (example.to_json() for example in pool), meta)
 
 
 def verify_lineage(pool: ExamplePool, max_hops: int) -> bool:

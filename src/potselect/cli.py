@@ -21,8 +21,7 @@ from .cache import CacheStore
 from .interpreter import InterpreterError
 from .providers import (
     HashEmbedding,
-    NoFixture,
-    ProviderUnavailable,
+    ProviderError,
     RemoteCompletionProvider,
     ScriptedProvider,
     Services,
@@ -205,7 +204,7 @@ def cmd_augment(cfg: dict) -> int:
     )
     result = augmentation.augment_pool(pool, config, services, stages=stages)
     augmentation.save_pool(result.pool, out, meta=_meta("augment", cfg))
-    augmentation.save_attempts(result.attempts, f"{out}.attempts.jsonl")
+    augmentation.write_jsonl(f"{out}.attempts.jsonl", (a.to_json() for a in result.attempts))
     counts = result.accepted_per_stage()
     print(
         f"pool: {len(pool)} seeds -> {len(result.pool)} examples "
@@ -220,21 +219,14 @@ def cmd_select(cfg: dict) -> int:
     out = _require(cfg, "out")
     services = _services(cfg)
     config = _selection_config(cfg)
-    trace_records = []
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"meta": _meta("select", cfg)}, sort_keys=True, ensure_ascii=False) + "\n")
-        for item in dataset:
-            result = selection.select_examples(pool, item.question, config, services)
-            record = {
-                "item_id": item.id,
-                "chosen": result.chosen_ids,
-                "scores": [score for _, score in result.chosen],
-            }
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-            trace_records.append({"item_id": item.id, "trace": [r.to_json() for r in result.trace]})
-    with open(f"{out}.trace.jsonl", "w", encoding="utf-8") as fh:
-        for record in trace_records:
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    records, traces = [], []
+    for item in dataset:
+        result = selection.select_examples(pool, item.question, config, services)
+        scores = [score for _, score in result.chosen]
+        records.append({"item_id": item.id, "chosen": result.chosen_ids, "scores": scores})
+        traces.append({"item_id": item.id, "trace": [r.to_json() for r in result.trace]})
+    augmentation.write_jsonl(out, records, meta=_meta("select", cfg))
+    augmentation.write_jsonl(f"{out}.trace.jsonl", traces)
     print(f"selected for {len(dataset)} questions -> {out}")
     return EXIT_OK
 
@@ -314,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProviderUnavailable, NoFixture) as exc:
+    except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
     except (

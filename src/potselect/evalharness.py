@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import interpreter, prompts
-from .augmentation import Example, ExamplePool, extract_answer_block
+from .augmentation import Example, ExamplePool, extract_answer_block, write_jsonl
 from .providers import ProviderError, Services
 from .selection import EmptyPool, SelectionConfig, select_examples
 
@@ -257,9 +257,5 @@ def evaluate(
 
 def save_report(report: EvalReport, path: str | Path, meta: dict | None = None) -> None:
     """Line-delimited per-item records plus a final summary record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"meta": meta}, sort_keys=True, ensure_ascii=False) + "\n")
-        for item in report.items:
-            fh.write(json.dumps(item.to_json(), sort_keys=True, ensure_ascii=False) + "\n")
-        fh.write(json.dumps({"summary": report.summary()}, sort_keys=True, ensure_ascii=False) + "\n")
+    records = [item.to_json() for item in report.items] + [{"summary": report.summary()}]
+    write_jsonl(path, records, meta)

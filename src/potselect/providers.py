@@ -8,11 +8,11 @@ plus a remote adapter sharing the HTTP machinery.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +43,10 @@ class NoFixture(ProviderError):
 
 class DimensionMismatch(ProviderError):
     pass
+
+
+class MalformedResponse(ProviderError):
+    """The remote endpoint answered, but not with JSON carrying the expected field."""
 
 
 @dataclass(frozen=True)
@@ -145,26 +149,33 @@ class ScriptedProvider:
         return fixture.response
 
 
-Transport = Callable[[str, dict, dict], str]
+Transport = Callable[[str, dict, dict], object]
+
+BACKOFF_CAP = 8.0  # seconds: the longest wait between two attempts
+_RETRYABLE = (requests.ConnectionError, requests.Timeout, ConnectionError, TimeoutError)
 
 
-def _http_transport(endpoint: str, payload: dict, headers: dict) -> str:
+def _http_transport(endpoint: str, payload: dict, headers: dict, key: str) -> object:
     resp = requests.post(endpoint, json=payload, headers=headers, timeout=60)
     if resp.status_code >= 500:
         raise requests.ConnectionError(f"server error {resp.status_code}")
     resp.raise_for_status()
-    return resp.json()["text"]
+    try:
+        return resp.json()[key]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedResponse(f"response carries no {key!r} field: {exc!r}") from None
 
 
-class RemoteCompletionProvider:
-    """Single-shot HTTP completion adapter with bounded exponential backoff.
+class _RemoteAdapter:
+    """Endpoint settings and the retry loop shared by the HTTP adapters.
 
     Endpoint, auth token and model come from arguments or the
     ``POTSELECT_ENDPOINT`` / ``POTSELECT_API_TOKEN`` / ``POTSELECT_MODEL``
-    environment variables.  ``max_in_flight`` bounds concurrent requests.
+    environment variables.  ``transport(endpoint, payload, headers)``
+    returns the response's ``response_field`` value; ``calls`` counts requests.
     """
 
-    provider_id = "remote"
+    response_field = "text"
 
     def __init__(
         self,
@@ -173,8 +184,6 @@ class RemoteCompletionProvider:
         model_id: str | None = None,
         max_attempts: int = 3,
         backoff_base: float = 0.5,
-        backoff_cap: float = 8.0,
-        max_in_flight: int = 4,
         transport: Transport | None = None,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
@@ -184,37 +193,46 @@ class RemoteCompletionProvider:
             raise ValueError(f"no endpoint configured (set {ENDPOINT_ENV})")
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.calls = 0
-        self._transport = transport or _http_transport
-        self._slots = threading.BoundedSemaphore(max_in_flight)
+        self._transport = transport or functools.partial(_http_transport, key=self.response_field)
 
-    def complete(self, request: CompletionRequest) -> str:
+    def _post_with_retry(self, payload: dict) -> object:
+        """Retry connection errors, timeouts and 5xx with capped exponential backoff.
+
+        Any other request failure is fatal at once; both end as ProviderUnavailable.
+        """
         self.calls += 1
-        payload = {
-            "model": request.model_id,
-            "prompt": request.prompt,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-            "stop": list(request.stop_sequences),
-        }
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         delay = self.backoff_base
         last: Exception | None = None
-        with self._slots:
-            for attempt in range(self.max_attempts):
-                try:
-                    return self._transport(self.endpoint, payload, headers)
-                except (requests.ConnectionError, requests.Timeout, ConnectionError, TimeoutError) as exc:
-                    last = exc
-                    if attempt + 1 < self.max_attempts:
-                        time.sleep(delay)
-                        delay = min(delay * 2, self.backoff_cap)
-                except requests.RequestException as exc:
-                    raise ProviderUnavailable(f"non-retryable failure: {exc}") from exc
-        raise ProviderUnavailable(
-            f"gave up after {self.max_attempts} attempts: {last}"
-        ) from last
+        for attempt in range(self.max_attempts):
+            try:
+                return self._transport(self.endpoint, payload, headers)
+            except _RETRYABLE as exc:
+                last = exc
+                if attempt + 1 < self.max_attempts:
+                    time.sleep(delay)
+                    delay = min(delay * 2, BACKOFF_CAP)
+            except requests.RequestException as exc:
+                raise ProviderUnavailable(f"non-retryable failure: {exc}") from exc
+        raise ProviderUnavailable(f"gave up after {self.max_attempts} attempts: {last}") from last
+
+
+class RemoteCompletionProvider(_RemoteAdapter):
+    """Single-shot HTTP completion adapter."""
+
+    provider_id = "remote"
+
+    def complete(self, request: CompletionRequest) -> str:
+        return self._post_with_retry(
+            {
+                "model": request.model_id,
+                "prompt": request.prompt,
+                "temperature": request.temperature,
+                "max_tokens": request.max_tokens,
+                "stop": list(request.stop_sequences),
+            }
+        )
 
 
 class HashEmbedding:
@@ -246,53 +264,19 @@ class HashEmbedding:
         return vector
 
 
-class RemoteEmbeddingProvider:
-    """HTTP embedding adapter mirroring the completion adapter's protocol."""
+class RemoteEmbeddingProvider(_RemoteAdapter):
+    """HTTP embedding adapter; the vector must have ``dimension`` finite components."""
 
     provider_id = "remote-embedding"
+    response_field = "embedding"
 
-    def __init__(
-        self,
-        dimension: int,
-        endpoint: str | None = None,
-        token: str | None = None,
-        model_id: str | None = None,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        transport: Callable[[str, dict, dict], list[float]] | None = None,
-    ):
+    def __init__(self, dimension: int, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.dimension = dimension
-        self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
-        self.token = token if token is not None else os.environ.get(TOKEN_ENV, "")
-        self.model_id = model_id or os.environ.get(MODEL_ENV, "default")
-        if not self.endpoint:
-            raise ValueError(f"no endpoint configured (set {ENDPOINT_ENV})")
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self._transport = transport or self._http
-
-    @staticmethod
-    def _http(endpoint: str, payload: dict, headers: dict) -> list[float]:
-        resp = requests.post(endpoint, json=payload, headers=headers, timeout=60)
-        resp.raise_for_status()
-        return resp.json()["embedding"]
 
     def embed(self, text: str) -> np.ndarray:
         payload = {"model": self.model_id, "input": text}
-        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
-        delay = self.backoff_base
-        last: Exception | None = None
-        for attempt in range(self.max_attempts):
-            try:
-                values = np.asarray(self._transport(self.endpoint, payload, headers), dtype=np.float64)
-                break
-            except (requests.ConnectionError, requests.Timeout, ConnectionError, TimeoutError) as exc:
-                last = exc
-                if attempt + 1 < self.max_attempts:
-                    time.sleep(delay)
-                    delay *= 2
-        else:
-            raise ProviderUnavailable(f"gave up after {self.max_attempts} attempts: {last}") from last
+        values = np.asarray(self._post_with_retry(payload), dtype=np.float64)
         if values.shape != (self.dimension,):
             raise DimensionMismatch(f"expected dimension {self.dimension}, got {values.shape}")
         if not np.all(np.isfinite(values)):
@@ -317,19 +301,14 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 class Services:
     """Completion + embedding providers and an optional response cache.
 
-    ``step_embedding`` optionally routes consistency-check step similarity
-    through a different embedder than question/answer encoding; it falls
-    back to ``embedding``.  Shareable across workers: the embed memos are
-    append-only and providers carry no per-call mutable state beyond
-    counters.
+    Shareable across workers: the embed memo is append-only and providers
+    carry no per-call mutable state beyond counters.
     """
 
     completion: object
     embedding: object
     cache: CacheStore | None = None
-    step_embedding: object | None = None
     _embed_memo: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _step_memo: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def complete_text(
         self,
@@ -353,15 +332,6 @@ class Services:
         if hit is None:
             hit = self.embedding.embed(text)
             self._embed_memo[text] = hit
-        return hit
-
-    def embed_steps(self, text: str) -> np.ndarray:
-        if self.step_embedding is None:
-            return self.embed(text)
-        hit = self._step_memo.get(text)
-        if hit is None:
-            hit = self.step_embedding.embed(text)
-            self._step_memo[text] = hit
         return hit
 
 

@@ -299,11 +299,3 @@ def select_examples(
         chosen=[(examples[i], scores[i]) for i in chosen],
         trace=trace,
     )
-
-
-def save_trace(trace: list[IterationRecord], path: str | Path, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"meta": meta}, sort_keys=True, ensure_ascii=False) + "\n")
-        for record in trace:
-            fh.write(json.dumps(record.to_json(), sort_keys=True, ensure_ascii=False) + "\n")

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import requests
 
 from potselect.augmentation import Example, ExamplePool
 from potselect.providers import Fixture, HashEmbedding, ScriptedProvider, Services
@@ -102,6 +103,24 @@ ROUGH_FIXTURE = Fixture(
     r"\AQuestion: ([^\n]*)\n# Python code, return ans\n\Z",
     r"rough answer about \1",
 )
+
+
+def fake_post(monkeypatch, status: int, body: bytes) -> list[dict]:
+    """Make every ``requests.post`` in the providers module answer with one canned response.
+
+    Returns the list that collects each posted payload.
+    """
+    posts = []
+
+    def post(endpoint, json, headers, timeout):
+        posts.append(json)
+        resp = requests.Response()
+        resp.status_code = status
+        resp._content = body
+        return resp
+
+    monkeypatch.setattr("potselect.providers.requests.post", post)
+    return posts
 
 
 def concept_text(question: str) -> str:

@@ -16,7 +16,6 @@ from potselect.augmentation import (
     augment_pool,
     check_consistency,
     extract_answer_block,
-    generate_answer,
     generate_question,
     infer_answer,
     load_pool,
@@ -25,6 +24,7 @@ from potselect.augmentation import (
     run_stage,
     save_pool,
     verify_lineage,
+    write_jsonl,
 )
 from potselect.interpreter import execute, parse
 from potselect.providers import Fixture, NoFixture, cosine
@@ -189,7 +189,7 @@ class TestGeneratorOps:
     def test_no_fixture_propagates(self):
         services = make_services([])
         with pytest.raises(NoFixture):
-            generate_answer(bolts_example(), "any question", services)
+            infer_answer(bolts_example(), "any question", services)
 
     def test_generate_question_strips_whitespace(self):
         prompt = prompts.question_generation_prompt([(BOLTS_Q, BOLTS_A)], BOLTS_VARIANT_A)
@@ -428,6 +428,17 @@ class TestPoolFiles:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             ExamplePool((bolts_example(), bolts_example()))
+
+    def test_write_jsonl_exact_bytes(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        record = {"question": "Zoë's café?", "answer": 1}
+        write_jsonl(path, [record])
+        assert path.read_bytes() == '{"answer": 1, "question": "Zoë\'s café?"}\n'.encode("utf-8")
+        write_jsonl(path, [record], meta={"note": "naïve", "config": None})
+        assert path.read_bytes() == (
+            '{"meta": {"config": null, "note": "naïve"}}\n'
+            '{"answer": 1, "question": "Zoë\'s café?"}\n'
+        ).encode("utf-8")
 
 
 class TestConsistencyReportInvariants:

@@ -15,6 +15,7 @@ from conftest import (
     augmentation_fixtures,
     CONCEPT_FIXTURE,
     ROUGH_FIXTURE,
+    fake_post,
     thirteen_seeds,
 )
 
@@ -221,6 +222,40 @@ class TestEvalCommand:
         assert reports[0] == reports[1]
         assert calls[0] > 0
         assert calls[1] == 0
+
+
+class TestRemoteProviderFailures:
+    """A remote response without a "text" field, injected at ``requests.post``."""
+
+    @pytest.fixture(autouse=True)
+    def malformed_endpoint(self, monkeypatch):
+        monkeypatch.setenv("POTSELECT_ENDPOINT", "http://example.invalid")
+        fake_post(monkeypatch, 200, b'{"choices": []}')
+
+    def _run(self, command, eval_environment):
+        out = eval_environment["tmp"] / f"{command}.jsonl"
+        code = main(
+            [
+                command,
+                "--provider", "remote",
+                "--pool", eval_environment["pool"],
+                "--dataset", eval_environment["dataset"],
+                "--out", str(out),
+            ]
+        )
+        return code, out
+
+    def test_select_exits_with_provider_code(self, eval_environment, capsys):
+        code, _ = self._run("select", eval_environment)
+        assert code == 2
+        assert "provider error" in capsys.readouterr().err
+
+    def test_eval_records_provider_cause_per_item(self, eval_environment):
+        code, out = self._run("eval", eval_environment)
+        assert code == 0
+        items = [json.loads(l) for l in out.read_text().splitlines()][1:-1]
+        assert len(items) == 5
+        assert all(item["cause"].startswith("provider: ") for item in items)
 
 
 class TestCacheStats:

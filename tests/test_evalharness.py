@@ -29,6 +29,7 @@ from conftest import (
     eval_dataset_records,
     eval_fixtures,
     eval_pool,
+    fake_post,
     make_services,
 )
 
@@ -214,6 +215,18 @@ class TestEvaluate:
         assert report.n_items == 5
         assert report.accuracy == 0.0
         assert all(r.cause.startswith("provider") for r in report.items)
+
+    def test_malformed_remote_response_never_aborts_the_run(self, tmp_path, monkeypatch):
+        from potselect.providers import HashEmbedding, RemoteCompletionProvider, Services
+
+        fake_post(monkeypatch, 200, b'{"choices": []}')  # no "text" field
+        services = Services(
+            completion=RemoteCompletionProvider(endpoint="http://example.invalid"),
+            embedding=HashEmbedding(),
+        )
+        report = evaluate(_dataset(tmp_path), eval_pool(), SelectionConfig(), services)
+        assert report.n_items == 5
+        assert all(r.cause.startswith("provider: ") for r in report.items)
 
     def test_totals_match_per_item_recount(self, tmp_path):
         dataset = _dataset(tmp_path)

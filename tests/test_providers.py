@@ -26,6 +26,8 @@ from potselect.providers import (
     save_fixtures,
 )
 
+from conftest import fake_post
+
 
 class TestCompletionRequest:
     def test_identical_requests_share_a_key(self):
@@ -267,6 +269,17 @@ class TestRemoteProvider:
         }
 
 
+    @pytest.mark.parametrize("body", [b"not json", b'{"choices": []}', b"[1, 2]"])
+    def test_malformed_body_is_a_provider_error(self, monkeypatch, body):
+        from potselect.providers import MalformedResponse
+
+        posts = fake_post(monkeypatch, 200, body)
+        provider = RemoteCompletionProvider(endpoint="http://example.invalid", backoff_base=0.0)
+        with pytest.raises(MalformedResponse):
+            provider.complete(CompletionRequest(prompt="p"))
+        assert len(posts) == 1
+
+
 class TestRemoteEmbedding:
     def test_retries_then_gives_up(self):
         from potselect.providers import RemoteEmbeddingProvider
@@ -284,6 +297,28 @@ class TestRemoteEmbedding:
         with pytest.raises(ProviderUnavailable):
             provider.embed("text")
         assert calls["n"] == 3
+
+    def test_server_error_is_retried_then_unavailable(self, monkeypatch):
+        from potselect.providers import RemoteEmbeddingProvider
+
+        posts = fake_post(monkeypatch, 503, b"busy")
+        provider = RemoteEmbeddingProvider(
+            dimension=2, endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0,
+        )
+        with pytest.raises(ProviderUnavailable):
+            provider.embed("text")
+        assert len(posts) == 3
+
+    def test_client_error_is_a_provider_error(self, monkeypatch):
+        from potselect.providers import ProviderError, RemoteEmbeddingProvider
+
+        posts = fake_post(monkeypatch, 400, b'{"error": "bad input"}')
+        provider = RemoteEmbeddingProvider(
+            dimension=2, endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0,
+        )
+        with pytest.raises(ProviderError):
+            provider.embed("text")
+        assert len(posts) == 1
 
     def test_validates_dimension_and_finiteness(self):
         from potselect.providers import ProviderError, RemoteEmbeddingProvider
@@ -351,13 +386,3 @@ class TestServices:
         services.embed("t")
         services.embed("t")
         assert embedding.calls == 1
-
-    def test_step_embedding_routes_separately_when_configured(self):
-        main = HashEmbedding()
-        steps = HashEmbedding(dimension=8)
-        services = Services(completion=ScriptedProvider([]), embedding=main, step_embedding=steps)
-        assert services.embed("a b").shape == (256,)
-        assert services.embed_steps("a b").shape == (8,)
-        # without an override the step path is the main embedder
-        services = Services(completion=ScriptedProvider([]), embedding=main)
-        assert np.array_equal(services.embed_steps("a b"), services.embed("a b"))
