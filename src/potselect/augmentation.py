@@ -11,9 +11,9 @@ joins the pool.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +24,16 @@ from .providers import Services, cosine
 
 class EmptyGeneration(Exception):
     """The provider returned no usable text for a generation step."""
+
+
+class DatasetError(Exception):
+    pass
+
+
+class MalformedRecord(DatasetError):
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"record {line_no}: {reason}")
+        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -61,16 +71,6 @@ class ConsistencyReport:
     step_similarity: float | None
     verdict: str  # "consistent" | "inconsistent"
     cause: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "output_match": self.output_match,
-            "candidate_value": self.candidate_value,
-            "reference_value": self.reference_value,
-            "step_similarity": self.step_similarity,
-            "verdict": self.verdict,
-            "cause": self.cause,
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "ConsistencyReport":
@@ -110,11 +110,13 @@ class Example:
             "parent_id": self.parent_id,
         }
         if self.consistency is not None:
-            record["consistency"] = self.consistency.to_json()
+            record["consistency"] = asdict(self.consistency)
         return record
 
     @classmethod
     def from_json(cls, data: dict) -> "Example":
+        if not isinstance(data["question"], str) or not isinstance(data["answer_text"], str):
+            raise TypeError("question and answer_text must be strings")
         consistency = data.get("consistency")
         return cls(
             id=data["id"],
@@ -174,17 +176,6 @@ class AttemptRecord:
     accepted: bool
     report: ConsistencyReport | None = None
     skip_reason: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "seed_id": self.seed_id,
-            "stage": self.stage,
-            "iteration": self.iteration,
-            "attempt": self.attempt,
-            "accepted": self.accepted,
-            "report": self.report.to_json() if self.report else None,
-            "skip_reason": self.skip_reason,
-        }
 
 
 @dataclass
@@ -500,18 +491,35 @@ def augment_pool(
     return AugmentationResult(pool=out, attempts=attempts)
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSONL file.
+
+    Line numbers count every line from 1.  Invalid JSON or a line that is
+    not a JSON object raises MalformedRecord.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(line_no, f"invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise MalformedRecord(line_no, "record is not an object")
+            yield line_no, record
+
+
 def load_pool(path: str | Path) -> ExamplePool:
     """Read a line-delimited pool file, skipping metadata records."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "meta" in record:
-                continue
+    for line_no, record in read_jsonl(path):
+        if "meta" in record:
+            continue
+        try:
             examples.append(Example.from_json(record))
+        except (KeyError, TypeError, ValueError, InterpreterError) as exc:
+            raise MalformedRecord(line_no, f"not a pool example: {exc!r}") from None
     return ExamplePool(tuple(examples))
 
 

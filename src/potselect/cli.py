@@ -2,7 +2,8 @@
 
 Configuration precedence is flag > config file > built-in default, and the
 effective configuration is echoed into every output file's metadata record.
-Output files carry no timestamps, so identical runs are byte-identical.
+Identical runs write byte-identical files, except for two timestamps: each
+trial-log record's ``timestamp`` and each cache entry's ``created_at``.
 
 Exit codes: 0 success, 1 usage, 2 provider failure, 3 unreadable/invalid data.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +206,7 @@ def cmd_augment(cfg: dict) -> int:
     )
     result = augmentation.augment_pool(pool, config, services, stages=stages)
     augmentation.save_pool(result.pool, out, meta=_meta("augment", cfg))
-    augmentation.write_jsonl(f"{out}.attempts.jsonl", (a.to_json() for a in result.attempts))
+    augmentation.write_jsonl(f"{out}.attempts.jsonl", map(asdict, result.attempts))
     counts = result.accepted_per_stage()
     print(
         f"pool: {len(pool)} seeds -> {len(result.pool)} examples "
@@ -224,7 +226,7 @@ def cmd_select(cfg: dict) -> int:
         result = selection.select_examples(pool, item.question, config, services)
         scores = [score for _, score in result.chosen]
         records.append({"item_id": item.id, "chosen": result.chosen_ids, "scores": scores})
-        traces.append({"item_id": item.id, "trace": [r.to_json() for r in result.trace]})
+        traces.append({"item_id": item.id, "trace": [asdict(r) for r in result.trace]})
     augmentation.write_jsonl(out, records, meta=_meta("select", cfg))
     augmentation.write_jsonl(f"{out}.trace.jsonl", traces)
     print(f"selected for {len(dataset)} questions -> {out}")

@@ -12,23 +12,14 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import interpreter, prompts
-from .augmentation import Example, ExamplePool, extract_answer_block, write_jsonl
+from .augmentation import DatasetError, Example, ExamplePool, MalformedRecord
+from .augmentation import extract_answer_block, read_jsonl, write_jsonl
 from .providers import ProviderError, Services
 from .selection import EmptyPool, SelectionConfig, select_examples
-
-
-class DatasetError(Exception):
-    pass
-
-
-class MalformedRecord(DatasetError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"record {line_no}: {reason}")
-        self.line_no = line_no
 
 
 class MissingMarker(DatasetError):
@@ -55,31 +46,23 @@ _GSM8K_MARKER = re.compile(r"####\s*(-?[\d,]*\.?\d+)")
 def load_gsm8k(path: str | Path) -> list[QAItem]:
     """Parse GSM8K-format JSONL; gold values come from the final #### marker."""
     items: list[QAItem] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict) or "question" not in record or "answer" not in record:
-                raise MalformedRecord(line_no, "needs 'question' and 'answer' fields")
-            markers = _GSM8K_MARKER.findall(str(record["answer"]))
-            if not markers:
-                raise MissingMarker(line_no)
-            gold = float(markers[-1].replace(",", ""))
-            if not math.isfinite(gold):
-                raise MalformedRecord(line_no, f"gold value {markers[-1]!r} is not finite")
-            items.append(
-                QAItem(
-                    id=str(record.get("id", f"item-{line_no}")),
-                    question=str(record["question"]),
-                    gold_value=gold,
-                    raw_record=record,
-                )
+    for line_no, record in read_jsonl(path):
+        if "question" not in record or "answer" not in record:
+            raise MalformedRecord(line_no, "needs 'question' and 'answer' fields")
+        markers = _GSM8K_MARKER.findall(str(record["answer"]))
+        if not markers:
+            raise MissingMarker(line_no)
+        gold = float(markers[-1].replace(",", ""))
+        if not math.isfinite(gold):
+            raise MalformedRecord(line_no, f"gold value {markers[-1]!r} is not finite")
+        items.append(
+            QAItem(
+                id=str(record.get("id", f"item-{line_no}")),
+                question=str(record["question"]),
+                gold_value=gold,
+                raw_record=record,
             )
+        )
     return items
 
 
@@ -92,23 +75,14 @@ def _field(record: dict, name: str):
 
 def load_svamp(path: str | Path) -> list[QAItem]:
     """Parse SVAMP records; the question is body + space + question sentence."""
-    text = Path(path).read_text(encoding="utf-8").strip()
-    if not text:
-        return []
-    if text.startswith("["):
+    text = Path(path).read_text(encoding="utf-8")
+    if text.lstrip().startswith("["):
         try:
             records = list(enumerate(json.loads(text), start=1))
         except json.JSONDecodeError as exc:
             raise MalformedRecord(exc.lineno, f"invalid JSON: {exc}") from None
     else:
-        records = []
-        for line_no, line in enumerate(text.split("\n"), start=1):
-            line = line.strip()
-            if line:
-                try:
-                    records.append((line_no, json.loads(line)))
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(line_no, f"invalid JSON: {exc}") from None
+        records = list(read_jsonl(path))
     items: list[QAItem] = []
     for line_no, record in records:
         if not isinstance(record, dict):
@@ -163,17 +137,6 @@ class ItemResult:
     verdict: str  # "correct" | "incorrect"
     cause: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "selected_ids": list(self.selected_ids),
-            "completion": self.completion,
-            "value": self.value,
-            "gold_value": self.gold_value,
-            "verdict": self.verdict,
-            "cause": self.cause,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -184,12 +147,7 @@ class EvalReport:
     items: list[ItemResult] = field(default_factory=list)
 
     def summary(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "n_correct": self.n_correct,
-            "accuracy": self.accuracy,
-            "mean_examples_used": self.mean_examples_used,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "items"}
 
 
 def evaluate(
@@ -257,5 +215,5 @@ def evaluate(
 
 def save_report(report: EvalReport, path: str | Path, meta: dict | None = None) -> None:
     """Line-delimited per-item records plus a final summary record."""
-    records = [item.to_json() for item in report.items] + [{"summary": report.summary()}]
+    records = [asdict(item) for item in report.items] + [{"summary": report.summary()}]
     write_jsonl(path, records, meta)

@@ -276,7 +276,11 @@ class RemoteEmbeddingProvider(_RemoteAdapter):
 
     def embed(self, text: str) -> np.ndarray:
         payload = {"model": self.model_id, "input": text}
-        values = np.asarray(self._post_with_retry(payload), dtype=np.float64)
+        raw = self._post_with_retry(payload)
+        try:
+            values = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise MalformedResponse(f"embedding is not a list of numbers: {exc}") from None
         if values.shape != (self.dimension,):
             raise DimensionMismatch(f"expected dimension {self.dimension}, got {values.shape}")
         if not np.all(np.isfinite(values)):

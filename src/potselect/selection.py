@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import interpreter, prompts
-from .augmentation import Example, ExamplePool
+from .augmentation import Example, ExamplePool, write_jsonl
 from .providers import Services, concept_extract, cosine
 
 
@@ -42,9 +42,7 @@ class MetricVector:
             raise ValueError(f"complexity must lie in [0, 1], got {self.complexity}")
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.relevance, self.concept, self.complexity, self.similarity], dtype=np.float64
-        )
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -62,9 +60,7 @@ class Weights:
             raise ValueError("at least one weight must be positive")
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.relevance, self.concept, self.complexity, self.similarity], dtype=np.float64
-        )
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=np.float64)
 
     @classmethod
     def from_array(cls, values) -> "Weights":
@@ -73,25 +69,17 @@ class Weights:
 
 
 def load_weights(path: str | Path) -> Weights:
+    """Read a weights file: one JSON object, which may span several lines."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Weights(
-        relevance=data["relevance"],
-        concept=data["concept"],
-        complexity=data["complexity"],
-        similarity=data["similarity"],
-    )
+    try:
+        return Weights(**{f.name: float(data[f.name]) for f in fields(Weights)})
+    except (KeyError, TypeError, ValueError) as exc:
+        message = f"weights file {path}: not one JSON object of weights: {exc!r}"
+        raise ValueError(message) from None
 
 
 def save_weights(weights: Weights, path: str | Path) -> None:
-    record = {
-        "relevance": weights.relevance,
-        "concept": weights.concept,
-        "complexity": weights.complexity,
-        "similarity": weights.similarity,
-    }
-    Path(path).write_text(
-        json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_jsonl(path, [asdict(weights)])
 
 
 @dataclass(frozen=True)
@@ -204,17 +192,6 @@ class IterationRecord:
     redundancy: dict[str, float] | None = None
     pruned_id: str | None = None
     stop: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "candidate_scores": self.candidate_scores,
-            "picked_id": self.picked_id,
-            "picked_score": self.picked_score,
-            "redundancy": self.redundancy,
-            "pruned_id": self.pruned_id,
-            "stop": self.stop,
-        }
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import truncnorm
 
+from .augmentation import MalformedRecord, read_jsonl
 from .providers import Services
 from .selection import SelectionConfig, Weights
 
@@ -223,18 +224,8 @@ def optimize(
             trial = Trial(seq=len(history.trials), point=tuple(float(v) for v in point), objective=value)
             history.append(trial)
             if log_fh is not None:
-                log_fh.write(
-                    json.dumps(
-                        {
-                            "seq": trial.seq,
-                            "point": list(trial.point),
-                            "objective": trial.objective,
-                            "timestamp": datetime.now(timezone.utc).isoformat(),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                record = {**asdict(trial), "timestamp": datetime.now(timezone.utc).isoformat()}
+                log_fh.write(json.dumps(record, sort_keys=True) + "\n")
                 log_fh.flush()
     finally:
         if log_fh is not None:
@@ -245,22 +236,14 @@ def optimize(
 def load_history(path: str | Path) -> TrialHistory:
     """Rebuild a TrialHistory from a trial log."""
     history = TrialHistory()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "rng_seed" in record and "seq" not in record:
-                history.rng_seed = record["rng_seed"]
-                continue
-            history.append(
-                Trial(
-                    seq=record["seq"],
-                    point=tuple(record["point"]),
-                    objective=record["objective"],
-                )
-            )
+    for line_no, record in read_jsonl(path):
+        if "rng_seed" in record and "seq" not in record:
+            history.rng_seed = record["rng_seed"]
+            continue
+        try:
+            history.append(Trial(record["seq"], tuple(record["point"]), record["objective"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecord(line_no, f"not a trial: {exc!r}") from None
     return history
 
 
@@ -289,8 +272,6 @@ def tune_weights(
     selection_config_template: SelectionConfig | None = None,
     *,
     objective: Callable[[np.ndarray], float] | None = None,
-    params: TpeParams = TpeParams(),
-    history: TrialHistory | None = None,
     log_path: str | Path | None = None,
 ) -> Weights:
     """TPE-search the weight box and return the best-scoring point as Weights."""
@@ -301,8 +282,5 @@ def tune_weights(
                 selection_config_template,
             )
 
-    space = SearchSpace()
-    history = optimize(
-        objective, space, budget, seed=seed, params=params, history=history, log_path=log_path
-    )
+    history = optimize(objective, SearchSpace(), budget, seed=seed, log_path=log_path)
     return Weights.from_array(best_trial(history).point)

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from potselect import prompts
 from potselect.augmentation import (
+    AttemptRecord,
     AugmentationConfig,
     ConsistencyReport,
     EmptyGeneration,
     Example,
     ExamplePool,
+    MalformedRecord,
     Provenance,
     augment_pool,
     check_consistency,
@@ -416,6 +420,24 @@ class TestPoolFiles:
         with pytest.raises(Exception):
             load_pool(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "[1, 2]",
+            '{"id": "a", "question": "q", "answer_text": "ans = 1", "provenance": "seed"}',
+            '{"id": "a", "question": 5, "answer_text": "ans = 1", '
+            '"provenance": {"stage": "seed"}}',
+            '{"id": "a", "answer_text": "ans = 1", "provenance": {"stage": "seed"}}',
+        ],
+        ids=["list", "provenance-string", "question-number", "no-question"],
+    )
+    def test_wrong_shaped_record_names_its_line(self, tmp_path, record):
+        path = tmp_path / "pool.jsonl"
+        path.write_text('{"meta": {}}\n\n' + record + "\n")
+        with pytest.raises(MalformedRecord) as info:
+            load_pool(path)
+        assert info.value.line_no == 3
+
     def test_seed_parent_invariant(self):
         with pytest.raises(ValueError):
             Example(id="x", question="q", answer_text="ans = 1", parent_id="someone")
@@ -440,6 +462,17 @@ class TestPoolFiles:
             '{"answer": 1, "question": "Zoë\'s café?"}\n'
         ).encode("utf-8")
 
+    def test_attempt_record_exact_bytes(self, tmp_path):
+        path = tmp_path / "attempts.jsonl"
+        report = ConsistencyReport(True, 3.0, 3.0, 0.91, "consistent")
+        write_jsonl(path, [dataclasses.asdict(AttemptRecord("bolts", 3, 2, 0, True, report))])
+        assert path.read_bytes() == (
+            '{"accepted": true, "attempt": 0, "iteration": 2, "report": {"candidate_value": 3.0, '
+            '"cause": null, "output_match": true, "reference_value": 3.0, '
+            '"step_similarity": 0.91, "verdict": "consistent"}, "seed_id": "bolts", '
+            '"skip_reason": null, "stage": 3}\n'
+        ).encode("utf-8")
+
 
 class TestConsistencyReportInvariants:
     def test_consistent_requires_match_and_similarity(self):
@@ -453,4 +486,4 @@ class TestConsistencyReportInvariants:
 
     def test_report_round_trips_through_json(self):
         report = ConsistencyReport(True, 3.0, 3.0, 0.91, "consistent", None)
-        assert ConsistencyReport.from_json(report.to_json()) == report
+        assert ConsistencyReport.from_json(dataclasses.asdict(report)) == report

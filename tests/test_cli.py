@@ -20,6 +20,10 @@ from conftest import (
 )
 
 
+_SEED = '{"id": "a", "question": "q", "answer_text": "ans = 1", "provenance": {"stage": "seed"}}'
+_WEIGHTS = '{"relevance": 1, "concept": 0, "complexity": 0, "similarity": 0}'
+
+
 def _write_seed_pool(path, pool):
     with open(path, "w", encoding="utf-8") as fh:
         for example in pool:
@@ -156,6 +160,31 @@ class TestSelectCommand:
         rows = [json.loads(l) for l in out.read_text().splitlines() if "meta" not in l]
         assert rows[0]["chosen"][0] == "ex1"
         assert (tmp_path / "chosen.jsonl.trace.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "pool, weights, message",
+        [
+            ("[1, 2]", _WEIGHTS, "record 1"),
+            (_SEED.replace('{"stage": "seed"}', '"seed"'), _WEIGHTS, "record 1"),
+            (_SEED, "[0.25, 0.25, 0.25, 0.25]", "one JSON object of weights"),
+        ],
+        ids=["pool-list", "provenance-string", "weights-list"],
+    )
+    def test_wrong_shaped_input_is_data_error(self, tmp_path, capsys, pool, weights, message):
+        dataset = json.dumps({"question": "q", "answer": "#### 2"})
+        for name, text in (("pool", pool), ("weights", weights), ("dataset", dataset)):
+            (tmp_path / name).write_text(text + "\n")
+        code = main(
+            [
+                "select",
+                "--pool", str(tmp_path / "pool"),
+                "--dataset", str(tmp_path / "dataset"),
+                "--weights", str(tmp_path / "weights"),
+                "--out", str(tmp_path / "chosen.jsonl"),
+            ]
+        )
+        assert code == 3
+        assert message in capsys.readouterr().err
 
 
 class TestTuneCommand:

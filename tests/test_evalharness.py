@@ -8,6 +8,8 @@ import pytest
 
 from potselect.augmentation import Example
 from potselect.evalharness import (
+    EvalReport,
+    ItemResult,
     MalformedRecord,
     MissingMarker,
     build_prompt,
@@ -123,6 +125,16 @@ class TestLoadSvamp:
         path.write_text("")
         assert load_svamp(path) == []
 
+    @pytest.mark.parametrize(
+        "text", ["\n\nnot json\n", "\n\n[{not json}]\n"], ids=["jsonl", "array"]
+    )
+    def test_malformed_json_reports_line_after_blank_lines(self, tmp_path, text):
+        path = tmp_path / "svamp.jsonl"
+        path.write_text(text)
+        with pytest.raises(MalformedRecord) as info:
+            load_svamp(path)
+        assert info.value.line_no == 3
+
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "svamp.json"
         path.write_text(json.dumps([{"Body": "B"}]))
@@ -228,6 +240,20 @@ class TestEvaluate:
         assert report.n_items == 5
         assert all(r.cause.startswith("provider: ") for r in report.items)
 
+    def test_non_numeric_remote_embedding_never_aborts_the_run(self, tmp_path):
+        from potselect.providers import RemoteEmbeddingProvider, ScriptedProvider, Services
+
+        services = Services(
+            completion=ScriptedProvider(eval_fixtures()),
+            embedding=RemoteEmbeddingProvider(
+                dimension=2, endpoint="http://example.invalid",
+                transport=lambda e, p, h: ["a", "b"],
+            ),
+        )
+        report = evaluate(_dataset(tmp_path), eval_pool(), SelectionConfig(), services)
+        assert report.n_items == 5
+        assert all(r.cause.startswith("provider: ") for r in report.items)
+
     def test_totals_match_per_item_recount(self, tmp_path):
         dataset = _dataset(tmp_path)
         report = evaluate(dataset, eval_pool(), SelectionConfig(), make_services(eval_fixtures()))
@@ -270,6 +296,18 @@ class TestSaveReport:
         assert "summary" in lines[-1]
         assert lines[-1]["summary"]["accuracy"] == pytest.approx(0.6)
         assert len(lines) == 2 + report.n_items
+
+    def test_report_exact_bytes(self, tmp_path):
+        item = ItemResult("q1", ("bolts", "bolts.s1"), "ans = 3", 3.0, 3.0, "correct")
+        report = EvalReport(1, 1, 1.0, 2.0, [item])
+        path = tmp_path / "report.jsonl"
+        save_report(report, path)
+        assert path.read_bytes() == (
+            '{"cause": null, "completion": "ans = 3", "gold_value": 3.0, "item_id": "q1", '
+            '"selected_ids": ["bolts", "bolts.s1"], "value": 3.0, "verdict": "correct"}\n'
+            '{"summary": {"accuracy": 1.0, "mean_examples_used": 2.0, "n_correct": 1, '
+            '"n_items": 1}}\n'
+        ).encode("utf-8")
 
     def test_identical_runs_write_identical_bytes(self, tmp_path):
         dataset = _dataset(tmp_path)

@@ -336,6 +336,18 @@ class TestRemoteEmbedding:
         with pytest.raises(ProviderError):
             provider.embed("text")
 
+    @pytest.mark.parametrize(
+        "payload", [["a", "b"], {"x": 1.0}, [[1.0], [2.0, 3.0]]], ids=["strings", "dict", "ragged"]
+    )
+    def test_non_numeric_payload_is_malformed(self, payload):
+        from potselect.providers import MalformedResponse, RemoteEmbeddingProvider
+
+        provider = RemoteEmbeddingProvider(
+            dimension=2, endpoint="http://example.invalid", transport=lambda e, p, h: payload,
+        )
+        with pytest.raises(MalformedResponse):
+            provider.embed("text")
+
     def test_returns_vector(self):
         from potselect.providers import RemoteEmbeddingProvider
 

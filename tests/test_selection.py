@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from potselect.augmentation import Example, ExamplePool
+from potselect.augmentation import Example, ExamplePool, write_jsonl
 from potselect.providers import HashEmbedding, ScriptedProvider, Services
 from potselect.selection import (
     EmptyPool,
+    IterationRecord,
     MetricVector,
     PoolStats,
     SelectionConfig,
@@ -63,6 +66,19 @@ class TestTypes:
         path = tmp_path / "weights.json"
         save_weights(weights, path)
         assert load_weights(path) == weights
+        assert path.read_bytes() == (
+            b'{"complexity": 0.2, "concept": 0.3, "relevance": 0.4, "similarity": 0.1}\n'
+        )
+
+    def test_trace_entry_exact_bytes(self, tmp_path):
+        record = IterationRecord(2, {"a": 0.5, "b": 0.25}, "a", 0.5, {"a": 0.1, "c": 0.3}, "c")
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(path, [dataclasses.asdict(record)])
+        assert path.read_bytes() == (
+            b'{"candidate_scores": {"a": 0.5, "b": 0.25}, "iteration": 2, "picked_id": "a", '
+            b'"picked_score": 0.5, "pruned_id": "c", "redundancy": {"a": 0.1, "c": 0.3}, '
+            b'"stop": null}\n'
+        )
 
 
 class TestScore:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from potselect.augmentation import MalformedRecord
 from potselect.selection import SelectionConfig, Weights
 from potselect.tuning import (
     SearchSpace,
@@ -171,6 +172,18 @@ class TestOptimize:
         loaded = load_history(log_path)
         assert loaded.rng_seed == history.rng_seed
         assert loaded.trials == history.trials
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[1, 2]", '{"seq": 0}', '{"seq": 0, "point": 5, "objective": 1.0}'],
+        ids=["list", "no-point", "point-number"],
+    )
+    def test_wrong_shaped_trial_line_is_malformed(self, tmp_path, line):
+        log_path = tmp_path / "trials.jsonl"
+        log_path.write_text('{"rng_seed": 0}\n' + line + "\n")
+        with pytest.raises(MalformedRecord) as info:
+            load_history(log_path)
+        assert info.value.line_no == 2
 
     def test_objective_failure_persists_partial_history(self, tmp_path):
         log_path = tmp_path / "trials.jsonl"
