@@ -127,6 +127,8 @@ def _effective_config(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         from_file = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        if not isinstance(from_file, dict):
+            raise UsageError(f"config file {config_path} must hold one JSON object")
         unknown = set(from_file) - set(_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -236,7 +238,9 @@ def cmd_select(cfg: dict) -> int:
 def cmd_tune(cfg: dict) -> int:
     out = _require(cfg, "out")
     seed = cfg["seed"]
-    log_path = f"{out}.trials.jsonl"
+    log_path = Path(f"{out}.trials.jsonl")
+    log_path.unlink(missing_ok=True)  # a new search, not a resumed one
+    calls = 0
     if cfg["synthetic_objective"]:
         target = np.full(4, 0.3)
 
@@ -255,10 +259,14 @@ def cmd_tune(cfg: dict) -> int:
             selection_config_template=_selection_config(cfg),
             log_path=log_path,
         )
+        calls = getattr(services.completion, "calls", 0)
     selection.save_weights(weights, out)
     history = tuning.load_history(log_path)
     best = tuning.best_trial(history)
-    print(f"best objective {best.objective:.6f} at trial {best.seq}; weights -> {out}")
+    print(
+        f"best objective {best.objective:.6f} at trial {best.seq}; weights -> {out} "
+        f"provider_calls={calls}"
+    )
     return EXIT_OK
 
 

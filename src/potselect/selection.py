@@ -204,29 +204,46 @@ class SelectionResult:
         return [example.id for example, _ in self.chosen]
 
 
-def select_examples(
-    pool: ExamplePool,
-    test_question: str,
-    config: SelectionConfig,
-    services: Services,
-) -> SelectionResult:
-    """Greedy argmax selection with redundancy pruning over a candidate pool.
+def candidate_metrics(
+    pool: ExamplePool, test_question: str, services: Services
+) -> list[np.ndarray]:
+    """One metric row per candidate, in pool order: the weight-independent half.
 
-    Metrics and scores are computed once up front (complexity normalization
-    is over the whole pool and held fixed), so scores are static and the
-    trace replays exactly.  Ties pick the lowest pool index; pruned examples
-    are removed permanently.  The gap test compares consecutive picked
-    scores and cannot fire on the first pick.
+    Complexity normalization is over the whole pool.  None of the four
+    metrics depends on the weights, so a caller scoring the same question
+    under many weight vectors can compute the rows once.
     """
     examples = list(pool)
     if not examples:
         raise EmptyPool("candidate pool is empty")
     stats = PoolStats.from_examples(examples)
-    metrics = [
-        calculate_metrics(e.question, e.answer_text, test_question, stats, services)
+    return [
+        calculate_metrics(e.question, e.answer_text, test_question, stats, services).as_array()
         for e in examples
     ]
-    scores = [score(m, config.weights) for m in metrics]
+
+
+def select_examples(
+    pool: ExamplePool,
+    test_question: str,
+    config: SelectionConfig,
+    services: Services,
+    metrics: list[np.ndarray] | None = None,
+) -> SelectionResult:
+    """Greedy argmax selection with redundancy pruning over a candidate pool.
+
+    ``metrics`` are the rows of ``candidate_metrics(pool, test_question,
+    services)``, computed here when not given.  Scores are fixed before the
+    loop starts, so the trace replays exactly.  Ties pick the lowest pool
+    index; pruned examples are removed permanently.  The gap test compares
+    consecutive picked scores and cannot fire on the first pick.
+    """
+    if metrics is None:
+        metrics = candidate_metrics(pool, test_question, services)
+    examples = list(pool)
+    weights = config.weights.as_array()
+    # per-row np.dot, as in score(): a matrix product can differ in the last ulp
+    scores = [float(np.dot(row, weights)) for row in metrics]
     vectors = [services.embed(e.answer_text) for e in examples]
 
     remaining = list(range(len(examples)))

@@ -253,13 +253,14 @@ def accuracy_objective(
     train_set,
     services: Services,
     selection_config_template: SelectionConfig | None = None,
+    metrics_memo: dict[str, list] | None = None,
 ) -> float:
     """Fraction of training items solved by the full select/prompt/execute pipeline."""
     from .evalharness import evaluate
 
     template = selection_config_template or SelectionConfig()
     config = replace(template, weights=weights)
-    report = evaluate(train_set, train_pool, config, services)
+    report = evaluate(train_set, train_pool, config, services, metrics_memo=metrics_memo)
     return report.accuracy
 
 
@@ -274,12 +275,20 @@ def tune_weights(
     objective: Callable[[np.ndarray], float] | None = None,
     log_path: str | Path | None = None,
 ) -> Weights:
-    """TPE-search the weight box and return the best-scoring point as Weights."""
+    """TPE-search the weight box and return the best-scoring point as Weights.
+
+    The selection metrics do not depend on the weights, so the accuracy
+    objective computes each training item's metric rows on its first trial
+    and reuses them on every later one.  Like the response cache, this
+    assumes a prompt's response does not change between trials.
+    """
     if objective is None:
+        metrics_memo: dict[str, list] = {}
+
         def objective(point: np.ndarray) -> float:
             return accuracy_objective(
                 Weights.from_array(point), train_pool, train_set, services,
-                selection_config_template,
+                selection_config_template, metrics_memo,
             )
 
     history = optimize(objective, SearchSpace(), budget, seed=seed, log_path=log_path)

@@ -205,6 +205,34 @@ class TestTuneCommand:
         assert (tmp_path / "weights.json.trials.jsonl").exists()
         assert "best objective" in capsys.readouterr().out
 
+    def test_rerun_starts_a_fresh_trial_log(self, tmp_path):
+        out = tmp_path / "w.json"
+        argv = ["tune", "--synthetic-objective", "--budget", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        log = [json.loads(l) for l in (tmp_path / "w.json.trials.jsonl").read_text().splitlines()]
+        assert [r["seq"] for r in log if "seq" in r] == [0, 1, 2]
+
+    def test_warm_cache_makes_no_provider_calls(self, eval_environment, capsys):
+        calls = []
+        for run in range(2):
+            code = main(
+                [
+                    "tune",
+                    "--pool", eval_environment["pool"],
+                    "--dataset", eval_environment["dataset"],
+                    "--fixtures", eval_environment["fixtures"],
+                    "--cache-dir", str(eval_environment["tmp"] / "cache"),
+                    "--budget", "3",
+                    "--out", str(eval_environment["tmp"] / f"w{run}.json"),
+                ]
+            )
+            assert code == 0
+            stdout = capsys.readouterr().out
+            calls.append(int(stdout.rsplit("provider_calls=", 1)[1].split()[0]))
+        assert calls[0] > 0
+        assert calls[1] == 0
+
 
 class TestEvalCommand:
     def test_five_item_fixture_scores_point_six(self, eval_environment, capsys):
@@ -335,6 +363,13 @@ class TestConfigPrecedence:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"no_such_key": 1}))
         assert main(["cache-stats", "--config", str(config_path)]) == 1
+
+    @pytest.mark.parametrize("text", ["5", "[]"])
+    def test_non_object_config_is_usage_error(self, tmp_path, capsys, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        assert main(["cache-stats", "--config", str(config_path)]) == 1
+        assert "must hold one JSON object" in capsys.readouterr().err
 
     def test_effective_config_echoed_into_meta(self, eval_environment):
         out = eval_environment["tmp"] / "report.jsonl"

@@ -278,6 +278,21 @@ class TestEvaluate:
         report = evaluate(dataset, eval_pool(), SelectionConfig(), make_services(fixtures))
         assert report.accuracy == 1.0
 
+    def test_metrics_memo_holds_only_computed_rows_and_is_reused(self, tmp_path):
+        dataset = _dataset(tmp_path)
+        pool, config, memo = eval_pool(), SelectionConfig(), {}
+        failed = evaluate(dataset, pool, config, make_services(), metrics_memo=memo)
+        assert all(r.cause.startswith("provider: ") for r in failed.items)
+        assert memo == {}
+        report = evaluate(dataset, pool, config, make_services(eval_fixtures()), metrics_memo=memo)
+        assert report.accuracy == pytest.approx(0.6)
+        assert sorted(memo) == [item.question for item in dataset]
+        # no concept or rough-answer fixtures left: the memo answers the metrics
+        services = make_services(eval_fixtures()[2:])
+        again = evaluate(dataset, pool, config, services, metrics_memo=memo)
+        assert again.items == report.items
+        assert services.completion.calls == len(dataset)
+
     def test_empty_dataset(self):
         report = evaluate([], eval_pool(), SelectionConfig(), make_services(eval_fixtures()))
         assert report.n_items == 0

@@ -17,6 +17,7 @@ from potselect.selection import (
     SelectionConfig,
     Weights,
     calculate_metrics,
+    candidate_metrics,
     load_weights,
     prune,
     save_weights,
@@ -305,3 +306,25 @@ class TestInvariants:
             assert not (pruned & set(ids))
             picked = [r.picked_id for r in result.trace]
             assert len(picked) == len(set(picked))  # a pruned example is never re-picked
+
+    def test_trace_scores_equal_per_candidate_scores_exactly(self):
+        # the pools and weights of acceptance criterion 4
+        rng = np.random.default_rng(404)
+        for _ in range(50):
+            pool, q_t = random_pool(rng, n_max=6)
+            weights = random_weights(rng)
+            services = _metric_services()
+            config = SelectionConfig(weights=weights, epsilon=0.0)
+            stats = PoolStats.from_examples(list(pool))
+            expected = {
+                e.id: score(
+                    calculate_metrics(e.question, e.answer_text, q_t, stats, services), weights
+                )
+                for e in pool
+            }
+            result = select_examples(pool, q_t, config, services)
+            for record in result.trace:
+                assert record.candidate_scores == {i: expected[i] for i in record.candidate_scores}
+                assert record.picked_score == expected[record.picked_id]
+            rows = candidate_metrics(pool, q_t, services)
+            assert select_examples(pool, q_t, config, services, rows) == result

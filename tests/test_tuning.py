@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,9 @@ from potselect.tuning import (
 )
 
 from conftest import (
+    BOLTS_Q,
     CONCEPT_FIXTURE,
+    HOUSE_Q,
     ROUGH_FIXTURE,
     completion_fixture,
     eval_dataset_records,
@@ -35,6 +40,14 @@ from potselect.providers import Fixture
 
 def _quadratic(point) -> float:
     return -float(np.sum((np.asarray(point) - 0.3) ** 2))
+
+
+def _train_set(tmp_path):
+    path = tmp_path / "train.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in eval_dataset_records():
+            fh.write(json.dumps(record) + "\n")
+    return load_gsm8k(path)
 
 
 def _history(points_objectives, seed=0) -> TrialHistory:
@@ -217,21 +230,12 @@ class TestAccuracyObjective:
             )
         return make_services(fixtures)
 
-    def _dataset(self, tmp_path):
-        import json
-
-        path = tmp_path / "train.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in eval_dataset_records():
-                fh.write(json.dumps(record) + "\n")
-        return load_gsm8k(path)
-
     def test_gold_programs_score_one(self, tmp_path):
-        dataset = self._dataset(tmp_path)
+        dataset = _train_set(tmp_path)
         assert accuracy_objective(Weights(), eval_pool(), dataset, self._gold_services()) == 1.0
 
     def test_constant_zero_answers_score_zero(self, tmp_path):
-        dataset = self._dataset(tmp_path)
+        dataset = _train_set(tmp_path)
         fixtures = [
             CONCEPT_FIXTURE,
             ROUGH_FIXTURE,
@@ -240,7 +244,7 @@ class TestAccuracyObjective:
         assert accuracy_objective(Weights(), eval_pool(), dataset, make_services(fixtures)) == 0.0
 
     def test_mixed_fixture_scores_three_fifths(self, tmp_path):
-        dataset = self._dataset(tmp_path)
+        dataset = _train_set(tmp_path)
         value = accuracy_objective(Weights(), eval_pool(), dataset, make_services(eval_fixtures()))
         assert value == pytest.approx(0.6)
 
@@ -261,15 +265,42 @@ class TestTuneWeights:
         assert np.all(np.abs(weights.as_array() - 0.3) <= 0.1)
 
     def test_accuracy_pipeline_objective(self, tmp_path):
-        import json
-
-        path = tmp_path / "train.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in eval_dataset_records():
-                fh.write(json.dumps(record) + "\n")
-        dataset = load_gsm8k(path)
+        dataset = _train_set(tmp_path)
         weights = tune_weights(
             eval_pool(), dataset, budget=2, seed=0, services=make_services(eval_fixtures()),
             selection_config_template=SelectionConfig(),
         )
         assert isinstance(weights, Weights)
+
+    def test_metrics_computed_once_per_item_and_trials_unchanged(self, tmp_path):
+        # an item is answered correctly only when the bolts example is picked first,
+        # so the objective depends on the weights
+        tail = r"\n.*\nQuestion: Evaluation question number (\d+)\?\n# Python code, return ans\n\Z"
+        fixtures = [
+            CONCEPT_FIXTURE,
+            ROUGH_FIXTURE,
+            Fixture("pattern", r"(?s)\AQuestion: " + re.escape(BOLTS_Q) + tail, r"ans = \1 * 10"),
+            Fixture("pattern", r"(?s)\AQuestion: " + re.escape(HOUSE_Q) + tail, "ans = 0"),
+        ]
+        pool, dataset, budget, seed = eval_pool(), _train_set(tmp_path), 14, 5
+        services = make_services(fixtures)
+        log_path = tmp_path / "t.jsonl"
+        weights = tune_weights(
+            pool, dataset, budget, seed, services,
+            selection_config_template=SelectionConfig(), log_path=log_path,
+        )
+        assert services.completion.calls == len(dataset) * 3 * len(pool) + budget * len(dataset)
+
+        recomputing = make_services(fixtures)
+        reference = optimize(
+            lambda point: accuracy_objective(
+                Weights.from_array(point), pool, dataset, recomputing, SelectionConfig()
+            ),
+            SearchSpace(), budget, seed=seed,
+        )
+        assert recomputing.completion.calls == budget * len(dataset) * (3 * len(pool) + 1)
+        trials = load_history(log_path).trials
+        assert [t.point for t in trials] == [t.point for t in reference.trials]
+        assert [t.objective for t in trials] == [t.objective for t in reference.trials]
+        assert len({t.objective for t in trials}) > 1
+        assert weights == Weights.from_array(best_trial(reference).point)
