@@ -137,6 +137,15 @@ class ExamplePool:
         by_id = {e.id: e for e in self.examples}
         if len(by_id) != len(self.examples):
             raise ValueError("duplicate example ids in pool")
+        acyclic: set[str] = set()  # ids whose parent chain ends outside a cycle
+        for example in self.examples:
+            chain: list[str] = []
+            while example is not None and example.id not in acyclic:
+                if example.id in chain:
+                    raise ValueError(f"parent links form a cycle through {example.id!r}")
+                chain.append(example.id)
+                example = by_id.get(example.parent_id)
+            acyclic.update(chain)
         object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self) -> int:
@@ -155,8 +164,6 @@ class AugmentationConfig:
     max_retries: int = 3
     tau: float = 0.8
     rng_seed: int = 0
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -400,10 +407,7 @@ def _first_consistent(
         except (EmptyGeneration, InterpreterError) as exc:
             report = ConsistencyReport(False, None, None, None, "inconsistent", str(exc))
         else:
-            report = check_consistency(
-                proposal[1], proposal[2], services,
-                tau=config.tau, eps_abs=config.eps_abs, eps_rel=config.eps_rel,
-            )
+            report = check_consistency(proposal[1], proposal[2], services, tau=config.tau)
         accepted = report.verdict == "consistent"
         log.append(AttemptRecord(seed_id, stage, iteration, attempt, accepted, report))
         if accepted:

@@ -127,7 +127,10 @@ def _read_entry(path: Path) -> CacheEntry:
     request_bytes = body[:request_len]
     if hashlib.sha256(request_bytes).hexdigest() != key:
         raise CacheCorrupt("request digest does not match stored key")
-    response = body[request_len:].decode("utf-8")
+    try:
+        response = body[request_len:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CacheCorrupt(f"response is not UTF-8: {exc}") from None
     return CacheEntry(key=key, response=response, created_at=created_at, provider_id=provider_id)
 
 

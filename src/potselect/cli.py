@@ -44,114 +44,99 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DEFAULTS = {
-    "provider": "scripted",
-    "fixtures": None,
-    "cache_dir": None,
-    "seed": 0,
-    "weights": None,
-    "epsilon": 1e-3,
-    "delta": 0.1,
-    "max_chosen": 5,
-    "stages": "1,2,3",
-    "iterations": 1,
-    "max_retries": 3,
-    "tau": 0.8,
-    "dataset": None,
-    "dataset_kind": "gsm8k",
-    "pool": None,
-    "out": None,
-    "budget": 20,
-    "synthetic_objective": False,
-}
+def _stages(text: str) -> str:
+    """Accept a non-empty comma list drawn from 1, 2, 3; keep the text as given."""
+    if not all(part.strip() in ("1", "2", "3") for part in text.split(",")):
+        raise argparse.ArgumentTypeError(f"stages must be a comma list of 1, 2, 3, got {text!r}")
+    return text
+
+
+_ALL = ("augment", "select", "tune", "eval", "cache-stats")
+_SELECT = ("select", "tune", "eval")
+_SC = selection.SelectionConfig  # a config class's attributes are its field defaults
+_AC = augmentation.AugmentationConfig
+
+# (config key, default, commands that take it, argparse keywords), one row per
+# option; row order is the key order of the effective config echoed into ``meta``.
+_OPTIONS = (
+    ("provider", "scripted", _ALL, {"choices": ["scripted", "remote"]}),
+    ("fixtures", None, _ALL, {"help": "fixture file for the scripted provider"}),
+    ("cache_dir", None, _ALL, {}),
+    ("seed", 0, _ALL, {"type": int}),
+    ("weights", None, ("select", "eval"), {"help": "file or 4 comma-separated numbers"}),
+    ("epsilon", _SC.epsilon, _SELECT, {"type": float}),
+    ("delta", _SC.delta, _SELECT, {"type": float}),
+    ("max_chosen", _SC.max_chosen, _SELECT, {"type": int}),
+    ("stages", "1,2,3", ("augment",), {"type": _stages, "help": "stages to run, e.g. 1,2"}),
+    ("iterations", _AC.iterations, ("augment",), {"type": int, "help": "stage-3 rounds T"}),
+    ("max_retries", _AC.max_retries, ("augment",), {"type": int}),
+    ("tau", _AC.tau, ("augment",), {"type": float, "help": "step-similarity threshold"}),
+    ("dataset", None, _SELECT, {}),
+    ("dataset_kind", "gsm8k", _SELECT, {"choices": ["gsm8k", "svamp"]}),
+    ("pool", None, ("augment", *_SELECT), {"help": "example pool file (JSONL)"}),
+    ("out", None, _ALL, {}),
+    ("budget", 20, ("tune",), {"type": int, "help": "number of trials"}),
+    (
+        "synthetic_objective", False, ("tune",),
+        {"action": "store_const", "const": True, "help": "optimize a quadratic test objective"},
+    ),
+)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="potselect", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    def common(p: _Parser) -> None:
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--provider", choices=["scripted", "remote"])
-        p.add_argument("--fixtures", help="fixture file for the scripted provider")
-        p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-
-    p = sub.add_parser("augment", help="expand a seed pool through the augmentation stages")
-    common(p)
-    p.add_argument("--pool", help="seed pool file (JSONL)")
-    p.add_argument("--stages", help="comma list of stages to run, e.g. 1,2")
-    p.add_argument("--iterations", type=int, help="stage-3 iteration count T")
-    p.add_argument("--max-retries", dest="max_retries", type=int)
-    p.add_argument("--tau", type=float, help="step-similarity threshold")
-
-    for name, text in (
-        ("select", "pick examples for each dataset question"),
-        ("eval", "run the full selection + completion + execution evaluation"),
-    ):
-        p = sub.add_parser(name, help=text)
-        common(p)
-        p.add_argument("--pool")
-        p.add_argument("--dataset")
-        p.add_argument("--dataset-kind", dest="dataset_kind", choices=["gsm8k", "svamp"])
-        p.add_argument("--weights", help="weights file path or 4 comma-separated numbers")
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--max-chosen", dest="max_chosen", type=int)
-
-    p = sub.add_parser("tune", help="learn metric weights by TPE search")
-    common(p)
-    p.add_argument("--pool")
-    p.add_argument("--dataset")
-    p.add_argument("--dataset-kind", dest="dataset_kind", choices=["gsm8k", "svamp"])
-    p.add_argument("--budget", type=int, help="number of trials")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--max-chosen", dest="max_chosen", type=int)
-    p.add_argument(
-        "--synthetic-objective",
-        dest="synthetic_objective",
-        action="store_const",
-        const=True,
-        help="optimize the built-in quadratic test objective instead of accuracy",
-    )
-
-    p = sub.add_parser("cache-stats", help="report cache entry counts and sizes")
-    common(p)
+        for key, _, commands, kwargs in _OPTIONS:
+            if command in commands:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
     return parser
 
 
+def _check(key: str, default, kwargs: dict, value) -> None:
+    """Give a config-file value its flag's checks: JSON type, choices, ``type``."""
+    if value is None and default is None:
+        return
+    if "action" in kwargs:
+        types: tuple[type, ...] = (bool,)
+    else:
+        types = {int: (int,), float: (int, float)}.get(kwargs.get("type"), (str,))
+    try:
+        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+            raise argparse.ArgumentTypeError(f"expected {types[-1].__name__}, got {value!r}")
+        if value not in kwargs.get("choices", [value]):
+            raise argparse.ArgumentTypeError(f"{value!r} is not one of {kwargs['choices']}")
+        kwargs.get("type", str)(value)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from None
+
+
 def _effective_config(args: argparse.Namespace) -> dict:
+    """Flag > config file > default for every option, in ``_OPTIONS`` order."""
     from_file: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        from_file = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    if args.config:
+        from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(from_file, dict):
-            raise UsageError(f"config file {config_path} must hold one JSON object")
-        unknown = set(from_file) - set(_DEFAULTS)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    effective = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            effective[key] = flag
-        elif key in from_file:
-            effective[key] = from_file[key]
-        else:
-            effective[key] = default
+            raise UsageError(f"config file {args.config} must hold one JSON object")
+        rows = {key: (default, kwargs) for key, default, _, kwargs in _OPTIONS}
+        for key, value in from_file.items():
+            if key not in rows:
+                raise UsageError(f"unknown config key {key!r}")
+            _check(key, *rows[key], value)
+    effective = {key: from_file.get(key, default) for key, default, *_ in _OPTIONS}
+    effective.update((k, v) for k, v in vars(args).items() if k in effective and v is not None)
     return effective
 
 
 def _services(cfg: dict) -> Services:
     if cfg["provider"] == "remote":
         completion = RemoteCompletionProvider()
+    elif cfg["fixtures"]:
+        completion = ScriptedProvider.from_file(cfg["fixtures"])
     else:
-        if cfg["fixtures"]:
-            completion = ScriptedProvider.from_file(cfg["fixtures"])
-        else:
-            completion = ScriptedProvider([])
+        completion = ScriptedProvider([])
     cache = CacheStore(cfg["cache_dir"]) if cfg["cache_dir"] else None
     return Services(completion=completion, embedding=HashEmbedding(), cache=cache)
 
@@ -160,8 +145,8 @@ def _weights(cfg: dict) -> selection.Weights:
     raw = cfg["weights"]
     if raw is None:
         return selection.Weights()
-    if "," in str(raw):
-        parts = str(raw).split(",")
+    if "," in raw:
+        parts = raw.split(",")
         if len(parts) != 4:
             raise UsageError(f"--weights needs 4 comma-separated numbers, got {raw!r}")
         return selection.Weights.from_array([float(p) for p in parts])
@@ -170,19 +155,13 @@ def _weights(cfg: dict) -> selection.Weights:
 
 def _selection_config(cfg: dict) -> selection.SelectionConfig:
     return selection.SelectionConfig(
-        weights=_weights(cfg),
-        epsilon=cfg["epsilon"],
-        delta=cfg["delta"],
-        max_chosen=cfg["max_chosen"],
+        _weights(cfg), cfg["epsilon"], cfg["delta"], cfg["max_chosen"]
     )
 
 
 def _load_dataset(cfg: dict) -> list[evalharness.QAItem]:
-    if not cfg["dataset"]:
-        raise UsageError("--dataset is required")
-    if cfg["dataset_kind"] == "svamp":
-        return evalharness.load_svamp(cfg["dataset"])
-    return evalharness.load_gsm8k(cfg["dataset"])
+    load = evalharness.load_svamp if cfg["dataset_kind"] == "svamp" else evalharness.load_gsm8k
+    return load(_require(cfg, "dataset"))
 
 
 def _require(cfg: dict, key: str) -> str:
@@ -191,15 +170,12 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _meta(command: str, cfg: dict) -> dict:
-    return {"command": command, "config": cfg}
-
-
 def cmd_augment(cfg: dict) -> int:
+    """Expand a seed pool through the augmentation stages."""
     pool = augmentation.load_pool(_require(cfg, "pool"))
     out = _require(cfg, "out")
     services = _services(cfg)
-    stages = tuple(int(s) for s in str(cfg["stages"]).split(",") if s.strip())
+    stages = tuple(int(s) for s in cfg["stages"].split(","))
     config = augmentation.AugmentationConfig(
         iterations=cfg["iterations"],
         max_retries=cfg["max_retries"],
@@ -207,7 +183,7 @@ def cmd_augment(cfg: dict) -> int:
         rng_seed=cfg["seed"],
     )
     result = augmentation.augment_pool(pool, config, services, stages=stages)
-    augmentation.save_pool(result.pool, out, meta=_meta("augment", cfg))
+    augmentation.save_pool(result.pool, out, meta={"command": "augment", "config": cfg})
     augmentation.write_jsonl(f"{out}.attempts.jsonl", map(asdict, result.attempts))
     counts = result.accepted_per_stage()
     print(
@@ -218,6 +194,7 @@ def cmd_augment(cfg: dict) -> int:
 
 
 def cmd_select(cfg: dict) -> int:
+    """Pick examples for each dataset question."""
     pool = augmentation.load_pool(_require(cfg, "pool"))
     dataset = _load_dataset(cfg)
     out = _require(cfg, "out")
@@ -229,13 +206,14 @@ def cmd_select(cfg: dict) -> int:
         scores = [score for _, score in result.chosen]
         records.append({"item_id": item.id, "chosen": result.chosen_ids, "scores": scores})
         traces.append({"item_id": item.id, "trace": [asdict(r) for r in result.trace]})
-    augmentation.write_jsonl(out, records, meta=_meta("select", cfg))
+    augmentation.write_jsonl(out, records, meta={"command": "select", "config": cfg})
     augmentation.write_jsonl(f"{out}.trace.jsonl", traces)
     print(f"selected for {len(dataset)} questions -> {out}")
     return EXIT_OK
 
 
 def cmd_tune(cfg: dict) -> int:
+    """Learn metric weights by TPE search."""
     out = _require(cfg, "out")
     seed = cfg["seed"]
     log_path = Path(f"{out}.trials.jsonl")
@@ -261,8 +239,7 @@ def cmd_tune(cfg: dict) -> int:
         )
         calls = getattr(services.completion, "calls", 0)
     selection.save_weights(weights, out)
-    history = tuning.load_history(log_path)
-    best = tuning.best_trial(history)
+    best = tuning.best_trial(tuning.load_history(log_path))
     print(
         f"best objective {best.objective:.6f} at trial {best.seq}; weights -> {out} "
         f"provider_calls={calls}"
@@ -271,12 +248,13 @@ def cmd_tune(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
+    """Run the full selection + completion + execution evaluation."""
     pool = augmentation.load_pool(_require(cfg, "pool"))
     dataset = _load_dataset(cfg)
     out = _require(cfg, "out")
     services = _services(cfg)
     report = evalharness.evaluate(dataset, pool, _selection_config(cfg), services)
-    evalharness.save_report(report, out, meta=_meta("eval", cfg))
+    evalharness.save_report(report, out, meta={"command": "eval", "config": cfg})
     calls = getattr(services.completion, "calls", 0)
     print(
         f"items={report.n_items} correct={report.n_correct} "
@@ -287,12 +265,9 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_cache_stats(cfg: dict) -> int:
-    if not cfg["cache_dir"]:
-        raise UsageError("--cache-dir is required")
-    stats = CacheStore(cfg["cache_dir"]).stats()
-    print(
-        f"entries={stats['entries']} bytes={stats['bytes']} quarantined={stats['quarantined']}"
-    )
+    """Report cache entry counts and sizes."""
+    stats = CacheStore(_require(cfg, "cache_dir")).stats()
+    print("entries={entries} bytes={bytes} quarantined={quarantined}".format(**stats))
     return EXIT_OK
 
 
@@ -306,9 +281,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if not args.command:
             raise UsageError("a command is required (augment|select|tune|eval|cache-stats)")
         cfg = _effective_config(args)

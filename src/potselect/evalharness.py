@@ -21,6 +21,8 @@ from .augmentation import extract_answer_block, read_jsonl, write_jsonl
 from .providers import ProviderError, Services
 from .selection import EmptyPool, SelectionConfig, candidate_metrics, select_examples
 
+EPS_EVAL = 1e-3  # absolute tolerance between an executed answer and the gold value
+
 
 class MissingMarker(DatasetError):
     def __init__(self, line_no: int):
@@ -155,7 +157,6 @@ def evaluate(
     pool: ExamplePool,
     selection_config: SelectionConfig,
     services: Services,
-    eps_eval: float = 1e-3,
     metrics_memo: dict[str, list] | None = None,
 ) -> EvalReport:
     """Select, prompt, execute and grade every item; failures never abort the run.
@@ -193,7 +194,7 @@ def evaluate(
                 except interpreter.InterpreterError as exc:
                     cause = f"execute: {exc}"
                 else:
-                    correct = abs(value - item.gold_value) <= eps_eval
+                    correct = abs(value - item.gold_value) <= EPS_EVAL
                     if not correct:
                         cause = "wrong value"
         except ProviderError as exc:

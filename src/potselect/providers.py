@@ -305,8 +305,8 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 class Services:
     """Completion + embedding providers and an optional response cache.
 
-    Shareable across workers: the embed memo is append-only and providers
-    carry no per-call mutable state beyond counters.
+    Not shareable across threads: the embed memo grows on every new text,
+    and ``ScriptedProvider`` marks each fixture it serves as consumed.
     """
 
     completion: object

@@ -451,6 +451,13 @@ class TestPoolFiles:
         with pytest.raises(ValueError):
             ExamplePool((bolts_example(), bolts_example()))
 
+    def test_parent_cycle_rejected(self):
+        stage1 = Provenance("stage1")
+        a = Example(id="a", question="q", answer_text="ans = 1", provenance=stage1, parent_id="b")
+        b = Example(id="b", question="q", answer_text="ans = 1", provenance=stage1, parent_id="a")
+        with pytest.raises(ValueError, match="cycle"):
+            ExamplePool((bolts_example(), a, b))
+
     def test_write_jsonl_exact_bytes(self, tmp_path):
         path = tmp_path / "out.jsonl"
         record = {"question": "Zoë's café?", "answer": 1}

@@ -78,6 +78,16 @@ class TestCorruption:
         assert store.get(request) is None
         assert store.stats()["quarantined"] == 1
 
+    def test_response_that_is_not_utf8_is_quarantined(self, store):
+        request = CompletionRequest(prompt="p")
+        store.put(request, "café", "scripted")
+        path = store.directory / request.key()
+        path.write_bytes(path.read_bytes().replace("é".encode(), b"\xc3\x29"))
+        assert store.get(request) is None
+        assert not path.exists()
+        assert path.with_name(request.key() + ".corrupt").exists()
+        assert store.stats() == {"entries": 0, "bytes": 0, "quarantined": 1}
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from potselect.cli import main
+from potselect.cli import _effective_config, build_parser, main
 from potselect.providers import save_fixtures
 from potselect.selection import load_weights
 
@@ -100,6 +101,38 @@ class TestAugmentCommand:
         a = [l for l in outs[0].split(b"\n") if b'"meta"' not in l]
         b = [l for l in outs[1].split(b"\n") if b'"meta"' not in l]
         assert a == b
+
+
+class TestStages:
+    _BAD = ["4", "x", "", "1,,2", "0,1"]
+
+    def _augment(self, augment_files, *extra):
+        out = augment_files["tmp"] / "augmented.jsonl"
+        files = ["--pool", augment_files["pool"], "--fixtures", augment_files["fixtures"]]
+        return main(["augment", *files, *extra, "--out", str(out)]), out
+
+    @pytest.mark.parametrize("stages", _BAD, ids=repr)
+    def test_bad_stages_flag_is_usage_error(self, augment_files, capsys, stages):
+        code, out = self._augment(augment_files, "--stages", stages)
+        assert code == 1
+        assert "--stages" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stages", [*_BAD, 4, ["1"]], ids=json.dumps)
+    def test_bad_stages_in_config_is_usage_error(self, augment_files, capsys, stages):
+        config_path = augment_files["tmp"] / "config.json"
+        config_path.write_text(json.dumps({"stages": stages}))
+        code, out = self._augment(augment_files, "--config", str(config_path))
+        assert code == 1
+        assert "config key 'stages'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stages_are_echoed_as_given(self, augment_files):
+        code, out = self._augment(augment_files, "--stages", "2, 1")
+        assert code == 0
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        assert records[0]["meta"]["config"]["stages"] == "2, 1"
+        assert len(records) == 1 + 39
 
 
 class TestUsageErrors:
@@ -371,6 +404,41 @@ class TestConfigPrecedence:
         assert main(["cache-stats", "--config", str(config_path)]) == 1
         assert "must hold one JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"budget": "5"}, "budget"),
+            ({"max_chosen": "5"}, "max_chosen"),
+            ({"max_chosen": 2.0}, "max_chosen"),
+            ({"epsilon": "0.1"}, "epsilon"),
+            ({"seed": True}, "seed"),
+            ({"seed": None}, "seed"),
+            ({"tau": False}, "tau"),
+            ({"provider": "remtoe"}, "provider"),
+            ({"dataset_kind": "svmap"}, "dataset_kind"),
+            ({"pool": 5}, "pool"),
+            ({"synthetic_objective": 1}, "synthetic_objective"),
+        ],
+    )
+    def test_config_values_get_the_checks_flags_get(self, tmp_path, capsys, config, key):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["cache-stats", "--config", str(config_path), "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_well_typed_config_values_pass_as_given(self, tmp_path):
+        config = {
+            "epsilon": 0, "tau": 1, "weights": None, "synthetic_objective": True,
+            "provider": "scripted", "dataset_kind": "svamp", "stages": "1,2",
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        args = build_parser().parse_args(["cache-stats", "--config", str(config_path)])
+        effective = _effective_config(args)
+        assert {key: effective[key] for key in config} == config
+        assert type(effective["epsilon"]) is int and type(effective["tau"]) is int
+
     def test_effective_config_echoed_into_meta(self, eval_environment):
         out = eval_environment["tmp"] / "report.jsonl"
         main(
@@ -387,3 +455,50 @@ class TestConfigPrecedence:
         assert meta["command"] == "eval"
         assert meta["config"]["seed"] == 42
         assert meta["config"]["provider"] == "scripted"
+
+
+_COMMON_FLAGS = {
+    "-h", "--help", "--config", "--provider", "--fixtures", "--cache-dir", "--seed", "--out"
+}
+_SELECT_FLAGS = {
+    "--pool", "--dataset", "--dataset-kind", "--epsilon", "--delta", "--max-chosen"
+}
+_NO_FLAG_CONFIG = {
+    "provider": "scripted",
+    "fixtures": None,
+    "cache_dir": None,
+    "seed": 0,
+    "weights": None,
+    "epsilon": 1e-3,
+    "delta": 0.1,
+    "max_chosen": 5,
+    "stages": "1,2,3",
+    "iterations": 1,
+    "max_retries": 3,
+    "tau": 0.8,
+    "dataset": None,
+    "dataset_kind": "gsm8k",
+    "pool": None,
+    "out": None,
+    "budget": 20,
+    "synthetic_objective": False,
+}
+
+
+def test_every_command_keeps_its_flags_and_defaults():
+    expected = {
+        "augment": _COMMON_FLAGS
+        | {"--pool", "--stages", "--iterations", "--max-retries", "--tau"},
+        "select": _COMMON_FLAGS | _SELECT_FLAGS | {"--weights"},
+        "eval": _COMMON_FLAGS | _SELECT_FLAGS | {"--weights"},
+        "tune": _COMMON_FLAGS | _SELECT_FLAGS | {"--budget", "--synthetic-objective"},
+        "cache-stats": _COMMON_FLAGS,
+    }
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(expected)
+    for command, flags in expected.items():
+        actions = commands.choices[command]._actions
+        assert {flag for action in actions for flag in action.option_strings} == flags
+        effective = _effective_config(parser.parse_args([command]))
+        assert list(effective.items()) == list(_NO_FLAG_CONFIG.items()), command
