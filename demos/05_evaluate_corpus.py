@@ -12,8 +12,9 @@ from pathlib import Path
 
 from potselect.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="potselect-demo-"))
-print(f"working under {workdir}")
+scratch = tempfile.TemporaryDirectory(prefix="potselect-demo-")
+workdir = Path(scratch.name)
+print(f"working under {workdir} (removed at the end)")
 
 # seed pool: two worked examples
 pool = [
@@ -99,3 +100,4 @@ for line in (workdir / "report.jsonl").read_text().splitlines():
 print()
 print("== cache contents ==")
 main(["cache-stats", "--cache-dir", str(workdir / "cache")])
+scratch.cleanup()

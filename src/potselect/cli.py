@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -51,6 +52,21 @@ def _stages(text: str) -> str:
     return text
 
 
+class _InRange:
+    """An argparse ``type``: parse with ``kind``, then require low <= value <= high."""
+
+    def __init__(self, kind: type, low: float, high: float = math.inf):
+        self.kind, self.low, self.high = kind, low, high
+        self.__name__ = kind.__name__  # argparse names the type in its messages
+
+    def __call__(self, text):
+        value = self.kind(text)
+        if not self.low <= value <= self.high:
+            bound = f">= {self.low}" if self.high == math.inf else f"in [{self.low}, {self.high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value!r}")
+        return value
+
+
 _ALL = ("augment", "select", "tune", "eval", "cache-stats")
 _SELECT = ("select", "tune", "eval")
 _SC = selection.SelectionConfig  # a config class's attributes are its field defaults
@@ -64,18 +80,24 @@ _OPTIONS = (
     ("cache_dir", None, _ALL, {}),
     ("seed", 0, _ALL, {"type": int}),
     ("weights", None, ("select", "eval"), {"help": "file or 4 comma-separated numbers"}),
-    ("epsilon", _SC.epsilon, _SELECT, {"type": float}),
-    ("delta", _SC.delta, _SELECT, {"type": float}),
-    ("max_chosen", _SC.max_chosen, _SELECT, {"type": int}),
+    ("epsilon", _SC.epsilon, _SELECT, {"type": _InRange(float, 0)}),
+    ("delta", _SC.delta, _SELECT, {"type": _InRange(float, 0)}),
+    ("max_chosen", _SC.max_chosen, _SELECT, {"type": _InRange(int, 1)}),
     ("stages", "1,2,3", ("augment",), {"type": _stages, "help": "stages to run, e.g. 1,2"}),
-    ("iterations", _AC.iterations, ("augment",), {"type": int, "help": "stage-3 rounds T"}),
-    ("max_retries", _AC.max_retries, ("augment",), {"type": int}),
-    ("tau", _AC.tau, ("augment",), {"type": float, "help": "step-similarity threshold"}),
+    (
+        "iterations", _AC.iterations, ("augment",),
+        {"type": _InRange(int, 1), "help": "stage-3 rounds T"},
+    ),
+    ("max_retries", _AC.max_retries, ("augment",), {"type": _InRange(int, 0)}),
+    (
+        "tau", _AC.tau, ("augment",),
+        {"type": _InRange(float, -1, 1), "help": "step-similarity threshold"},
+    ),
     ("dataset", None, _SELECT, {}),
     ("dataset_kind", "gsm8k", _SELECT, {"choices": ["gsm8k", "svamp"]}),
     ("pool", None, ("augment", *_SELECT), {"help": "example pool file (JSONL)"}),
     ("out", None, _ALL, {}),
-    ("budget", 20, ("tune",), {"type": int, "help": "number of trials"}),
+    ("budget", 20, ("tune",), {"type": _InRange(int, 1), "help": "number of trials"}),
     (
         "synthetic_objective", False, ("tune",),
         {"action": "store_const", "const": True, "help": "optimize a quadratic test objective"},
@@ -96,19 +118,20 @@ def build_parser() -> _Parser:
 
 
 def _check(key: str, default, kwargs: dict, value) -> None:
-    """Give a config-file value its flag's checks: JSON type, choices, ``type``."""
+    """Give a config-file value its flag's checks: JSON type, choices, ``type`` and range."""
     if value is None and default is None:
         return
+    parse = kwargs.get("type", str)
     if "action" in kwargs:
         types: tuple[type, ...] = (bool,)
     else:
-        types = {int: (int,), float: (int, float)}.get(kwargs.get("type"), (str,))
+        types = {int: (int,), float: (int, float)}.get(getattr(parse, "kind", parse), (str,))
     try:
         if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
             raise argparse.ArgumentTypeError(f"expected {types[-1].__name__}, got {value!r}")
         if value not in kwargs.get("choices", [value]):
             raise argparse.ArgumentTypeError(f"{value!r} is not one of {kwargs['choices']}")
-        kwargs.get("type", str)(value)
+        parse(value)
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"config key {key!r}: {exc}") from None
 

@@ -3,7 +3,8 @@
 Two completion providers: a scripted one that replays fixture files for
 deterministic tests, and a remote HTTP adapter with retry/backoff.  The
 embedding side ships a bit-exact deterministic hashed bag-of-tokens encoder
-plus a remote adapter sharing the HTTP machinery.
+plus a remote adapter sharing the HTTP machinery.  ``requests`` is imported
+only when a remote adapter posts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import requests
 
 from .cache import CacheStore, cached_complete
 from .prompts import concept_prompt
@@ -152,10 +152,11 @@ class ScriptedProvider:
 Transport = Callable[[str, dict, dict], object]
 
 BACKOFF_CAP = 8.0  # seconds: the longest wait between two attempts
-_RETRYABLE = (requests.ConnectionError, requests.Timeout, ConnectionError, TimeoutError)
 
 
 def _http_transport(endpoint: str, payload: dict, headers: dict, key: str) -> object:
+    import requests
+
     resp = requests.post(endpoint, json=payload, headers=headers, timeout=60)
     if resp.status_code >= 500:
         raise requests.ConnectionError(f"server error {resp.status_code}")
@@ -201,6 +202,9 @@ class _RemoteAdapter:
 
         Any other request failure is fatal at once; both end as ProviderUnavailable.
         """
+        import requests
+
+        retryable = (requests.ConnectionError, requests.Timeout, ConnectionError, TimeoutError)
         self.calls += 1
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         delay = self.backoff_base
@@ -208,7 +212,7 @@ class _RemoteAdapter:
         for attempt in range(self.max_attempts):
             try:
                 return self._transport(self.endpoint, payload, headers)
-            except _RETRYABLE as exc:
+            except retryable as exc:
                 last = exc
                 if attempt + 1 < self.max_attempts:
                     time.sleep(delay)

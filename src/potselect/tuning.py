@@ -7,6 +7,11 @@ of the objective into good/bad sets, per-dimension Parzen densities
 (bound-truncated Gaussian kernels plus a uniform prior component) are
 fitted to each, and the candidate maximizing the good/bad density ratio is
 suggested.
+
+The kernels are scipy's truncnorm density and inverse-cdf sampler
+written out with scipy.special, operation for operation, so results are
+bit-identical to truncnorm's; scipy.special is imported only once a
+density is fitted.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from .augmentation import MalformedRecord, read_jsonl
 from .providers import Services
@@ -88,12 +92,34 @@ class TpeParams:
             raise ValueError("gamma must lie in (0, 1)")
 
 
+_LOG_SQRT_2PI = 0.9189385332046727  # log(sqrt(2 pi)), rounded as scipy's truncnorm has it
+
+
+def _log_gauss_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(Phi(b) - Phi(a)) per kernel for a <= 0 <= b, as scipy's truncnorm computes it.
+
+    Scipy uses a central formula when b > 0 and a left-tail one when b == 0
+    (a kernel centred on the upper bound); the two differ in the last ulp.
+    A kernel centred below the box (a > 0) would take a third formula, which
+    ``tpe_suggest`` rules out by rejecting trials outside the space.
+    """
+    from scipy.special import log1p, log_ndtr, logsumexp, ndtr
+
+    log_mass = log1p(-ndtr(a) - ndtr(-b))
+    left = b <= 0
+    if left.any():
+        terms = [log_ndtr(b[left]), log_ndtr(a[left]) + np.pi * 1j]  # log(x - y)
+        log_mass[left] = np.real(logsumexp(terms, axis=0))
+    return log_mass
+
+
 class _Parzen1D:
     """Mixture of bound-truncated Gaussians plus one uniform prior component.
 
     Kernel bandwidths follow the neighbor-spacing rule, floored at 1% of the
     interval and capped at the interval width.  All components share weight
-    1/(k+1), so the pdf is strictly positive on [low, high].
+    1/(k+1), so the pdf is strictly positive on [low, high].  Every kernel
+    centre must lie in [low, high].
     """
 
     def __init__(self, values: Sequence[float], low: float, high: float):
@@ -115,18 +141,19 @@ class _Parzen1D:
             sigmas = np.empty(0)
         self.mus = mus
         self.sigmas = sigmas
+        # each kernel's bounds in its own standard units, and its mass between them
+        self.a = (low - mus) / sigmas
+        self.b = (high - mus) / sigmas
+        self.log_mass = _log_gauss_mass(self.a, self.b)
 
     def pdf(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         k = self.mus.size
         total = np.full(xs.shape, 1.0 / (self.high - self.low))
         if k:
-            a = (self.low - self.mus) / self.sigmas
-            b = (self.high - self.mus) / self.sigmas
-            kernels = truncnorm.pdf(
-                xs[..., None], a[None, :], b[None, :], loc=self.mus[None, :],
-                scale=self.sigmas[None, :],
-            )
+            z = (xs[..., None] - self.mus) / self.sigmas
+            density = np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - self.log_mass) / self.sigmas
+            kernels = np.where((self.a <= z) & (z <= self.b), density, 0.0)
             total = total + kernels.sum(axis=-1)
         return total / (k + 1)
 
@@ -139,11 +166,28 @@ class _Parzen1D:
         if k:
             idx = components[~uniform_mask]
             if idx.size:
-                a = (self.low - self.mus[idx]) / self.sigmas[idx]
-                b = (self.high - self.mus[idx]) / self.sigmas[idx]
-                out[~uniform_mask] = truncnorm.rvs(
-                    a, b, loc=self.mus[idx], scale=self.sigmas[idx], random_state=rng
-                )
+                z = self._ppf(rng.uniform(size=idx.size), idx)
+                out[~uniform_mask] = z * self.sigmas[idx] + self.mus[idx]
+        return out
+
+    def _ppf(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Standard-unit quantiles ``q`` of kernels ``idx``: truncnorm's inverse cdf.
+
+        Kernels with a < 0 invert from the left tail, the others from the
+        right; logsumexp stays, as np.logaddexp differs in the last ulp.
+        """
+        from scipy.special import log_ndtr, logsumexp, ndtri_exp
+
+        a, b, log_mass = self.a[idx], self.b[idx], self.log_mass[idx]
+        out = np.empty_like(q)
+        left = a < 0
+        right = ~left
+        if left.any():
+            terms = [log_ndtr(a[left]), np.log(q[left]) + log_mass[left]]
+            out[left] = ndtri_exp(logsumexp(terms, axis=0))
+        if right.any():
+            terms = [log_ndtr(-b[right]), np.log1p(-q[right]) + log_mass[right]]
+            out[right] = -ndtri_exp(logsumexp(terms, axis=0))
         return out
 
 
@@ -153,10 +197,14 @@ def tpe_suggest(
     """Suggest the next point; deterministic given (seed, history).
 
     Uniform random below ``n_startup`` trials and on degenerate histories
-    (all objectives equal).  Suggestions always lie inside the space.
+    (all objectives equal).  Suggestions always lie inside the space; a
+    history with a trial outside it raises ValueError naming that trial.
     """
     rng = np.random.default_rng([abs(history.rng_seed) % 2**32, len(history.trials)])
     trials = history.trials
+    for trial in trials:
+        if len(trial.point) != space.ndim or not space.contains(trial.point):
+            raise ValueError(f"trial {trial.seq} point {trial.point} lies outside the space")
     if len(trials) < params.n_startup:
         return space.uniform(rng)
     objectives = np.array([t.objective for t in trials])

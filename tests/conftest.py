@@ -106,7 +106,7 @@ ROUGH_FIXTURE = Fixture(
 
 
 def fake_post(monkeypatch, status: int, body: bytes) -> list[dict]:
-    """Make every ``requests.post`` in the providers module answer with one canned response.
+    """Make every ``requests.post`` answer with one canned response.
 
     Returns the list that collects each posted payload.
     """
@@ -119,7 +119,7 @@ def fake_post(monkeypatch, status: int, body: bytes) -> list[dict]:
         resp._content = body
         return resp
 
-    monkeypatch.setattr("potselect.providers.requests.post", post)
+    monkeypatch.setattr("requests.post", post)
     return posts
 
 

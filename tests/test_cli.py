@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import potselect
 from potselect.cli import _effective_config, build_parser, main
 from potselect.providers import save_fixtures
 from potselect.selection import load_weights
@@ -371,6 +376,32 @@ class TestCacheStats:
         assert main(["cache-stats"]) == 1
 
 
+class TestOutOfRange:
+    """A value outside its option's range is a usage error (exit 1), from a flag or the file."""
+
+    _CASES = [
+        ("select", "max_chosen", 0, ">= 1"),
+        ("augment", "iterations", 0, ">= 1"),
+        ("augment", "max_retries", -1, ">= 0"),
+        ("tune", "budget", 0, ">= 1"),
+        ("eval", "epsilon", -0.5, ">= 0"),
+        ("select", "delta", float("nan"), ">= 0"),
+        ("augment", "tau", 1.5, "in [-1, 1]"),
+    ]
+
+    @pytest.mark.parametrize("command, key, value, bound", _CASES)
+    def test_flag(self, capsys, command, key, value, bound):
+        assert main([command, "--" + key.replace("_", "-"), str(value)]) == 1
+        assert f"must be {bound}, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value, bound", _CASES)
+    def test_config_file(self, tmp_path, capsys, command, key, value, bound):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(config_path)]) == 1
+        assert f"config key {key!r}: must be {bound}, got {value}" in capsys.readouterr().err
+
+
 class TestConfigPrecedence:
     def test_flag_overrides_config_file(self, eval_environment, tmp_path):
         config_path = tmp_path / "config.json"
@@ -502,3 +533,14 @@ def test_every_command_keeps_its_flags_and_defaults():
         assert {flag for action in actions for flag in action.option_strings} == flags
         effective = _effective_config(parser.parse_args([command]))
         assert list(effective.items()) == list(_NO_FLAG_CONFIG.items()), command
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_requests():
+    """Commands that never fit a TPE density or post over HTTP skip those imports."""
+    code = "import sys, potselect.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(potselect.__file__).parents[1]))
+    modules = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    heavy = [m for m in modules if m.split(".")[0] in ("scipy", "requests", "urllib3")]
+    assert heavy == []

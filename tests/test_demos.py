@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and cleans up its temporary files."""
 
 from __future__ import annotations
 
@@ -15,12 +15,15 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_exits_zero(demo, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    temp_dir = tmp_path / "tmp"
+    temp_dir.mkdir()
     result = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": pythonpath, "TMPDIR": str(tmp_path)},
+        env={**os.environ, "PYTHONPATH": pythonpath, "TMPDIR": str(temp_dir)},
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert list(temp_dir.iterdir()) == []

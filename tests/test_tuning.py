@@ -15,6 +15,7 @@ from potselect.tuning import (
     TpeParams,
     Trial,
     TrialHistory,
+    _Parzen1D,
     accuracy_objective,
     best_trial,
     load_history,
@@ -162,6 +163,77 @@ class TestTpeSuggest:
             TpeParams(n_candidates=0)
 
 
+def _truncnorm_pdf(parzen: _Parzen1D, xs: np.ndarray) -> np.ndarray:
+    """The oracle: ``_Parzen1D.pdf`` through scipy.stats.truncnorm itself."""
+    from scipy.stats import truncnorm
+
+    k = parzen.mus.size
+    total = np.full(xs.shape, 1.0 / (parzen.high - parzen.low))
+    if k:
+        a = (parzen.low - parzen.mus) / parzen.sigmas
+        b = (parzen.high - parzen.mus) / parzen.sigmas
+        kernels = truncnorm.pdf(
+            xs[..., None], a[None, :], b[None, :], loc=parzen.mus[None, :],
+            scale=parzen.sigmas[None, :],
+        )
+        total = total + kernels.sum(axis=-1)
+    return total / (k + 1)
+
+
+def _truncnorm_sample(parzen: _Parzen1D, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The oracle: ``_Parzen1D.sample`` through scipy.stats.truncnorm.rvs itself."""
+    from scipy.stats import truncnorm
+
+    k = parzen.mus.size
+    components = rng.integers(0, k + 1, size=size)
+    out = np.empty(size)
+    uniform_mask = components == k
+    out[uniform_mask] = rng.uniform(parzen.low, parzen.high, size=int(uniform_mask.sum()))
+    idx = components[~uniform_mask]
+    if k and idx.size:
+        a = (parzen.low - parzen.mus[idx]) / parzen.sigmas[idx]
+        b = (parzen.high - parzen.mus[idx]) / parzen.sigmas[idx]
+        out[~uniform_mask] = truncnorm.rvs(
+            a, b, loc=parzen.mus[idx], scale=parzen.sigmas[idx], random_state=rng
+        )
+    return out
+
+
+def _random_fits(n: int):
+    """Seeded (values, low, high) fits: duplicates, centres on either bound, k == 1."""
+    yield [0.25], 0.0, 1.0
+    yield [0.0], 0.0, 1.0
+    yield [1.0], 0.0, 1.0
+    yield [0.0, 1.0, 0.5, 0.5, 0.5], 0.0, 1.0
+    for seed in range(n):
+        rng = np.random.default_rng(seed)
+        low = float(rng.uniform(-3.0, 1.0))
+        high = low + float(rng.choice([1e-3, 0.5, 1.0, 7.0]))
+        values = list(rng.uniform(low, high, size=int(rng.integers(1, 30))))
+        if seed % 3 == 0:
+            values += values[: len(values) // 2 + 1]  # duplicates
+        if seed % 4 == 0:
+            values.append(low)
+        if seed % 5 == 0:
+            values.append(high)
+        yield values, low, high
+
+
+class TestParzenKernels:
+    """The closed-form kernels are scipy.stats.truncnorm's, bit for bit."""
+
+    def test_pdf_and_samples_equal_truncnorm(self):
+        for i, (values, low, high) in enumerate(_random_fits(240)):
+            parzen = _Parzen1D(values, low, high)
+            rng = np.random.default_rng([i, 1])
+            xs = np.concatenate(([low, high], values, rng.uniform(low, high, size=32)))
+            assert np.array_equal(parzen.pdf(xs), _truncnorm_pdf(parzen, xs)), i
+            ours, theirs = np.random.default_rng([i, 2]), np.random.default_rng([i, 2])
+            samples = parzen.sample(ours, 64)
+            assert np.array_equal(samples, _truncnorm_sample(parzen, theirs, 64)), i
+            assert ours.bit_generator.state == theirs.bit_generator.state, i
+
+
 class TestOptimize:
     def test_quadratic_converges_near_target(self):
         history = optimize(_quadratic, SearchSpace(), budget=60, seed=0)
@@ -215,6 +287,12 @@ class TestOptimize:
         resumed = optimize(_quadratic, SearchSpace(), budget=6, history=partial, log_path=log_path)
         assert len(resumed) == 10
         assert len(load_history(log_path)) == 10
+
+    @pytest.mark.parametrize("bad", [(0.5, 1.5, 0.5, 0.5), (-0.1, 0.5, 0.5, 0.5), (0.5,) * 3])
+    def test_resumed_trial_outside_the_space_is_rejected(self, bad):
+        trials = [((0.2,) * 4, 0.0), ((0.4,) * 4, 1.0), (bad, 0.5), ((1.5,) * 4, 0.0)]
+        with pytest.raises(ValueError, match=r"^trial 2 point .* outside the space"):
+            optimize(_quadratic, SearchSpace(), budget=1, history=_history(trials))
 
     def test_best_trial_prefers_earliest_on_ties(self):
         history = _history([((0.1,) * 4, 1.0), ((0.2,) * 4, 1.0)])
