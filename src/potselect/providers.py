@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import time
@@ -112,6 +113,14 @@ class ScriptedProvider:
     Repeated identical prompts step through matching fixtures in declared
     order; once all matches are consumed, the last one keeps answering.
     Pattern responses may use backreferences (``\\1``) into the match.
+
+    Each distinct prompt is matched against the fixtures once, and a
+    response is expanded only when its fixture is served, once per prompt;
+    ``calls`` still counts every request.  The memo is keyed by the prompt's
+    SHA-256 digest and holds no ``re.Match``, so it keeps no prompt alive.
+    A pattern that does not compile, or a response with a bad group
+    reference, raises ``ValueError`` on construction, naming the fixture's
+    index.
     """
 
     provider_id = "scripted"
@@ -121,6 +130,9 @@ class ScriptedProvider:
         self.model_id = model_id
         self.calls = 0
         self._consumed = [False] * len(self.fixtures)
+        self._patterns = [_compile_fixture(i, f) for i, f in enumerate(self.fixtures)]
+        # prompt digest -> {matching fixture index: its response, once expanded}
+        self._served: dict[bytes, dict[int, str | None]] = {}
 
     @classmethod
     def from_file(cls, path: str | Path, model_id: str = "scripted") -> "ScriptedProvider":
@@ -128,25 +140,47 @@ class ScriptedProvider:
 
     def complete(self, request: CompletionRequest) -> str:
         self.calls += 1
-        matches: list[tuple[int, re.Match | None]] = []
-        for i, fixture in enumerate(self.fixtures):
-            if fixture.kind == "exact":
-                if fixture.text == request.prompt:
-                    matches.append((i, None))
-            else:
-                m = re.search(fixture.text, request.prompt)
-                if m:
-                    matches.append((i, m))
-        if not matches:
-            head = request.prompt[:120].replace("\n", "\\n")
+        prompt = request.prompt
+        key = hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).digest()
+        served = self._served.get(key)
+        if served is None:
+            served = self._served[key] = self._match(prompt)
+        if not served:
+            head = prompt[:120].replace("\n", "\\n")
             raise NoFixture(f"no fixture matches prompt starting {head!r}")
-        unconsumed = [pair for pair in matches if not self._consumed[pair[0]]]
-        index, m = unconsumed[0] if unconsumed else matches[-1]
+        unconsumed = [i for i in served if not self._consumed[i]]
+        index = unconsumed[0] if unconsumed else next(reversed(served))
         self._consumed[index] = True
-        fixture = self.fixtures[index]
-        if m is not None:
-            return m.expand(fixture.response)
-        return fixture.response
+        response = served[index]
+        if response is None:  # searched again: a kept Match would keep the prompt alive
+            fixture = self.fixtures[index]
+            response = self._patterns[index].search(prompt).expand(fixture.response)
+            served[index] = response
+        return response
+
+    def _match(self, prompt: str) -> dict[int, str | None]:
+        """The fixtures matching ``prompt`` in declared order, each mapped to
+        its response if exact, or to None while a pattern's is unexpanded."""
+        matches: dict[int, str | None] = {}
+        for i, (fixture, pattern) in enumerate(zip(self.fixtures, self._patterns)):
+            if pattern is None:
+                if fixture.text == prompt:
+                    matches[i] = fixture.response
+            elif pattern.search(prompt):
+                matches[i] = None
+        return matches
+
+
+def _compile_fixture(index: int, fixture: Fixture) -> re.Pattern | None:
+    """Compile a pattern fixture and check its response template; None for exact ones."""
+    if fixture.kind == "exact":
+        return None
+    try:
+        pattern = re.compile(fixture.text)
+        pattern.sub(fixture.response, "")  # parses the template, group references included
+    except (re.error, IndexError) as exc:  # an unknown group name is an IndexError
+        raise ValueError(f"fixture {index}: {exc}") from None
+    return pattern
 
 
 Transport = Callable[[str, dict, dict], object]
@@ -293,16 +327,21 @@ class RemoteEmbeddingProvider(_RemoteAdapter):
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|), 0.0 when either norm is zero; clipped to [-1, 1]."""
+    """u.v / (|u||v|), 0.0 when either norm is zero; clamped to [-1, 1], NaN passes.
+
+    ``math.sqrt(x.dot(x))`` is exactly what ``np.linalg.norm`` computes for a
+    1-D float64 vector, at a fraction of its call overhead.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DimensionMismatch(f"dimensions differ: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    nu = math.sqrt(u.dot(u))
+    nv = math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    value = float(u.dot(v) / (nu * nv))
+    return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
 
 
 @dataclass
@@ -310,7 +349,11 @@ class Services:
     """Completion + embedding providers and an optional response cache.
 
     Not shareable across threads: the embed memo grows on every new text,
-    and ``ScriptedProvider`` marks each fixture it serves as consumed.
+    and ``ScriptedProvider`` marks each fixture it serves as consumed and
+    memoizes, per distinct prompt, its matching fixtures and their expanded
+    responses.  Neither memo changes what a call returns or counts: the
+    provider still steps through fixtures on repeated prompts, and its
+    ``calls`` counts every request.
     """
 
     completion: object

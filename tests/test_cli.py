@@ -353,6 +353,70 @@ class TestRemoteProviderFailures:
         assert all(item["cause"].startswith("provider: ") for item in items)
 
 
+class TestRemoteEmbeddingFailures:
+    """A wrong-dimension or NaN embedding answered by ``requests.post``.
+
+    The CLI always embeds with ``HashEmbedding``, so the test puts a remote
+    embedding adapter in its place.
+    """
+
+    @pytest.mark.parametrize(
+        "body", [b'{"embedding": [0.6, 0.8, 0.0]}', b'{"embedding": [0.6, NaN]}'],
+        ids=["wrong-dimension", "nan"],
+    )
+    def test_select_exits_with_provider_code(self, eval_environment, monkeypatch, capsys, body):
+        from potselect.providers import RemoteEmbeddingProvider
+
+        fake_post(monkeypatch, 200, body)
+        monkeypatch.setattr(
+            "potselect.cli.HashEmbedding",
+            lambda: RemoteEmbeddingProvider(dimension=2, endpoint="http://example.invalid"),
+        )
+        out = eval_environment["tmp"] / "chosen.jsonl"
+        code = main(
+            [
+                "select",
+                "--pool", eval_environment["pool"],
+                "--dataset", eval_environment["dataset"],
+                "--fixtures", eval_environment["fixtures"],
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "provider error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBadFixtureFile:
+    """A pattern that does not compile, or a bad group reference, is bad data (exit 3)."""
+
+    @pytest.mark.parametrize("command", ["augment", "select", "tune", "eval"])
+    @pytest.mark.parametrize(
+        "fixture, message",
+        [
+            ({"match": "pattern", "text": "(", "response": "r"}, "missing )"),
+            (
+                {"match": "pattern", "text": r"(\d)", "response": r"\3"},
+                "invalid group reference 3",
+            ),
+        ],
+        ids=["pattern", "group-reference"],
+    )
+    def test_is_a_data_error_on_loading(self, eval_environment, capsys, command, fixture, message):
+        good = json.loads(Path(eval_environment["fixtures"]).read_text())
+        fixtures_path = eval_environment["tmp"] / "bad-fixtures.json"
+        fixtures_path.write_text(json.dumps([*good, fixture]))
+        out = eval_environment["tmp"] / "out.jsonl"
+        argv = [command, "--pool", eval_environment["pool"], "--fixtures", str(fixtures_path)]
+        if command != "augment":
+            argv += ["--dataset", eval_environment["dataset"]]
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: fixture {len(good)}: " in err
+        assert message in err
+        assert not out.exists()
+
+
 class TestCacheStats:
     def test_reports_counts(self, eval_environment, capsys):
         cache_dir = eval_environment["tmp"] / "cache"

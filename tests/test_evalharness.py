@@ -254,6 +254,26 @@ class TestEvaluate:
         assert report.n_items == 5
         assert all(r.cause.startswith("provider: ") for r in report.items)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'{"embedding": [0.6, 0.8, 0.0]}', "expected dimension 2, got (3,)"),
+            (b'{"embedding": [0.6, NaN]}', "non-finite"),
+        ],
+        ids=["wrong-dimension", "nan"],
+    )
+    def test_bad_remote_embedding_never_aborts_the_run(self, tmp_path, monkeypatch, body, message):
+        from potselect.providers import RemoteEmbeddingProvider, ScriptedProvider, Services
+
+        fake_post(monkeypatch, 200, body)
+        services = Services(
+            completion=ScriptedProvider(eval_fixtures()),
+            embedding=RemoteEmbeddingProvider(dimension=2, endpoint="http://example.invalid"),
+        )
+        report = evaluate(_dataset(tmp_path), eval_pool(), SelectionConfig(), services)
+        assert report.n_items == 5
+        assert all(r.cause.startswith("provider: ") and message in r.cause for r in report.items)
+
     def test_totals_match_per_item_recount(self, tmp_path):
         dataset = _dataset(tmp_path)
         report = evaluate(dataset, eval_pool(), SelectionConfig(), make_services(eval_fixtures()))

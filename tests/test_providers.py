@@ -92,7 +92,7 @@ class TestScriptedProvider:
         out = provider.complete(CompletionRequest(prompt="please count 42 sheep now"))
         assert out == "counted 42"
 
-    def test_call_counter(self):
+    def test_call_counter(self):  # the second call is answered from the per-prompt memo
         provider = ScriptedProvider([Fixture("exact", "P", "r")])
         provider.complete(CompletionRequest(prompt="P"))
         provider.complete(CompletionRequest(prompt="P"))
@@ -107,6 +107,75 @@ class TestScriptedProvider:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Fixture("fuzzy", "a", "b")
+
+    def test_two_patterns_on_one_prompt_step_in_order_then_the_last_repeats(self):
+        provider = ScriptedProvider(
+            [Fixture("pattern", r"n(\d)", r"first \1"), Fixture("pattern", r"(n)\d", r"second \1")]
+        )
+        request = CompletionRequest(prompt="n7")
+        answers = [provider.complete(request) for _ in range(4)]
+        assert answers == ["first 7", "second n", "second n", "second n"]
+
+    def test_exact_and_pattern_fixtures_follow_declared_order(self):
+        provider = ScriptedProvider(
+            [
+                Fixture("pattern", r"P(\d)", r"pattern \1"),
+                Fixture("exact", "P1", "exact"),
+                Fixture("pattern", r"\AP", "anchored"),
+            ]
+        )
+        request = CompletionRequest(prompt="P1")
+        answers = [provider.complete(request) for _ in range(4)]
+        assert answers == ["pattern 1", "exact", "anchored", "anchored"]
+
+    def test_one_pattern_expands_each_prompt_from_its_own_match(self):
+        provider = ScriptedProvider([Fixture("pattern", r"count (\d+) (\w+)", r"\2: \1")])
+        assert provider.complete(CompletionRequest(prompt="count 3 sheep")) == "sheep: 3"
+        assert provider.complete(CompletionRequest(prompt="count 12 cows")) == "cows: 12"
+        assert provider.complete(CompletionRequest(prompt="count 3 sheep")) == "sheep: 3"
+
+    def test_repeated_unmatched_prompt_raises_every_time(self):
+        provider = ScriptedProvider([Fixture("pattern", r"\Ayes", "r")])
+        for _ in range(3):
+            with pytest.raises(NoFixture):
+                provider.complete(CompletionRequest(prompt="no"))
+        assert provider.calls == 3
+        assert provider.complete(CompletionRequest(prompt="yes")) == "r"
+
+    def test_a_matching_fixture_that_is_not_served_is_never_expanded(self):
+        class SpyFixture:
+            """A fixture that counts reads of its response (needed to expand it)."""
+
+            def __init__(self, kind, text, response):
+                self.kind, self.text, self._response, self.reads = kind, text, response, 0
+
+            @property
+            def response(self):
+                self.reads += 1
+                return self._response
+
+        served = SpyFixture("pattern", r"(a)", r"\1\1")
+        unserved = SpyFixture("pattern", r"(a)", r"\1\1\1")
+        provider = ScriptedProvider([served, unserved])
+        unserved_reads = unserved.reads  # construction may check the template
+        assert provider.complete(CompletionRequest(prompt="a")) == "aa"
+        assert served.reads > 0
+        assert unserved.reads == unserved_reads
+
+    @pytest.mark.parametrize(
+        "text, response, message",
+        [
+            ("(", "r", "missing \\)"),
+            (r"(\d)", r"\3", "invalid group reference 3"),
+            (r"(\d)", r"\g<name>", "unknown group name"),
+            (r"(\d)", r"\q", "bad escape"),
+        ],
+        ids=["pattern", "group-number", "group-name", "escape"],
+    )
+    def test_bad_pattern_fixture_is_rejected_on_construction(self, text, response, message):
+        fixtures = [Fixture("exact", "P", r"\3 is fine here"), Fixture("pattern", text, response)]
+        with pytest.raises(ValueError, match=f"fixture 1: .*{message}"):
+            ScriptedProvider(fixtures)
 
 
 class TestHashEmbedding:
@@ -196,6 +265,40 @@ class TestCosine:
     def test_result_clipped_into_range(self):
         u = np.array([1e-8, 1e-8, 1e-8])
         assert -1.0 <= cosine(u, u) <= 1.0
+
+    @staticmethod
+    def _oracle(u, v) -> float:
+        """The earlier formula: ``np.linalg.norm`` for the norms, ``np.clip`` to clamp."""
+        u = np.asarray(u, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64)
+        nu = np.linalg.norm(u)
+        nv = np.linalg.norm(v)
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+    def test_equals_the_norm_and_clip_formula_exactly(self):
+        rng = np.random.default_rng(0)
+        pairs = []
+        for dim in range(1, 1025):
+            for _ in range(4):
+                u, v = rng.standard_normal((2, dim)) * 10.0 ** rng.uniform(-5, 5, size=(2, 1))
+                pairs += [(u, v), (u, 3.0 * u), (u, -0.5 * u)]
+        emb = HashEmbedding()
+        texts = [" ".join(rng.choice(["eggs", "sold", "total", "a", "b", "7"], 5)) for _ in range(200)]
+        pairs += [(emb.embed(a), emb.embed(b)) for a, b in zip(texts, texts[1:])]
+        pairs += [(np.zeros(5), np.ones(5)), (np.ones(5), np.zeros(5)), ([1, 2, 3], [3.0, -2, 1])]
+        assert [cosine(u, v) for u, v in pairs] == [self._oracle(u, v) for u, v in pairs]
+        raw = [np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)) for u, v in pairs[:3000]]
+        assert any(abs(r) > 1.0 for r in raw)  # the clamp was exercised
+
+    def test_nan_component_gives_nan(self):
+        assert np.isnan(cosine(np.array([1.0, np.nan]), np.array([1.0, 2.0])))
+        assert np.isnan(cosine([np.nan, 0.0], [np.nan, 0.0]))
+
+    def test_shape_mismatch_raises_for_list_inputs(self):
+        with pytest.raises(DimensionMismatch):
+            cosine([1.0, 2.0], [[1.0, 2.0]])
 
 
 class _FlakyTransport:
