@@ -1,7 +1,8 @@
 """Golden outputs: every command's files, cache entries and summary lines, pinned by SHA-256.
 
 The commands run through ``cli.main`` in a temporary directory on the
-13-seed pool (all three augmentation stages) and the 5-item eval fixture.
+13-seed pool (all three augmentation stages, for one stage-3 round and for
+three) and the 5-item eval fixture.
 One eval item's scripted completion is correct only when the first
 selected example comes from stage 3, so the tuning objective varies with
 the weights and TPE fits real densities after its startup trials.
@@ -52,6 +53,29 @@ STAGE3_FIXTURES = [
     ),
 ]
 
+# Over several stage-3 rounds each round modifies the previous round's program,
+# so the programs grow "tempN = ..." lines.  The generated question carries the
+# program, and the inferred answer copies it back, except after a division
+# step, where it has no program, so the round retries with a fresh chain.
+_ROUND_PROGRAM = r"(?:temp\d+ = [^\n]*\n)+ans = temp\d+ "
+ROUNDS_FIXTURES = [
+    Fixture(
+        "pattern",
+        r"\n# Python code, return ans\n(" + _ROUND_PROGRAM + r"[^\n]*)\n\nQuestion:\Z",
+        r"Compute:\n\1",
+    ),
+    Fixture(
+        "pattern",
+        r"\nQuestion: Compute:\n(" + _ROUND_PROGRAM + r"[-+*] [^\n]*)\n# Python code, return ans\n\Z",
+        r"\1",
+    ),
+    Fixture(
+        "pattern",
+        r"\nQuestion: Compute:\n" + _ROUND_PROGRAM + r"/ [^\n]*\n# Python code, return ans\n\Z",
+        "No program fits this question.",
+    ),
+]
+
 _ITEM4 = r"\n\nQuestion: Evaluation question number 4\?\n# Python code, return ans\n\Z"
 
 
@@ -73,6 +97,7 @@ def _write_inputs() -> None:
         for record in eval_dataset_records():
             fh.write(json.dumps(record) + "\n")
     save_fixtures(augmentation_fixtures() + STAGE3_FIXTURES, "augment_fixtures.json")
+    save_fixtures(augmentation_fixtures() + ROUNDS_FIXTURES, "augment_rounds_fixtures.json")
     save_fixtures(_eval_fixtures(), "eval_fixtures.json")
 
 
@@ -84,6 +109,10 @@ COMMANDS = {
     "augment": [
         "augment", "--pool", "seeds.jsonl", "--fixtures", "augment_fixtures.json",
         "--stages", "1,2,3", "--out", "pool.jsonl",
+    ],
+    "augment-rounds": [
+        "augment", "--pool", "seeds.jsonl", "--fixtures", "augment_rounds_fixtures.json",
+        "--stages", "1,2,3", "--iterations", "3", "--out", "rounds.jsonl",
     ],
     "select": ["select", *_SELECT_ARGS, "--out", "select.jsonl"],
     "eval": ["eval", *_SELECT_ARGS, "--out", "report.jsonl"],
