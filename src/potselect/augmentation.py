@@ -11,7 +11,7 @@ joins the pool.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -293,8 +293,9 @@ def rephrase_question(example: Example, services: Services) -> str:
     return response
 
 
-def infer_answer(original: Example, new_question: str, services: Services) -> str:
-    prompt = prompts.few_shot_prompt([(original.question, original.answer_text)], new_question)
+def infer_answer(reference: tuple[str, str], new_question: str, services: Services) -> str:
+    """Answer ``new_question`` with the (question, answer) ``reference`` as the one shot."""
+    prompt = prompts.few_shot_prompt([reference], new_question)
     completion = services.complete_text(prompt, stop_sequences=("Question:",))
     block = extract_answer_block(completion)
     if block is None:
@@ -302,24 +303,19 @@ def infer_answer(original: Example, new_question: str, services: Services) -> st
     return block
 
 
-def generate_question(modified_answer: str, reference: Example, services: Services) -> str:
-    prompt = prompts.question_generation_prompt(
-        [(reference.question, reference.answer_text)], modified_answer
-    )
+def generate_question(modified_answer: str, reference: tuple[str, str], services: Services) -> str:
+    """A question for ``modified_answer``, with the (question, answer) ``reference`` as the one shot."""
+    prompt = prompts.question_generation_prompt([reference], modified_answer)
     response = services.complete_text(prompt).strip()
     if not response:
         raise EmptyGeneration("generated question is blank")
     return response
 
 
-def random_chain(rng: np.random.Generator, length: int = 1) -> ModificationChain:
-    """Seeded chain: operator uniform over + - * /, operand uniform in 1..9."""
-    steps = []
-    for _ in range(length):
-        op = "+-*/"[int(rng.integers(0, 4))]
-        operand = float(rng.integers(1, 10))
-        steps.append((op, operand))
-    return ModificationChain(tuple(steps))
+def random_chain(rng: np.random.Generator) -> ModificationChain:
+    """Seeded one-step chain: operator uniform over + - * /, then operand uniform in 1..9."""
+    op = "+-*/"[int(rng.integers(0, 4))]
+    return ModificationChain(((op, float(rng.integers(1, 10))),))
 
 
 def _lineage_ids(example: Example, pool: ExamplePool) -> set[str]:
@@ -342,48 +338,76 @@ def _stage2_reference(example: Example, pool: ExamplePool) -> Example | None:
 Proposal = tuple[str, str, str]  # (question, candidate answer, reference answer)
 
 
-def run_stage(
-    example: Example,
-    stage: int,
-    config: AugmentationConfig,
-    pool: ExamplePool,
-    services: Services,
-    attempts: list[AttemptRecord] | None = None,
-    seed_index: int = 0,
+def stage1(
+    example: Example, config: AugmentationConfig, services: Services, log: list[AttemptRecord]
 ) -> Example | None:
-    """One augmentation stage on ``example``; None means aborted or skipped.
+    """Rephrase the question and re-infer its answer; None means every attempt failed."""
 
-    Stage 2 expects a stage-1 product, stage 3 a stage-2 product.  Every
-    consistency attempt is appended to ``attempts`` when given.
+    def propose() -> Proposal:
+        question = rephrase_question(example, services)
+        answer_text = infer_answer((example.question, example.answer_text), question, services)
+        return question, answer_text, example.answer_text
+
+    found = _first_consistent(example.id, 1, None, config, services, log, propose)
+    return None if found is None else _child(example, 1, *found)
+
+
+def stage2(
+    example: Example,
+    pool: ExamplePool,
+    config: AugmentationConfig,
+    services: Services,
+    log: list[AttemptRecord],
+) -> Example | None:
+    """Re-infer the answer from the smallest-id pool example outside the lineage.
+
+    None means every attempt failed, or there is no such example (logged as a skip).
     """
-    log = attempts if attempts is not None else []
-    if stage == 1:
-
-        def propose() -> Proposal:
-            question = rephrase_question(example, services)
-            return question, infer_answer(example, question, services), example.answer_text
-
-    elif stage == 2:
-        reference = _stage2_reference(example, pool)
-        if reference is None:
-            skip = "no reference outside lineage"
-            log.append(AttemptRecord(example.id, 2, None, 0, False, None, skip))
-            return None
-
-        def propose() -> Proposal:
-            answer_text = infer_answer(reference, example.question, services)
-            return example.question, answer_text, example.answer_text
-
-    elif stage == 3:
-        return _stage3(example, config, services, log, seed_index)
-    else:
-        raise ValueError(f"stage must be 1, 2 or 3, got {stage}")
-    # stages 1 and 2 keep the candidate answer that passed the gate
-    found = _first_consistent(example.id, stage, None, config, services, log, propose)
-    if found is None:
+    reference = _stage2_reference(example, pool)
+    if reference is None:
+        skip = "no reference outside lineage"
+        log.append(AttemptRecord(example.id, 2, None, 0, False, None, skip))
         return None
-    (question, answer_text, _), report = found
-    return _child(example, stage, question, answer_text, report)
+
+    def propose() -> Proposal:
+        pair = (reference.question, reference.answer_text)
+        return example.question, infer_answer(pair, example.question, services), example.answer_text
+
+    found = _first_consistent(example.id, 2, None, config, services, log, propose)
+    return None if found is None else _child(example, 2, *found)
+
+
+def stage3(
+    example: Example,
+    rng: np.random.Generator,
+    config: AugmentationConfig,
+    services: Services,
+    log: list[AttemptRecord],
+) -> Example | None:
+    """T rounds of modify-then-question; None means a round's attempts all failed.
+
+    ``example`` is parsed once; each round modifies the program the previous
+    round accepted, drawing its chains from ``rng``.  The gate checks the
+    answer inferred for the generated question against the modified answer,
+    which is the one the product keeps.
+    """
+    question, program = example.question, interpreter.parse(example.answer_text)
+    modified: interpreter.Program | None = None
+
+    def propose() -> Proposal:
+        nonlocal modified
+        modified = interpreter.modify_answer(program, random_chain(rng))
+        reference = (question, program.source_text)
+        new_question = generate_question(modified.source_text, reference, services)
+        return new_question, infer_answer(reference, new_question, services), modified.source_text
+
+    for iteration in range(1, config.iterations + 1):
+        found = _first_consistent(example.id, 3, iteration, config, services, log, propose)
+        if found is None:
+            return None
+        question, _, report = found
+        program = modified  # the accepted attempt was the last one proposed
+    return _child(example, 3, question, program.source_text, report, config.iterations)
 
 
 def _first_consistent(
@@ -394,12 +418,13 @@ def _first_consistent(
     services: Services,
     log: list[AttemptRecord],
     propose: Callable[[], Proposal],
-) -> tuple[Proposal, ConsistencyReport] | None:
+) -> tuple[str, str, ConsistencyReport] | None:
     """The first of up to ``max_retries + 1`` proposals that passes the gate.
 
     The gate checks the candidate answer against the reference answer.  A
     proposal that cannot be generated counts as an inconsistent attempt.
-    Every attempt is logged; None means all of them failed.
+    Every attempt is logged.  Returns the accepted proposal's question,
+    candidate answer and report; None means all of them failed.
     """
     for attempt in range(config.max_retries + 1):
         try:
@@ -411,7 +436,7 @@ def _first_consistent(
         accepted = report.verdict == "consistent"
         log.append(AttemptRecord(seed_id, stage, iteration, attempt, accepted, report))
         if accepted:
-            return proposal, report
+            return proposal[0], proposal[1], report
     return None
 
 
@@ -433,36 +458,6 @@ def _child(
     )
 
 
-def _stage3(
-    example: Example,
-    config: AugmentationConfig,
-    services: Services,
-    log: list[AttemptRecord],
-    seed_index: int,
-) -> Example | None:
-    """T rounds of modify-then-question; each round builds on the last accepted one.
-
-    The gate checks the answer inferred for the generated question against
-    the modified answer, which is the one the product keeps.
-    """
-    rng = np.random.default_rng([abs(config.rng_seed) % 2**32, seed_index, 3])
-    current = example
-
-    def propose() -> Proposal:
-        chain = random_chain(rng, length=1)
-        modified = interpreter.modify_answer(interpreter.parse(current.answer_text), chain)
-        question = generate_question(modified.source_text, current, services)
-        return question, infer_answer(current, question, services), modified.source_text
-
-    for iteration in range(1, config.iterations + 1):
-        found = _first_consistent(example.id, 3, iteration, config, services, log, propose)
-        if found is None:
-            return None
-        (question, _, answer_text), report = found
-        current = replace(current, question=question, answer_text=answer_text)
-    return _child(example, 3, current.question, current.answer_text, report, config.iterations)
-
-
 def augment_pool(
     pool: ExamplePool,
     config: AugmentationConfig,
@@ -480,15 +475,21 @@ def augment_pool(
     attempts: list[AttemptRecord] = []
     augmented: list[Example] = []
     for index, seed in enumerate(pool):
+        rng = np.random.default_rng([abs(config.rng_seed) % 2**32, index, 3])
+        stage_fns = {
+            1: lambda example: stage1(example, config, services, attempts),
+            2: lambda example: stage2(example, pool, config, services, attempts),
+            3: lambda example: stage3(example, rng, config, services, attempts),
+        }
         product: Example | None = seed
-        for stage in (1, 2, 3):
+        for stage, stage_fn in stage_fns.items():
             if stage not in stages:
                 product = None
             elif product is None:
                 skip = f"no stage-{stage - 1} product"
                 attempts.append(AttemptRecord(seed.id, stage, None, 0, False, None, skip))
             else:
-                product = run_stage(product, stage, config, pool, services, attempts, index)
+                product = stage_fn(product)
                 if product is not None:
                     augmented.append(product)
     out = ExamplePool(tuple(pool.examples) + tuple(augmented))

@@ -361,19 +361,11 @@ class Services:
     cache: CacheStore | None = None
     _embed_memo: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
-    def complete_text(
-        self,
-        prompt: str,
-        *,
-        temperature: float = 0.0,
-        max_tokens: int = 512,
-        stop_sequences: tuple[str, ...] = (),
-    ) -> str:
+    def complete_text(self, prompt: str, *, stop_sequences: tuple[str, ...] = ()) -> str:
+        """Complete ``prompt`` with ``CompletionRequest``'s default temperature and token limit."""
         request = CompletionRequest(
             prompt=prompt,
             model_id=getattr(self.completion, "model_id", "default"),
-            temperature=temperature,
-            max_tokens=max_tokens,
             stop_sequences=stop_sequences,
         )
         return cached_complete(request, self.cache, self.completion)

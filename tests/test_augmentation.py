@@ -25,13 +25,23 @@ from potselect.augmentation import (
     load_pool,
     random_chain,
     rephrase_question,
-    run_stage,
     save_pool,
+    stage1,
+    stage2,
+    stage3,
     verify_lineage,
     write_jsonl,
 )
 from potselect.interpreter import execute, parse
-from potselect.providers import Fixture, NoFixture, cosine
+from potselect.providers import (
+    Fixture,
+    HashEmbedding,
+    NoFixture,
+    ProviderError,
+    RemoteCompletionProvider,
+    Services,
+    cosine,
+)
 
 from conftest import (
     BOLTS_A,
@@ -41,6 +51,7 @@ from conftest import (
     DUCK_A,
     DUCK_Q,
     augmentation_fixtures,
+    fake_post,
     make_services,
     thirteen_seeds,
 )
@@ -182,23 +193,23 @@ class TestGeneratorOps:
         services = make_services(
             [Fixture("exact", prompt, f"Here is my solution:\n{BOLTS_A}\nDone.")]
         )
-        assert infer_answer(bolts_example(), BOLTS_REPHRASED_Q, services) == BOLTS_A
+        assert infer_answer((BOLTS_Q, BOLTS_A), BOLTS_REPHRASED_Q, services) == BOLTS_A
 
     def test_infer_answer_without_block_is_empty_generation(self):
         prompt = prompts.few_shot_prompt([(BOLTS_Q, BOLTS_A)], BOLTS_REPHRASED_Q)
         services = make_services([Fixture("exact", prompt, "cannot help")])
         with pytest.raises(EmptyGeneration):
-            infer_answer(bolts_example(), BOLTS_REPHRASED_Q, services)
+            infer_answer((BOLTS_Q, BOLTS_A), BOLTS_REPHRASED_Q, services)
 
     def test_no_fixture_propagates(self):
         services = make_services([])
         with pytest.raises(NoFixture):
-            infer_answer(bolts_example(), "any question", services)
+            infer_answer((BOLTS_Q, BOLTS_A), "any question", services)
 
     def test_generate_question_strips_whitespace(self):
         prompt = prompts.question_generation_prompt([(BOLTS_Q, BOLTS_A)], BOLTS_VARIANT_A)
         services = make_services([Fixture("exact", prompt, " A doubled robe question? \n")])
-        out = generate_question(BOLTS_VARIANT_A, bolts_example(), services)
+        out = generate_question(BOLTS_VARIANT_A, (BOLTS_Q, BOLTS_A), services)
         assert out == "A doubled robe question?"
 
 
@@ -218,11 +229,12 @@ def _stage1_fixtures():
 
 
 class TestRunStage:
+    """Each stage function run on its own input."""
+
     def test_stage1_happy_path(self):
         services = make_services(_stage1_fixtures())
-        pool = ExamplePool((bolts_example(),))
         log = []
-        out = run_stage(bolts_example(), 1, AugmentationConfig(), pool, services, log)
+        out = stage1(bolts_example(), AugmentationConfig(), services, log)
         assert out is not None
         assert out.provenance == Provenance("stage1")
         assert out.parent_id == "bolts"
@@ -239,16 +251,15 @@ class TestRunStage:
             Fixture("pattern", r"(?s)# Python code, return ans\n\Z", "ans = 999"),
         ]
         services = make_services(fixtures)
-        pool = ExamplePool((bolts_example(),))
         log = []
         config = AugmentationConfig(max_retries=2)
-        out = run_stage(bolts_example(), 1, config, pool, services, log)
+        out = stage1(bolts_example(), config, services, log)
         assert out is None
         assert len(log) == 3  # max_retries + 1 attempts
         assert all(not r.accepted for r in log)
 
     def test_stage2_skipped_for_pool_of_one(self):
-        stage1 = Example(
+        product = Example(
             id="bolts.s1",
             question=BOLTS_REPHRASED_Q,
             answer_text=BOLTS_A,
@@ -257,13 +268,13 @@ class TestRunStage:
         )
         pool = ExamplePool((bolts_example(),))
         log = []
-        out = run_stage(stage1, 2, AugmentationConfig(), pool, services=make_services([]), attempts=log)
+        out = stage2(product, pool, AugmentationConfig(), make_services([]), log)
         assert out is None
         assert log[0].skip_reason == "no reference outside lineage"
 
     def test_stage2_reference_is_smallest_id_outside_lineage(self):
         seeds = thirteen_seeds()
-        stage1 = Example(
+        product = Example(
             id="S01.s1",
             question="Problem number 1, rephrased.",
             answer_text="ans = 1",
@@ -274,19 +285,17 @@ class TestRunStage:
             [("Problem number 2.", "ans = 2")], "Problem number 1, rephrased."
         )
         services = make_services([Fixture("exact", expected_prompt, "ans = 1")])
-        out = run_stage(stage1, 2, AugmentationConfig(), seeds, services)
+        out = stage2(product, seeds, AugmentationConfig(), services, [])
         assert out is not None
         assert out.provenance == Provenance("stage2")
         assert out.parent_id == "S01.s1"
 
     def test_stage3_single_iteration_doubles_bolts(self):
-        # find a seed whose first stage-3 chain draw is (*, 2)
+        # find a seed whose first chain draw is (*, 2)
         seed = next(
-            s
-            for s in range(2000)
-            if random_chain(np.random.default_rng([s, 0, 3])).steps == (("*", 2.0),)
+            s for s in range(2000) if random_chain(np.random.default_rng(s)).steps == (("*", 2.0),)
         )
-        stage2 = Example(
+        product = Example(
             id="bolts.s1.s2",
             question=BOLTS_REPHRASED_Q,
             answer_text=BOLTS_A,
@@ -303,17 +312,13 @@ class TestRunStage:
             ),
         ]
         services = make_services(fixtures)
-        config = AugmentationConfig(iterations=1, rng_seed=seed)
-        out = run_stage(stage2, 3, config, ExamplePool((bolts_example(),)), services)
+        config = AugmentationConfig(iterations=1)
+        out = stage3(product, np.random.default_rng(seed), config, services, [])
         assert out is not None
         assert execute(parse(out.answer_text)) == 6.0
         assert out.question == generated_q
         assert out.provenance == Provenance("stage3", iteration=1)
         assert out.parent_id == "bolts.s1.s2"
-
-    def test_invalid_stage_number(self):
-        with pytest.raises(ValueError):
-            run_stage(bolts_example(), 4, AugmentationConfig(), ExamplePool((bolts_example(),)), make_services([]))
 
 
 class TestAugmentPool:
@@ -398,6 +403,16 @@ class TestAugmentPool:
         reasons = [a.skip_reason for a in result.attempts if a.skip_reason]
         assert "no stage-1 product" in reasons
         assert "no stage-2 product" in reasons
+
+    def test_provider_error_propagates_instead_of_a_rejected_attempt(self, monkeypatch):
+        posts = fake_post(monkeypatch, 200, b'{"choices": []}')  # no "text" field
+        services = Services(
+            completion=RemoteCompletionProvider(endpoint="http://example.invalid"),
+            embedding=HashEmbedding(),
+        )
+        with pytest.raises(ProviderError):
+            augment_pool(thirteen_seeds(), AugmentationConfig(), services)
+        assert len(posts) == 1
 
 
 class TestPoolFiles:

@@ -353,6 +353,34 @@ class TestRemoteProviderFailures:
         assert all(item["cause"].startswith("provider: ") for item in items)
 
 
+class TestAugmentRemoteFailures:
+    """``augment --provider remote`` against a failing endpoint at ``requests.post``."""
+
+    @pytest.mark.parametrize(
+        "status, body", [(200, b'{"choices": []}'), (503, b"busy")], ids=["no-text", "503"]
+    )
+    def test_exits_with_provider_code_and_writes_nothing(
+        self, augment_files, monkeypatch, capsys, status, body
+    ):
+        monkeypatch.setenv("POTSELECT_ENDPOINT", "http://example.invalid")
+        posts = fake_post(monkeypatch, status, body)
+        monkeypatch.setattr("time.sleep", lambda seconds: None)
+        out = augment_files["tmp"] / "augmented.jsonl"
+        code = main(
+            [
+                "augment",
+                "--provider", "remote",
+                "--pool", augment_files["pool"],
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "provider error" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (augment_files["tmp"] / "augmented.jsonl.attempts.jsonl").exists()
+        assert len(posts) == (3 if status == 503 else 1)  # the first request: a 503 is retried
+
+
 class TestRemoteEmbeddingFailures:
     """A wrong-dimension or NaN embedding answered by ``requests.post``.
 
