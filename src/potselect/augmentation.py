@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import interpreter, prompts
-from .interpreter import InterpreterError, ModificationChain
+from .interpreter import Assignment, InterpreterError, ModificationChain, Program
 from .providers import Services, cosine
 
 
@@ -94,10 +94,12 @@ class Example:
     provenance: Provenance = SEED
     parent_id: str | None = None
     consistency: ConsistencyReport | None = None
+    program: Program = field(init=False, repr=False, compare=False)  # answer_text, parsed once
 
     def __post_init__(self) -> None:
         # must parse and execute at creation time
-        interpreter.execute(interpreter.parse(self.answer_text))
+        object.__setattr__(self, "program", interpreter.parse(self.answer_text))
+        interpreter.execute(self.program)
         if (self.provenance.stage == "seed") != (self.parent_id is None):
             raise ValueError("seed examples have no parent; augmented ones must")
 
@@ -115,8 +117,10 @@ class Example:
 
     @classmethod
     def from_json(cls, data: dict) -> "Example":
-        if not isinstance(data["question"], str) or not isinstance(data["answer_text"], str):
-            raise TypeError("question and answer_text must be strings")
+        if not all(isinstance(data[key], str) for key in ("id", "question", "answer_text")):
+            raise TypeError("id, question and answer_text must be strings")
+        if not isinstance(data.get("parent_id"), (str, type(None))):
+            raise TypeError("parent_id must be a string or null")
         consistency = data.get("consistency")
         return cls(
             id=data["id"],
@@ -198,31 +202,35 @@ class AugmentationResult:
         return counts
 
 
-def extract_answer_block(completion: str) -> str | None:
-    """Pull the maximal contiguous block of dialect-parseable lines.
+def extract_answer_block(completion: str) -> Program | None:
+    """Parse the maximal contiguous block of dialect-parseable lines.
 
     Code fences are stripped first.  A valid block needs at least one
-    assignment; blocks of equal length tie toward the earliest.  Returns
-    None when no block qualifies.
+    assignment; blocks of equal length tie toward the earliest.  The
+    program's ``source_text`` is the block, trimmed of blank lines.
+    Returns None when no block qualifies.
     """
     lines = [l for l in completion.replace("\r", "").split("\n") if not l.strip().startswith("```")]
     n = len(lines)
-    best: tuple[int, int] | None = None  # (start, end) half-open
+    best: tuple[int, int, list[Assignment]] | None = None  # (start, end) half-open, statements
     start = 0
     while start < n:
         defined: set[str] = set()
-        assignments = 0
+        statements: list[Assignment] = []
         end = start
         while end < n:
-            ok, target = _line_extends(lines[end], defined)
-            if not ok:
+            try:
+                assignment = interpreter.parse_line(lines[end])
+            except InterpreterError:
                 break
-            if target is not None:
-                defined.add(target)
-                assignments += 1
+            if assignment is not None:
+                if not interpreter.references(assignment.expression) <= defined:
+                    break
+                defined.add(assignment.target)
+                statements.append(assignment)
             end += 1
-        if assignments > 0 and (best is None or end - start > best[1] - best[0]):
-            best = (start, end)
+        if statements and (best is None or end - start > best[1] - best[0]):
+            best = (start, end, statements)
         start = max(end, start + 1)
     if best is None:
         return None
@@ -231,25 +239,12 @@ def extract_answer_block(completion: str) -> str | None:
         block.pop(0)
     while block and not block[-1].strip():
         block.pop()
-    return "\n".join(block)
-
-
-def _line_extends(line: str, defined: set[str]) -> tuple[bool, str | None]:
-    """Whether ``line`` continues a dialect block given already-defined names."""
-    try:
-        assignment = interpreter.parse_line(line)
-    except InterpreterError:
-        return False, None
-    if assignment is None:
-        return True, None
-    if not interpreter.references(assignment.expression) <= defined:
-        return False, None
-    return True, assignment.target
+    return Program(tuple(best[2]), "\n".join(block))
 
 
 def check_consistency(
-    candidate: str,
-    reference: str,
+    candidate: Program,
+    reference: Program,
     services: Services,
     *,
     tau: float,
@@ -262,11 +257,11 @@ def check_consistency(
     nothing raises.  A phase-1 mismatch skips phase 2 entirely.
     """
     try:
-        reference_value = interpreter.execute(interpreter.parse(reference))
+        reference_value = interpreter.execute(reference)
     except InterpreterError as exc:
         return ConsistencyReport(False, None, None, None, "inconsistent", f"reference: {exc}")
     try:
-        candidate_value = interpreter.execute(interpreter.parse(candidate))
+        candidate_value = interpreter.execute(candidate)
     except InterpreterError as exc:
         return ConsistencyReport(
             False, None, reference_value, None, "inconsistent", f"candidate: {exc}"
@@ -276,7 +271,9 @@ def check_consistency(
         return ConsistencyReport(
             False, candidate_value, reference_value, None, "inconsistent", "output mismatch"
         )
-    similarity = cosine(services.embed(candidate), services.embed(reference))
+    similarity = cosine(
+        services.embed(candidate.source_text), services.embed(reference.source_text)
+    )
     if similarity >= tau:
         return ConsistencyReport(True, candidate_value, reference_value, similarity, "consistent")
     return ConsistencyReport(
@@ -293,14 +290,14 @@ def rephrase_question(example: Example, services: Services) -> str:
     return response
 
 
-def infer_answer(reference: tuple[str, str], new_question: str, services: Services) -> str:
+def infer_answer(reference: tuple[str, str], new_question: str, services: Services) -> Program:
     """Answer ``new_question`` with the (question, answer) ``reference`` as the one shot."""
     prompt = prompts.few_shot_prompt([reference], new_question)
     completion = services.complete_text(prompt, stop_sequences=("Question:",))
-    block = extract_answer_block(completion)
-    if block is None:
+    program = extract_answer_block(completion)
+    if program is None:
         raise EmptyGeneration("completion contains no parseable answer block")
-    return block
+    return program
 
 
 def generate_question(modified_answer: str, reference: tuple[str, str], services: Services) -> str:
@@ -335,7 +332,7 @@ def _stage2_reference(example: Example, pool: ExamplePool) -> Example | None:
     return min(candidates, key=lambda e: e.id)
 
 
-Proposal = tuple[str, str, str]  # (question, candidate answer, reference answer)
+Proposal = tuple[str, Program, Program]  # (question, candidate answer, reference answer)
 
 
 def stage1(
@@ -345,8 +342,8 @@ def stage1(
 
     def propose() -> Proposal:
         question = rephrase_question(example, services)
-        answer_text = infer_answer((example.question, example.answer_text), question, services)
-        return question, answer_text, example.answer_text
+        answer = infer_answer((example.question, example.answer_text), question, services)
+        return question, answer, example.program
 
     found = _first_consistent(example.id, 1, None, config, services, log, propose)
     return None if found is None else _child(example, 1, *found)
@@ -371,7 +368,7 @@ def stage2(
 
     def propose() -> Proposal:
         pair = (reference.question, reference.answer_text)
-        return example.question, infer_answer(pair, example.question, services), example.answer_text
+        return example.question, infer_answer(pair, example.question, services), example.program
 
     found = _first_consistent(example.id, 2, None, config, services, log, propose)
     return None if found is None else _child(example, 2, *found)
@@ -386,20 +383,20 @@ def stage3(
 ) -> Example | None:
     """T rounds of modify-then-question; None means a round's attempts all failed.
 
-    ``example`` is parsed once; each round modifies the program the previous
-    round accepted, drawing its chains from ``rng``.  The gate checks the
-    answer inferred for the generated question against the modified answer,
-    which is the one the product keeps.
+    Each round modifies the program the previous round accepted, starting
+    from ``example.program``, and draws its chains from ``rng``.  The gate
+    checks the answer inferred for the generated question against the
+    modified answer, which is the one the product keeps.
     """
-    question, program = example.question, interpreter.parse(example.answer_text)
-    modified: interpreter.Program | None = None
+    question, program = example.question, example.program
+    modified: Program | None = None
 
     def propose() -> Proposal:
         nonlocal modified
         modified = interpreter.modify_answer(program, random_chain(rng))
         reference = (question, program.source_text)
         new_question = generate_question(modified.source_text, reference, services)
-        return new_question, infer_answer(reference, new_question, services), modified.source_text
+        return new_question, infer_answer(reference, new_question, services), modified
 
     for iteration in range(1, config.iterations + 1):
         found = _first_consistent(example.id, 3, iteration, config, services, log, propose)
@@ -407,7 +404,7 @@ def stage3(
             return None
         question, _, report = found
         program = modified  # the accepted attempt was the last one proposed
-    return _child(example, 3, question, program.source_text, report, config.iterations)
+    return _child(example, 3, question, program, report, config.iterations)
 
 
 def _first_consistent(
@@ -418,7 +415,7 @@ def _first_consistent(
     services: Services,
     log: list[AttemptRecord],
     propose: Callable[[], Proposal],
-) -> tuple[str, str, ConsistencyReport] | None:
+) -> tuple[str, Program, ConsistencyReport] | None:
     """The first of up to ``max_retries + 1`` proposals that passes the gate.
 
     The gate checks the candidate answer against the reference answer.  A
@@ -444,14 +441,14 @@ def _child(
     parent: Example,
     stage: int,
     question: str,
-    answer_text: str,
+    answer: Program,
     report: ConsistencyReport,
     iteration: int | None = None,
 ) -> Example:
     return Example(
         id=f"{parent.id}.s{stage}",
         question=question,
-        answer_text=answer_text,
+        answer_text=answer.source_text,
         provenance=Provenance(f"stage{stage}", iteration),
         parent_id=parent.id,
         consistency=report,

@@ -169,10 +169,10 @@ def _weights(cfg: dict) -> selection.Weights:
     if raw is None:
         return selection.Weights()
     if "," in raw:
-        parts = raw.split(",")
-        if len(parts) != 4:
-            raise UsageError(f"--weights needs 4 comma-separated numbers, got {raw!r}")
-        return selection.Weights.from_array([float(p) for p in parts])
+        try:
+            return selection.Weights.from_array([float(p) for p in raw.split(",")])
+        except ValueError as exc:
+            raise UsageError(f"--weights {raw!r} is not 4 comma-separated weights: {exc}") from None
     return selection.load_weights(raw)
 
 

@@ -19,7 +19,7 @@ from . import interpreter, prompts
 from .augmentation import DatasetError, Example, ExamplePool, MalformedRecord
 from .augmentation import extract_answer_block, read_jsonl, write_jsonl
 from .providers import ProviderError, Services
-from .selection import EmptyPool, SelectionConfig, candidate_metrics, select_examples
+from .selection import SelectionConfig, candidate_metrics, select_examples
 
 EPS_EVAL = 1e-3  # absolute tolerance between an executed answer and the gold value
 
@@ -185,12 +185,12 @@ def evaluate(
             selected_ids = tuple(example.id for example in chosen)
             prompt = build_prompt(chosen, item.question)
             completion = services.complete_text(prompt.rendered, stop_sequences=("Question:",))
-            block = extract_answer_block(completion)
-            if block is None:
+            program = extract_answer_block(completion)
+            if program is None:
                 cause = "parse: no answer block in completion"
             else:
                 try:
-                    value = interpreter.execute(interpreter.parse(block))
+                    value = interpreter.execute(program)
                 except interpreter.InterpreterError as exc:
                     cause = f"execute: {exc}"
                 else:
@@ -199,7 +199,7 @@ def evaluate(
                         cause = "wrong value"
         except ProviderError as exc:
             cause = f"provider: {exc}"
-        except (EmptyPool, ValueError) as exc:
+        except ValueError as exc:
             cause = f"selection: {exc}"
         if correct:
             n_correct += 1

@@ -22,7 +22,7 @@ from .augmentation import Example, ExamplePool, write_jsonl
 from .providers import Services, concept_extract, cosine
 
 
-class EmptyPool(Exception):
+class EmptyPool(ValueError):
     pass
 
 

@@ -80,8 +80,9 @@ def test_criterion_2_consistency_gate_soundness():
         a = random_program(rng, int(rng.integers(1, 7)))
         b = random_program(rng, int(rng.integers(1, 7)))
         try:
-            va = execute(parse(a))
-            vb = execute(parse(b))
+            a, b = parse(a), parse(b)
+            va = execute(a)
+            vb = execute(b)
         except InterpreterError:
             continue
         pairs += 1

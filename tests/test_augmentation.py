@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from potselect import prompts
+from potselect import interpreter, prompts
 from potselect.augmentation import (
     AttemptRecord,
     AugmentationConfig,
@@ -55,6 +55,7 @@ from conftest import (
     make_services,
     thirteen_seeds,
 )
+from test_interpreter import random_program
 
 
 def bolts_example() -> Example:
@@ -101,16 +102,16 @@ class TestPromptShapes:
 
 class TestExtractAnswerBlock:
     def test_clean_program_passes_through(self):
-        assert extract_answer_block(BOLTS_A) == BOLTS_A
+        assert extract_answer_block(BOLTS_A).source_text == BOLTS_A
 
     def test_prose_wrapped_block_extracted(self):
         completion = (
             "Sure, here is the program.\n\na = 1\nb = a + 2\nans = b\n\nHope that helps!"
         )
-        assert extract_answer_block(completion) == "a = 1\nb = a + 2\nans = b"
+        assert extract_answer_block(completion).source_text == "a = 1\nb = a + 2\nans = b"
 
     def test_code_fences_stripped(self):
-        assert extract_answer_block("```python\nans = 1\n```") == "ans = 1"
+        assert extract_answer_block("```python\nans = 1\n```").source_text == "ans = 1"
 
     def test_no_block_returns_none(self):
         assert extract_answer_block("the answer is forty-two") is None
@@ -121,17 +122,26 @@ class TestExtractAnswerBlock:
 
     def test_maximal_block_wins(self):
         completion = "a = 1\nans = a\noops(\nx = 1\ny = x + 1\nz = y + 1\nans = z"
-        assert extract_answer_block(completion) == "x = 1\ny = x + 1\nz = y + 1\nans = z"
+        block = extract_answer_block(completion)
+        assert block.source_text == "x = 1\ny = x + 1\nz = y + 1\nans = z"
+
+    def test_statements_are_a_parse_of_the_source_text(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            text = random_program(rng, int(rng.integers(1, 7)))
+            program = extract_answer_block(f"Here:\n```\n# steps\n{text}\n\n```\nans is it.")
+            assert program.source_text == "# steps\n" + text
+            assert program.statements == parse(program.source_text).statements
 
     def test_forward_reference_splits_blocks(self):
         completion = "ans = q + 1\nq = 2\nans = q + 1"
-        assert extract_answer_block(completion) == "q = 2\nans = q + 1"
+        assert extract_answer_block(completion).source_text == "q = 2\nans = q + 1"
 
 
 class TestCheckConsistency:
     def test_identity_is_consistent(self):
         services = make_services()
-        report = check_consistency(BOLTS_A, BOLTS_A, services, tau=0.8)
+        report = check_consistency(parse(BOLTS_A), parse(BOLTS_A), services, tau=0.8)
         assert report.output_match is True
         assert report.step_similarity == 1.0
         assert report.verdict == "consistent"
@@ -139,7 +149,7 @@ class TestCheckConsistency:
 
     def test_value_mismatch_is_phase_one_inconsistent(self):
         services = make_services()
-        report = check_consistency("ans = 4", BOLTS_A, services, tau=0.8)
+        report = check_consistency(parse("ans = 4"), parse(BOLTS_A), services, tau=0.8)
         assert report.output_match is False
         assert report.candidate_value == 4.0
         assert report.reference_value == 3.0
@@ -148,28 +158,29 @@ class TestCheckConsistency:
 
     def test_matching_value_verdict_follows_similarity(self):
         services = make_services()
-        report = check_consistency("ans = 3", BOLTS_A, services, tau=0.8)
+        report = check_consistency(parse("ans = 3"), parse(BOLTS_A), services, tau=0.8)
         expected = cosine(services.embed("ans = 3"), services.embed(BOLTS_A))
         assert report.output_match is True
         assert report.step_similarity == pytest.approx(expected)
         assert report.verdict == ("consistent" if expected >= 0.8 else "inconsistent")
 
-    def test_candidate_parse_failure_recorded(self):
+    def test_candidate_execution_failure_recorded(self):
         services = make_services()
-        report = check_consistency("x = = 1", BOLTS_A, services, tau=0.8)
+        report = check_consistency(parse("x = 1"), parse(BOLTS_A), services, tau=0.8)
         assert report.verdict == "inconsistent"
-        assert "candidate" in report.cause
+        assert report.cause == "candidate: program never assigns 'ans'"
 
     def test_tolerance_accepts_tiny_float_differences(self):
         services = make_services()
-        report = check_consistency("ans = 3.0000000001", BOLTS_A, services, tau=-1.0)
+        candidate = parse("ans = 3.0000000001")
+        report = check_consistency(candidate, parse(BOLTS_A), services, tau=-1.0)
         assert report.output_match is True
         assert report.verdict == "consistent"
 
     def test_phase_one_dominates_even_for_identical_text_apart_from_value(self):
         services = make_services()
-        candidate = BOLTS_A.replace("= 2", "= 4", 1)  # same shape, different value
-        report = check_consistency(candidate, BOLTS_A, services, tau=-1.0)
+        candidate = parse(BOLTS_A.replace("= 2", "= 4", 1))  # same shape, different value
+        report = check_consistency(candidate, parse(BOLTS_A), services, tau=-1.0)
         assert report.verdict == "inconsistent"
         assert report.step_similarity is None
 
@@ -193,7 +204,8 @@ class TestGeneratorOps:
         services = make_services(
             [Fixture("exact", prompt, f"Here is my solution:\n{BOLTS_A}\nDone.")]
         )
-        assert infer_answer((BOLTS_Q, BOLTS_A), BOLTS_REPHRASED_Q, services) == BOLTS_A
+        program = infer_answer((BOLTS_Q, BOLTS_A), BOLTS_REPHRASED_Q, services)
+        assert program.source_text == BOLTS_A
 
     def test_infer_answer_without_block_is_empty_generation(self):
         prompt = prompts.few_shot_prompt([(BOLTS_Q, BOLTS_A)], BOLTS_REPHRASED_Q)
@@ -333,6 +345,14 @@ class TestAugmentPool:
         counts = result.accepted_per_stage()
         assert counts == {1: 13, 2: 13, 3: 0}
 
+    def test_each_added_example_is_parsed_once(self, monkeypatch):
+        seeds, services = thirteen_seeds(), make_services(augmentation_fixtures())
+        calls = []
+        real_parse = interpreter.parse
+        monkeypatch.setattr(interpreter, "parse", lambda s: calls.append(s) or real_parse(s))
+        result = augment_pool(seeds, AugmentationConfig(), services, stages=(1, 2))
+        assert len(calls) == len(result.pool) - len(seeds) == 26
+
     def test_seeds_first_then_generation_order(self):
         result = augment_pool(
             thirteen_seeds(),
@@ -443,8 +463,17 @@ class TestPoolFiles:
             '{"id": "a", "question": 5, "answer_text": "ans = 1", '
             '"provenance": {"stage": "seed"}}',
             '{"id": "a", "answer_text": "ans = 1", "provenance": {"stage": "seed"}}',
+            '{"id": ["a"], "question": "q", "answer_text": "ans = 1", '
+            '"provenance": {"stage": "seed"}}',
+            '{"id": "a", "question": "q", "answer_text": "ans = 1", '
+            '"provenance": {"stage": "stage1"}, "parent_id": ["b"]}',
+            '{"id": 7, "question": "q", "answer_text": "ans = 1", '
+            '"provenance": {"stage": "seed"}}',
         ],
-        ids=["list", "provenance-string", "question-number", "no-question"],
+        ids=[
+            "list", "provenance-string", "question-number", "no-question",
+            "id-list", "parent-id-list", "id-number",
+        ],
     )
     def test_wrong_shaped_record_names_its_line(self, tmp_path, record):
         path = tmp_path / "pool.jsonl"
@@ -500,7 +529,7 @@ class TestConsistencyReportInvariants:
     def test_consistent_requires_match_and_similarity(self):
         services = make_services()
         for candidate, reference in [("ans = 3", BOLTS_A), (BOLTS_A, BOLTS_A), ("ans = 9", BOLTS_A)]:
-            report = check_consistency(candidate, reference, services, tau=0.8)
+            report = check_consistency(parse(candidate), parse(reference), services, tau=0.8)
             if report.verdict == "consistent":
                 assert report.output_match and report.step_similarity >= 0.8
             if not report.output_match:

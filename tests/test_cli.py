@@ -205,8 +205,9 @@ class TestSelectCommand:
             ("[1, 2]", _WEIGHTS, "record 1"),
             (_SEED.replace('{"stage": "seed"}', '"seed"'), _WEIGHTS, "record 1"),
             (_SEED, "[0.25, 0.25, 0.25, 0.25]", "one JSON object of weights"),
+            ('{"meta": {}}', _WEIGHTS, "candidate pool is empty"),
         ],
-        ids=["pool-list", "provenance-string", "weights-list"],
+        ids=["pool-list", "provenance-string", "weights-list", "pool-empty"],
     )
     def test_wrong_shaped_input_is_data_error(self, tmp_path, capsys, pool, weights, message):
         dataset = json.dumps({"question": "q", "answer": "#### 2"})
@@ -492,6 +493,25 @@ class TestOutOfRange:
         config_path.write_text(json.dumps({key: value}))
         assert main([command, "--config", str(config_path)]) == 1
         assert f"config key {key!r}: must be {bound}, got {value}" in capsys.readouterr().err
+
+    _INLINE_WEIGHTS = ["1,2,3", "1,2,3,x", "nan,1,1,1", "0,0,0,0", "-1,0,0,0"]
+
+    @staticmethod
+    def _select(env, *args):
+        files = ("--pool", env["pool"], "--dataset", env["dataset"], "--fixtures", env["fixtures"])
+        return main(["select", *files, "--out", str(env["tmp"] / "chosen.jsonl"), *args])
+
+    @pytest.mark.parametrize("weights", _INLINE_WEIGHTS)
+    def test_inline_weights_flag(self, eval_environment, capsys, weights):
+        assert self._select(eval_environment, "--weights=" + weights) == 1
+        assert f"--weights {weights!r} is not 4 comma-separated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", _INLINE_WEIGHTS)
+    def test_inline_weights_config_file(self, eval_environment, capsys, weights):
+        config_path = eval_environment["tmp"] / "config.json"
+        config_path.write_text(json.dumps({"weights": weights}))
+        assert self._select(eval_environment, "--config", str(config_path)) == 1
+        assert f"--weights {weights!r} is not 4 comma-separated" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:
