@@ -9,7 +9,7 @@ then density-ratio suggestions from the good/bad trial split.
 
 import numpy as np
 
-from potselect import SearchSpace, tune_weights
+from potselect import SearchSpace, Weights
 from potselect.tuning import best_trial, optimize
 
 TARGET = np.full(4, 0.3)
@@ -40,7 +40,8 @@ print(f"  TPE    median best: {np.median(tpe_scores):+.4f}")
 print(f"  random median best: {np.median(random_scores):+.4f}")
 
 print()
-print("== tune_weights wraps the loop and returns Weights ==")
-weights = tune_weights(None, None, budget=40, seed=3, services=None, objective=objective)
+print("== the best trial's point as Weights ==")
+history = optimize(objective, SearchSpace(), budget=40, seed=3)
+weights = Weights.from_array(best_trial(history).point)
 print(f"learned weights: relevance={weights.relevance:.3f} concept={weights.concept:.3f} "
       f"complexity={weights.complexity:.3f} similarity={weights.similarity:.3f}")

@@ -248,9 +248,10 @@ def cmd_tune(cfg: dict) -> int:
         def objective(point: np.ndarray) -> float:
             return -float(np.sum((np.asarray(point) - target) ** 2))
 
-        weights = tuning.tune_weights(
-            None, None, cfg["budget"], seed, None, objective=objective, log_path=log_path
+        history = tuning.optimize(
+            objective, tuning.SearchSpace(), cfg["budget"], seed=seed, log_path=log_path
         )
+        weights = selection.Weights.from_array(tuning.best_trial(history).point)
     else:
         pool = augmentation.load_pool(_require(cfg, "pool"))
         dataset = _load_dataset(cfg)

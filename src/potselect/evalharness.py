@@ -19,7 +19,7 @@ from . import interpreter, prompts
 from .augmentation import DatasetError, Example, ExamplePool, MalformedRecord
 from .augmentation import extract_answer_block, read_jsonl, write_jsonl
 from .providers import ProviderError, Services
-from .selection import SelectionConfig, candidate_metrics, select_examples
+from .selection import SelectionConfig, select_examples
 
 EPS_EVAL = 1e-3  # absolute tolerance between an executed answer and the gold value
 
@@ -157,14 +157,8 @@ def evaluate(
     pool: ExamplePool,
     selection_config: SelectionConfig,
     services: Services,
-    metrics_memo: dict[str, list] | None = None,
 ) -> EvalReport:
-    """Select, prompt, execute and grade every item; failures never abort the run.
-
-    ``metrics_memo`` maps a question to its ``candidate_metrics`` rows over
-    ``pool``.  When given, missing rows are computed and stored in it, so
-    repeated calls with other weights skip the metric completions.
-    """
+    """Select, prompt, execute and grade every item; failures never abort the run."""
     results: list[ItemResult] = []
     n_correct = 0
     for item in dataset:
@@ -174,13 +168,7 @@ def evaluate(
         cause = None
         correct = False
         try:
-            rows = None
-            if metrics_memo is not None:
-                rows = metrics_memo.get(item.question)
-                if rows is None:
-                    rows = candidate_metrics(pool, item.question, services)
-                    metrics_memo[item.question] = rows
-            selection = select_examples(pool, item.question, selection_config, services, rows)
+            selection = select_examples(pool, item.question, selection_config, services)
             chosen = [example for example, _ in selection.chosen]
             selected_ids = tuple(example.id for example in chosen)
             prompt = build_prompt(chosen, item.question)

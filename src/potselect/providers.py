@@ -349,17 +349,26 @@ class Services:
     """Completion + embedding providers and an optional response cache.
 
     Not shareable across threads: the embed memo grows on every new text,
-    and ``ScriptedProvider`` marks each fixture it serves as consumed and
+    the metrics memo grows on every new (pool, question) pair, and
+    ``ScriptedProvider`` marks each fixture it serves as consumed and
     memoizes, per distinct prompt, its matching fixtures and their expanded
-    responses.  Neither memo changes what a call returns or counts: the
-    provider still steps through fixtures on repeated prompts, and its
-    ``calls`` counts every request.
+    responses.  The embed and fixture memos do not change what a call
+    returns or counts: the provider still steps through fixtures on
+    repeated prompts, and its ``calls`` counts every request.  The metrics
+    memo does: ``selection.candidate_metrics`` scores a question once per
+    pool, so a repeated question makes no further metric completions.
+    Like the response cache, it assumes a prompt's response does not change.
     """
 
     completion: object
     embedding: object
     cache: CacheStore | None = None
     _embed_memo: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    # id(pool) -> (pool, {question: (n, 4) metric rows}), kept by
+    # selection.candidate_metrics; holding the pool keeps its id from reuse
+    _metrics_memo: dict[int, tuple[object, dict[str, np.ndarray]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def complete_text(self, prompt: str, *, stop_sequences: tuple[str, ...] = ()) -> str:
         """Complete ``prompt`` with ``CompletionRequest``'s default temperature and token limit."""

@@ -204,23 +204,27 @@ class SelectionResult:
         return [example.id for example, _ in self.chosen]
 
 
-def candidate_metrics(
-    pool: ExamplePool, test_question: str, services: Services
-) -> list[np.ndarray]:
-    """One metric row per candidate, in pool order: the weight-independent half.
+def candidate_metrics(pool: ExamplePool, test_question: str, services: Services) -> np.ndarray:
+    """One read-only metric row per candidate, in pool order: the weight-independent half.
 
     Complexity normalization is over the whole pool.  None of the four
-    metrics depends on the weights, so a caller scoring the same question
-    under many weight vectors can compute the rows once.
+    metrics depends on the weights, so the rows are memoized in ``services``
+    per pool and question: scoring a question again, under any weights,
+    makes no provider call.  A computation that raises stores nothing.
     """
-    examples = list(pool)
-    if not examples:
+    if not pool:
         raise EmptyPool("candidate pool is empty")
-    stats = PoolStats.from_examples(examples)
-    return [
-        calculate_metrics(e.question, e.answer_text, test_question, stats, services).as_array()
-        for e in examples
-    ]
+    _, by_question = services._metrics_memo.setdefault(id(pool), (pool, {}))
+    rows = by_question.get(test_question)
+    if rows is None:
+        stats = PoolStats.from_examples(pool)
+        rows = np.array([
+            calculate_metrics(e.question, e.answer_text, test_question, stats, services).as_array()
+            for e in pool
+        ])
+        rows.flags.writeable = False
+        by_question[test_question] = rows
+    return rows
 
 
 def select_examples(
@@ -228,18 +232,15 @@ def select_examples(
     test_question: str,
     config: SelectionConfig,
     services: Services,
-    metrics: list[np.ndarray] | None = None,
 ) -> SelectionResult:
     """Greedy argmax selection with redundancy pruning over a candidate pool.
 
-    ``metrics`` are the rows of ``candidate_metrics(pool, test_question,
-    services)``, computed here when not given.  Scores are fixed before the
-    loop starts, so the trace replays exactly.  Ties pick the lowest pool
+    Scores come from ``candidate_metrics`` and are fixed before the loop
+    starts, so the trace replays exactly.  Ties pick the lowest pool
     index; pruned examples are removed permanently.  The gap test compares
     consecutive picked scores and cannot fire on the first pick.
     """
-    if metrics is None:
-        metrics = candidate_metrics(pool, test_question, services)
+    metrics = candidate_metrics(pool, test_question, services)
     examples = list(pool)
     weights = config.weights.as_array()
     # per-row np.dot, as in score(): a matrix product can differ in the last ulp

@@ -27,7 +27,7 @@ import numpy as np
 
 from .augmentation import MalformedRecord, read_jsonl
 from .providers import Services
-from .selection import SelectionConfig, Weights
+from .selection import EmptyPool, SelectionConfig, Weights
 
 
 @dataclass(frozen=True)
@@ -301,14 +301,13 @@ def accuracy_objective(
     train_set,
     services: Services,
     selection_config_template: SelectionConfig | None = None,
-    metrics_memo: dict[str, list] | None = None,
 ) -> float:
     """Fraction of training items solved by the full select/prompt/execute pipeline."""
     from .evalharness import evaluate
 
     template = selection_config_template or SelectionConfig()
     config = replace(template, weights=weights)
-    report = evaluate(train_set, train_pool, config, services, metrics_memo=metrics_memo)
+    report = evaluate(train_set, train_pool, config, services)
     return report.accuracy
 
 
@@ -320,24 +319,21 @@ def tune_weights(
     services: Services,
     selection_config_template: SelectionConfig | None = None,
     *,
-    objective: Callable[[np.ndarray], float] | None = None,
     log_path: str | Path | None = None,
 ) -> Weights:
-    """TPE-search the weight box and return the best-scoring point as Weights.
+    """TPE-search the weight box for pipeline accuracy; return the best point as Weights.
 
-    The selection metrics do not depend on the weights, so the accuracy
-    objective computes each training item's metric rows on its first trial
-    and reuses them on every later one.  Like the response cache, this
-    assumes a prompt's response does not change between trials.
+    ``services`` memoizes each training item's metric rows on its first
+    trial (``selection.candidate_metrics``), so later trials only re-weight them.
+    An empty pool raises ``EmptyPool`` before the first trial.
     """
-    if objective is None:
-        metrics_memo: dict[str, list] = {}
+    if not train_pool:
+        raise EmptyPool("candidate pool is empty")
 
-        def objective(point: np.ndarray) -> float:
-            return accuracy_objective(
-                Weights.from_array(point), train_pool, train_set, services,
-                selection_config_template, metrics_memo,
-            )
+    def objective(point: np.ndarray) -> float:
+        return accuracy_objective(
+            Weights.from_array(point), train_pool, train_set, services, selection_config_template
+        )
 
     history = optimize(objective, SearchSpace(), budget, seed=seed, log_path=log_path)
     return Weights.from_array(best_trial(history).point)

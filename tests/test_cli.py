@@ -14,13 +14,15 @@ import pytest
 
 import potselect
 from potselect.cli import _effective_config, build_parser, main
-from potselect.providers import save_fixtures
+from potselect.providers import ScriptedProvider, save_fixtures
 from potselect.selection import load_weights
 
 from conftest import (
     augmentation_fixtures,
     CONCEPT_FIXTURE,
     ROUGH_FIXTURE,
+    eval_dataset_records,
+    eval_pool,
     fake_post,
     thirteen_seeds,
 )
@@ -252,6 +254,25 @@ class TestTuneCommand:
         log = [json.loads(l) for l in (tmp_path / "w.json.trials.jsonl").read_text().splitlines()]
         assert [r["seq"] for r in log if "seq" in r] == [0, 1, 2]
 
+    def test_empty_pool_is_data_error_before_the_first_trial(self, eval_environment, capsys):
+        pool = eval_environment["tmp"] / "empty.jsonl"
+        pool.write_text('{"meta": {}}\n')
+        out = eval_environment["tmp"] / "w.json"
+        code = main(
+            [
+                "tune",
+                "--pool", str(pool),
+                "--dataset", eval_environment["dataset"],
+                "--fixtures", eval_environment["fixtures"],
+                "--budget", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert "data error: candidate pool is empty" in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(f"{out}.trials.jsonl").exists()
+
     def test_warm_cache_makes_no_provider_calls(self, eval_environment, capsys):
         calls = []
         for run in range(2):
@@ -318,6 +339,37 @@ class TestEvalCommand:
         assert reports[0] == reports[1]
         assert calls[0] > 0
         assert calls[1] == 0
+
+
+@pytest.mark.parametrize("command", ["select", "eval"])
+def test_repeated_question_without_cache_is_scored_once(eval_environment, monkeypatch, command):
+    prompts = []
+    complete = ScriptedProvider.complete
+
+    def counting(self, request):
+        prompts.append(request.prompt)
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", counting)
+    record = eval_dataset_records()[0]
+    dataset = eval_environment["tmp"] / "repeated.jsonl"
+    dataset.write_text("".join(json.dumps({**record, "id": i}) + "\n" for i in ("a", "b")))
+    out = eval_environment["tmp"] / "out.jsonl"
+    code = main(
+        [
+            command,
+            "--pool", eval_environment["pool"],
+            "--dataset", str(dataset),
+            "--fixtures", eval_environment["fixtures"],
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    few_shot = 2 if command == "eval" else 0
+    assert len(prompts) == 3 * len(eval_pool()) + few_shot
+    records = [json.loads(l) for l in out.read_text().splitlines()][1:3]
+    assert [r.pop("item_id") for r in records] == ["a", "b"]
+    assert records[0] == records[1]
 
 
 class TestRemoteProviderFailures:

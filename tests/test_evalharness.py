@@ -18,6 +18,7 @@ from potselect.evalharness import (
     load_svamp,
     save_report,
 )
+from potselect.providers import ScriptedProvider
 from potselect.selection import SelectionConfig
 
 from conftest import (
@@ -300,16 +301,19 @@ class TestEvaluate:
 
     def test_metrics_memo_holds_only_computed_rows_and_is_reused(self, tmp_path):
         dataset = _dataset(tmp_path)
-        pool, config, memo = eval_pool(), SelectionConfig(), {}
-        failed = evaluate(dataset, pool, config, make_services(), metrics_memo=memo)
+        pool, config = eval_pool(), SelectionConfig()
+        # concepts but no rough answer: each item fails inside its first metric row
+        services = make_services([CONCEPT_FIXTURE])
+        failed = evaluate(dataset, pool, config, services)
         assert all(r.cause.startswith("provider: ") for r in failed.items)
-        assert memo == {}
-        report = evaluate(dataset, pool, config, make_services(eval_fixtures()), metrics_memo=memo)
+        # the failed run stored nothing: every item computes all its rows
+        services.completion = ScriptedProvider(eval_fixtures())
+        report = evaluate(dataset, pool, config, services)
         assert report.accuracy == pytest.approx(0.6)
-        assert sorted(memo) == [item.question for item in dataset]
+        assert services.completion.calls == len(dataset) * (3 * len(pool) + 1)
         # no concept or rough-answer fixtures left: the memo answers the metrics
-        services = make_services(eval_fixtures()[2:])
-        again = evaluate(dataset, pool, config, services, metrics_memo=memo)
+        services.completion = ScriptedProvider(eval_fixtures()[2:])
+        again = evaluate(dataset, pool, config, services)
         assert again.items == report.items
         assert services.completion.calls == len(dataset)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from potselect.selection import (
     SelectionConfig,
     Weights,
     calculate_metrics,
-    candidate_metrics,
     load_weights,
     prune,
     save_weights,
@@ -252,6 +252,22 @@ class TestSelectExamples:
         with pytest.raises(EmptyPool):
             select_examples(ExamplePool(()), "q", SelectionConfig(), _metric_services())
 
+    def test_pools_on_one_services_keep_separate_rows(self):
+        # each pool is collected before the next is built, which may reuse its address
+        rng = np.random.default_rng(11)
+        services = _metric_services()
+        config = SelectionConfig(epsilon=0.0)
+        _, q_t = random_pool(rng)
+        for _ in range(20):
+            pool, _ = random_pool(rng)
+            expected = select_examples(pool, q_t, config, _metric_services())
+            calls = services.completion.calls
+            for _ in range(2):
+                assert select_examples(pool, q_t, config, services) == expected
+                assert services.completion.calls == calls + 3 * len(pool)
+            del pool
+            gc.collect()
+
     def test_trace_records_scores_for_replay(self):
         pool = ExamplePool((_example(0, "alpha beta"), _example(1, "gamma delta")))
         result = select_examples(
@@ -326,5 +342,6 @@ class TestInvariants:
             for record in result.trace:
                 assert record.candidate_scores == {i: expected[i] for i in record.candidate_scores}
                 assert record.picked_score == expected[record.picked_id]
-            rows = candidate_metrics(pool, q_t, services)
-            assert select_examples(pool, q_t, config, services, rows) == result
+            calls = services.completion.calls
+            assert select_examples(pool, q_t, config, services) == result
+            assert services.completion.calls == calls

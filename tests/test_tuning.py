@@ -330,16 +330,15 @@ class TestAccuracyObjective:
 class TestTuneWeights:
     def test_budget_one_returns_the_single_point(self, tmp_path):
         log_path = tmp_path / "t.jsonl"
-        weights = tune_weights(
-            None, None, budget=1, seed=11, services=None,
-            objective=_quadratic, log_path=log_path,
-        )
+        searched = optimize(_quadratic, SearchSpace(), budget=1, seed=11, log_path=log_path)
+        weights = Weights.from_array(best_trial(searched).point)
         history = load_history(log_path)
         assert len(history) == 1
         assert weights.as_array() == pytest.approx(np.asarray(history.trials[0].point))
 
     def test_synthetic_objective_recovers_target_box(self):
-        weights = tune_weights(None, None, budget=60, seed=2, services=None, objective=_quadratic)
+        searched = optimize(_quadratic, SearchSpace(), budget=60, seed=2)
+        weights = Weights.from_array(best_trial(searched).point)
         assert np.all(np.abs(weights.as_array() - 0.3) <= 0.1)
 
     def test_accuracy_pipeline_objective(self, tmp_path):
@@ -369,14 +368,18 @@ class TestTuneWeights:
         )
         assert services.completion.calls == len(dataset) * 3 * len(pool) + budget * len(dataset)
 
-        recomputing = make_services(fixtures)
-        reference = optimize(
-            lambda point: accuracy_objective(
-                Weights.from_array(point), pool, dataset, recomputing, SelectionConfig()
-            ),
-            SearchSpace(), budget, seed=seed,
-        )
-        assert recomputing.completion.calls == budget * len(dataset) * (3 * len(pool) + 1)
+        oracle_calls = []
+
+        def recomputing(point):
+            fresh = make_services(fixtures)
+            value = accuracy_objective(
+                Weights.from_array(point), pool, dataset, fresh, SelectionConfig()
+            )
+            oracle_calls.append(fresh.completion.calls)
+            return value
+
+        reference = optimize(recomputing, SearchSpace(), budget, seed=seed)
+        assert sum(oracle_calls) == budget * len(dataset) * (3 * len(pool) + 1)
         trials = load_history(log_path).trials
         assert [t.point for t in trials] == [t.point for t in reference.trials]
         assert [t.objective for t in trials] == [t.objective for t in reference.trials]
