@@ -536,20 +536,3 @@ def write_jsonl(path: str | Path, records: Iterable[dict], meta: dict | None = N
 def save_pool(pool: ExamplePool, path: str | Path, meta: dict | None = None) -> None:
     write_jsonl(path, (example.to_json() for example in pool), meta)
 
-
-def verify_lineage(pool: ExamplePool, max_hops: int) -> bool:
-    """Every example reaches a seed by parent links within ``max_hops``."""
-    for example in pool:
-        current = example
-        hops = 0
-        while current.provenance.stage != "seed":
-            if current.parent_id is None or hops > max_hops:
-                return False
-            parent = pool.get(current.parent_id)
-            if parent is None:
-                return False
-            current = parent
-            hops += 1
-        if hops > max_hops:
-            return False
-    return True

@@ -251,19 +251,18 @@ def cmd_tune(cfg: dict) -> int:
         history = tuning.optimize(
             objective, tuning.SearchSpace(), cfg["budget"], seed=seed, log_path=log_path
         )
-        weights = selection.Weights.from_array(tuning.best_trial(history).point)
+        best = tuning.best_trial(history)
     else:
         pool = augmentation.load_pool(_require(cfg, "pool"))
         dataset = _load_dataset(cfg)
         services = _services(cfg)
-        weights = tuning.tune_weights(
+        best = tuning.tune_weights(
             pool, dataset, cfg["budget"], seed, services,
             selection_config_template=_selection_config(cfg),
             log_path=log_path,
         )
         calls = getattr(services.completion, "calls", 0)
-    selection.save_weights(weights, out)
-    best = tuning.best_trial(tuning.load_history(log_path))
+    selection.save_weights(selection.Weights.from_array(best.point), out)
     print(
         f"best objective {best.objective:.6f} at trial {best.seq}; weights -> {out} "
         f"provider_calls={calls}"

@@ -35,7 +35,6 @@ class QAItem:
     id: str
     question: str
     gold_value: float
-    raw_record: dict
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.gold_value):
@@ -62,7 +61,6 @@ def load_gsm8k(path: str | Path) -> list[QAItem]:
                 id=str(record.get("id", f"item-{line_no}")),
                 question=str(record["question"]),
                 gold_value=gold,
-                raw_record=record,
             )
         )
     return items
@@ -106,27 +104,16 @@ def load_svamp(path: str | Path) -> list[QAItem]:
                 id=str(identifier if identifier is not None else f"item-{line_no}"),
                 question=f"{str(body).strip()} {str(question).strip()}",
                 gold_value=gold,
-                raw_record=record,
             )
         )
     return items
 
 
-@dataclass(frozen=True)
-class Prompt:
-    blocks: tuple[Example, ...]
-    test_question: str
-    rendered: str
-
-
-def build_prompt(chosen: list[Example], test_question: str) -> Prompt:
+def build_prompt(chosen: list[Example], test_question: str) -> str:
     """Render chosen examples plus the test question into the byte-exact template."""
     if not chosen:
         raise ValueError("chosen must be nonempty")
-    rendered = prompts.few_shot_prompt(
-        [(e.question, e.answer_text) for e in chosen], test_question
-    )
-    return Prompt(blocks=tuple(chosen), test_question=test_question, rendered=rendered)
+    return prompts.few_shot_prompt([(e.question, e.answer_text) for e in chosen], test_question)
 
 
 @dataclass(frozen=True)
@@ -172,7 +159,7 @@ def evaluate(
             chosen = [example for example, _ in selection.chosen]
             selected_ids = tuple(example.id for example in chosen)
             prompt = build_prompt(chosen, item.question)
-            completion = services.complete_text(prompt.rendered, stop_sequences=("Question:",))
+            completion = services.complete_text(prompt, stop_sequences=("Question:",))
             program = extract_answer_block(completion)
             if program is None:
                 cause = "parse: no answer block in completion"

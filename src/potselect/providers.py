@@ -2,14 +2,12 @@
 
 Two completion providers: a scripted one that replays fixture files for
 deterministic tests, and a remote HTTP adapter with retry/backoff.  The
-embedding side ships a bit-exact deterministic hashed bag-of-tokens encoder
-plus a remote adapter sharing the HTTP machinery.  ``requests`` is imported
-only when a remote adapter posts.
+embedder is a bit-exact deterministic hashed bag-of-tokens encoder.
+``requests`` is imported only when the remote adapter posts.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -98,8 +96,14 @@ class Fixture:
 
 
 def load_fixtures(path: str | Path) -> list[Fixture]:
-    records = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [Fixture(r["match"], r["text"], r["response"]) for r in records]
+    """The fixtures of a file; a non-string field raises ``ValueError`` naming its index."""
+    fixtures = []
+    for i, r in enumerate(json.loads(Path(path).read_text(encoding="utf-8"))):
+        values = (r["match"], r["text"], r["response"])
+        if not all(isinstance(v, str) for v in values):
+            raise ValueError(f"fixture {i}: match, text and response must be strings")
+        fixtures.append(Fixture(*values))
+    return fixtures
 
 
 def save_fixtures(fixtures: list[Fixture], path: str | Path) -> None:
@@ -188,7 +192,7 @@ Transport = Callable[[str, dict, dict], object]
 BACKOFF_CAP = 8.0  # seconds: the longest wait between two attempts
 
 
-def _http_transport(endpoint: str, payload: dict, headers: dict, key: str) -> object:
+def _http_transport(endpoint: str, payload: dict, headers: dict) -> object:
     import requests
 
     resp = requests.post(endpoint, json=payload, headers=headers, timeout=60)
@@ -196,21 +200,21 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, key: str) -> ob
         raise requests.ConnectionError(f"server error {resp.status_code}")
     resp.raise_for_status()
     try:
-        return resp.json()[key]
+        return resp.json()["text"]
     except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedResponse(f"response carries no {key!r} field: {exc!r}") from None
+        raise MalformedResponse(f"response carries no 'text' field: {exc!r}") from None
 
 
-class _RemoteAdapter:
-    """Endpoint settings and the retry loop shared by the HTTP adapters.
+class RemoteCompletionProvider:
+    """Single-shot HTTP completion adapter with retry/backoff.
 
     Endpoint, auth token and model come from arguments or the
     ``POTSELECT_ENDPOINT`` / ``POTSELECT_API_TOKEN`` / ``POTSELECT_MODEL``
     environment variables.  ``transport(endpoint, payload, headers)``
-    returns the response's ``response_field`` value; ``calls`` counts requests.
+    returns the response's ``text`` value; ``calls`` counts requests.
     """
 
-    response_field = "text"
+    provider_id = "remote"
 
     def __init__(
         self,
@@ -229,23 +233,31 @@ class _RemoteAdapter:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.calls = 0
-        self._transport = transport or functools.partial(_http_transport, key=self.response_field)
+        self._transport = transport or _http_transport
 
-    def _post_with_retry(self, payload: dict) -> object:
+    def complete(self, request: CompletionRequest) -> str:
         """Retry connection errors, timeouts and 5xx with capped exponential backoff.
 
         Any other request failure is fatal at once; both end as ProviderUnavailable.
+        A ``text`` value that is not a string raises MalformedResponse.
         """
         import requests
 
         retryable = (requests.ConnectionError, requests.Timeout, ConnectionError, TimeoutError)
         self.calls += 1
+        payload = {
+            "model": request.model_id,
+            "prompt": request.prompt,
+            "temperature": request.temperature,
+            "max_tokens": request.max_tokens,
+            "stop": list(request.stop_sequences),
+        }
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         delay = self.backoff_base
         last: Exception | None = None
         for attempt in range(self.max_attempts):
             try:
-                return self._transport(self.endpoint, payload, headers)
+                text = self._transport(self.endpoint, payload, headers)
             except retryable as exc:
                 last = exc
                 if attempt + 1 < self.max_attempts:
@@ -253,24 +265,11 @@ class _RemoteAdapter:
                     delay = min(delay * 2, BACKOFF_CAP)
             except requests.RequestException as exc:
                 raise ProviderUnavailable(f"non-retryable failure: {exc}") from exc
+            else:
+                if not isinstance(text, str):
+                    raise MalformedResponse(f"'text' is {type(text).__name__}, not a string")
+                return text
         raise ProviderUnavailable(f"gave up after {self.max_attempts} attempts: {last}") from last
-
-
-class RemoteCompletionProvider(_RemoteAdapter):
-    """Single-shot HTTP completion adapter."""
-
-    provider_id = "remote"
-
-    def complete(self, request: CompletionRequest) -> str:
-        return self._post_with_retry(
-            {
-                "model": request.model_id,
-                "prompt": request.prompt,
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
-                "stop": list(request.stop_sequences),
-            }
-        )
 
 
 class HashEmbedding:
@@ -300,30 +299,6 @@ class HashEmbedding:
         if norm > 0:
             vector /= norm
         return vector
-
-
-class RemoteEmbeddingProvider(_RemoteAdapter):
-    """HTTP embedding adapter; the vector must have ``dimension`` finite components."""
-
-    provider_id = "remote-embedding"
-    response_field = "embedding"
-
-    def __init__(self, dimension: int, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.dimension = dimension
-
-    def embed(self, text: str) -> np.ndarray:
-        payload = {"model": self.model_id, "input": text}
-        raw = self._post_with_retry(payload)
-        try:
-            values = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise MalformedResponse(f"embedding is not a list of numbers: {exc}") from None
-        if values.shape != (self.dimension,):
-            raise DimensionMismatch(f"expected dimension {self.dimension}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ProviderError("embedding contains non-finite components")
-        return values
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

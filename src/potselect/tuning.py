@@ -320,20 +320,22 @@ def tune_weights(
     selection_config_template: SelectionConfig | None = None,
     *,
     log_path: str | Path | None = None,
-) -> Weights:
-    """TPE-search the weight box for pipeline accuracy; return the best point as Weights.
+) -> Trial:
+    """TPE-search the weight box for pipeline accuracy; return the best trial.
 
     ``services`` memoizes each training item's metric rows on its first
     trial (``selection.candidate_metrics``), so later trials only re-weight them.
-    An empty pool raises ``EmptyPool`` before the first trial.
+    An empty pool raises ``EmptyPool``, and an empty training set
+    ``ValueError``, before the first trial.
     """
     if not train_pool:
         raise EmptyPool("candidate pool is empty")
+    if not train_set:
+        raise ValueError("training set is empty")
 
     def objective(point: np.ndarray) -> float:
         return accuracy_objective(
             Weights.from_array(point), train_pool, train_set, services, selection_config_template
         )
 
-    history = optimize(objective, SearchSpace(), budget, seed=seed, log_path=log_path)
-    return Weights.from_array(best_trial(history).point)
+    return best_trial(optimize(objective, SearchSpace(), budget, seed=seed, log_path=log_path))

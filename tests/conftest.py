@@ -84,6 +84,16 @@ class StubEmbedding:
         return np.asarray(self.table.get(text, [0.0] * self.dimension), dtype=np.float64)
 
 
+class FailingEmbedding:
+    """An embedder, such as a remote one, whose every call raises ``error``."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def embed(self, text: str) -> np.ndarray:
+        raise self.error
+
+
 def make_services(fixtures=None, cache=None, embedding=None) -> Services:
     return Services(
         completion=ScriptedProvider(list(fixtures or [])),

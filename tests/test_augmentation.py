@@ -29,7 +29,6 @@ from potselect.augmentation import (
     stage1,
     stage2,
     stage3,
-    verify_lineage,
     write_jsonl,
 )
 from potselect.interpreter import execute, parse
@@ -391,7 +390,14 @@ class TestAugmentPool:
             thirteen_seeds(), AugmentationConfig(), make_services(augmentation_fixtures()),
             stages=(1, 2),
         )
-        assert verify_lineage(result.pool, max_hops=2 + AugmentationConfig().iterations)
+        max_hops = 2 + AugmentationConfig().iterations
+        for example in result.pool:
+            hops = 0
+            while example.provenance.stage != "seed":
+                assert hops < max_hops
+                parent = result.pool.get(example.parent_id)
+                assert parent is not None, f"{example.id}: parent {example.parent_id!r} not in pool"
+                example, hops = parent, hops + 1
 
     def test_reproducible_byte_for_byte(self, tmp_path):
         paths = []

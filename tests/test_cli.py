@@ -14,13 +14,15 @@ import pytest
 
 import potselect
 from potselect.cli import _effective_config, build_parser, main
-from potselect.providers import ScriptedProvider, save_fixtures
+from potselect.providers import ProviderError, ScriptedProvider, save_fixtures
 from potselect.selection import load_weights
 
 from conftest import (
     augmentation_fixtures,
     CONCEPT_FIXTURE,
+    FailingEmbedding,
     ROUGH_FIXTURE,
+    StubEmbedding,
     eval_dataset_records,
     eval_pool,
     fake_post,
@@ -273,6 +275,25 @@ class TestTuneCommand:
         assert not out.exists()
         assert not Path(f"{out}.trials.jsonl").exists()
 
+    def test_empty_dataset_is_data_error_before_the_first_trial(self, eval_environment, capsys):
+        dataset = eval_environment["tmp"] / "empty.jsonl"
+        dataset.write_text("")
+        out = eval_environment["tmp"] / "w.json"
+        code = main(
+            [
+                "tune",
+                "--pool", eval_environment["pool"],
+                "--dataset", str(dataset),
+                "--fixtures", eval_environment["fixtures"],
+                "--budget", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert "data error: training set is empty" in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(f"{out}.trials.jsonl").exists()
+
     def test_warm_cache_makes_no_provider_calls(self, eval_environment, capsys):
         calls = []
         for run in range(2):
@@ -405,6 +426,23 @@ class TestRemoteProviderFailures:
         assert len(items) == 5
         assert all(item["cause"].startswith("provider: ") for item in items)
 
+    @pytest.mark.parametrize("body", [b'{"text": null}', b'{"text": 3}', b'{"text": ["a"]}'])
+    @pytest.mark.parametrize("command", ["select", "eval"])
+    def test_non_string_text_is_a_provider_error(
+        self, eval_environment, monkeypatch, capsys, command, body
+    ):
+        fake_post(monkeypatch, 200, body)
+        code, out = self._run(command, eval_environment)
+        if command == "select":
+            assert code == 2
+            assert "provider error: 'text' is " in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            items = [json.loads(l) for l in out.read_text().splitlines()][1:-1]
+            assert len(items) == 5
+            assert all(item["cause"].startswith("provider: ") for item in items)
+
 
 class TestAugmentRemoteFailures:
     """``augment --provider remote`` against a failing endpoint at ``requests.post``."""
@@ -434,25 +472,22 @@ class TestAugmentRemoteFailures:
         assert len(posts) == (3 if status == 503 else 1)  # the first request: a 503 is retried
 
 
-class TestRemoteEmbeddingFailures:
-    """A wrong-dimension or NaN embedding answered by ``requests.post``.
-
-    The CLI always embeds with ``HashEmbedding``, so the test puts a remote
-    embedding adapter in its place.
-    """
+class TestEmbeddingFailures:
+    """A failing embedder in place of the CLI's ``HashEmbedding``."""
 
     @pytest.mark.parametrize(
-        "body", [b'{"embedding": [0.6, 0.8, 0.0]}', b'{"embedding": [0.6, NaN]}'],
-        ids=["wrong-dimension", "nan"],
+        "embedder, message",
+        [
+            (FailingEmbedding(ProviderError("embedding endpoint unavailable")), "unavailable"),
+            # one question embeds to 3 components, everything else to 2
+            (StubEmbedding({eval_dataset_records()[0]["question"]: [1.0, 0.0, 0.0]}), "differ"),
+        ],
+        ids=["provider-error", "wrong-dimension"],
     )
-    def test_select_exits_with_provider_code(self, eval_environment, monkeypatch, capsys, body):
-        from potselect.providers import RemoteEmbeddingProvider
-
-        fake_post(monkeypatch, 200, body)
-        monkeypatch.setattr(
-            "potselect.cli.HashEmbedding",
-            lambda: RemoteEmbeddingProvider(dimension=2, endpoint="http://example.invalid"),
-        )
+    def test_select_exits_with_provider_code(
+        self, eval_environment, monkeypatch, capsys, embedder, message
+    ):
+        monkeypatch.setattr("potselect.cli.HashEmbedding", lambda: embedder)
         out = eval_environment["tmp"] / "chosen.jsonl"
         code = main(
             [
@@ -464,7 +499,8 @@ class TestRemoteEmbeddingFailures:
             ]
         )
         assert code == 2
-        assert "provider error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "provider error: " in err and message in err
         assert not out.exists()
 
 
@@ -480,8 +516,9 @@ class TestBadFixtureFile:
                 {"match": "pattern", "text": r"(\d)", "response": r"\3"},
                 "invalid group reference 3",
             ),
+            ({"match": "pattern", "text": "(a)", "response": 5}, "must be strings"),
         ],
-        ids=["pattern", "group-reference"],
+        ids=["pattern", "group-reference", "non-string-response"],
     )
     def test_is_a_data_error_on_loading(self, eval_environment, capsys, command, fixture, message):
         good = json.loads(Path(eval_environment["fixtures"]).read_text())
@@ -708,3 +745,8 @@ def test_importing_the_cli_loads_neither_scipy_nor_requests():
     ).stdout.split()
     heavy = [m for m in modules if m.split(".")[0] in ("scipy", "requests", "urllib3")]
     assert heavy == []
+
+
+def test_every_public_name_resolves():
+    assert [name for name in potselect.__all__ if not hasattr(potselect, name)] == []
+    assert len(set(potselect.__all__)) == len(potselect.__all__)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -177,6 +178,14 @@ class TestScriptedProvider:
         with pytest.raises(ValueError, match=f"fixture 1: .*{message}"):
             ScriptedProvider(fixtures)
 
+    @pytest.mark.parametrize("field", ["match", "text", "response"])
+    def test_non_string_fixture_field_is_rejected_on_loading(self, tmp_path, field):
+        record = {"match": "pattern", "text": "(a)", "response": "r", field: 5}
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps([{"match": "exact", "text": "P", "response": "R"}, record]))
+        with pytest.raises(ValueError, match="fixture 1: match, text and response must be strings"):
+            load_fixtures(path)
+
 
 class TestHashEmbedding:
     def test_deterministic(self):
@@ -325,6 +334,21 @@ class TestRemoteProvider:
             provider.complete(CompletionRequest(prompt="p"))
         assert transport.calls == 3
 
+    def test_timeout_is_retried_then_gives_up(self):
+        calls = {"n": 0}
+
+        def transport(endpoint, payload, headers):
+            calls["n"] += 1
+            raise requests.Timeout("slow")
+
+        provider = RemoteCompletionProvider(
+            endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0,
+            transport=transport,
+        )
+        with pytest.raises(ProviderUnavailable, match="gave up after 3 attempts"):
+            provider.complete(CompletionRequest(prompt="p"))
+        assert calls["n"] == 3
+
     def test_recovers_after_transient_failures(self):
         transport = _FlakyTransport(fail_times=2, response="answer")
         provider = RemoteCompletionProvider(
@@ -372,7 +396,17 @@ class TestRemoteProvider:
         }
 
 
-    @pytest.mark.parametrize("body", [b"not json", b'{"choices": []}', b"[1, 2]"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"not json",
+            b'{"choices": []}',
+            b"[1, 2]",
+            b'{"text": null}',
+            b'{"text": 3}',
+            b'{"text": ["a"]}',
+        ],
+    )
     def test_malformed_body_is_a_provider_error(self, monkeypatch, body):
         from potselect.providers import MalformedResponse
 
@@ -382,83 +416,33 @@ class TestRemoteProvider:
             provider.complete(CompletionRequest(prompt="p"))
         assert len(posts) == 1
 
+    @pytest.mark.parametrize("text", [None, 3, ["a"]], ids=["null", "number", "list"])
+    def test_non_string_text_from_any_transport_is_malformed(self, text):
+        from potselect.providers import MalformedResponse
 
-class TestRemoteEmbedding:
-    def test_retries_then_gives_up(self):
-        from potselect.providers import RemoteEmbeddingProvider
-
-        calls = {"n": 0}
-
-        def transport(endpoint, payload, headers):
-            calls["n"] += 1
-            raise requests.ConnectionError("down")
-
-        provider = RemoteEmbeddingProvider(
-            dimension=4, endpoint="http://example.invalid", max_attempts=3,
-            backoff_base=0.0, transport=transport,
+        provider = RemoteCompletionProvider(
+            endpoint="http://example.invalid", transport=lambda e, p, h: text
         )
-        with pytest.raises(ProviderUnavailable):
-            provider.embed("text")
-        assert calls["n"] == 3
+        with pytest.raises(MalformedResponse, match="not a string"):
+            provider.complete(CompletionRequest(prompt="p"))
 
     def test_server_error_is_retried_then_unavailable(self, monkeypatch):
-        from potselect.providers import RemoteEmbeddingProvider
-
         posts = fake_post(monkeypatch, 503, b"busy")
-        provider = RemoteEmbeddingProvider(
-            dimension=2, endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0,
+        provider = RemoteCompletionProvider(
+            endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0
         )
         with pytest.raises(ProviderUnavailable):
-            provider.embed("text")
+            provider.complete(CompletionRequest(prompt="p"))
         assert len(posts) == 3
 
-    def test_client_error_is_a_provider_error(self, monkeypatch):
-        from potselect.providers import ProviderError, RemoteEmbeddingProvider
-
+    def test_client_error_is_unavailable_after_one_post(self, monkeypatch):
         posts = fake_post(monkeypatch, 400, b'{"error": "bad input"}')
-        provider = RemoteEmbeddingProvider(
-            dimension=2, endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0,
+        provider = RemoteCompletionProvider(
+            endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0
         )
-        with pytest.raises(ProviderError):
-            provider.embed("text")
+        with pytest.raises(ProviderUnavailable):
+            provider.complete(CompletionRequest(prompt="p"))
         assert len(posts) == 1
-
-    def test_validates_dimension_and_finiteness(self):
-        from potselect.providers import ProviderError, RemoteEmbeddingProvider
-
-        provider = RemoteEmbeddingProvider(
-            dimension=3, endpoint="http://example.invalid",
-            transport=lambda e, p, h: [1.0, 2.0],
-        )
-        with pytest.raises(DimensionMismatch):
-            provider.embed("text")
-        provider = RemoteEmbeddingProvider(
-            dimension=2, endpoint="http://example.invalid",
-            transport=lambda e, p, h: [1.0, float("nan")],
-        )
-        with pytest.raises(ProviderError):
-            provider.embed("text")
-
-    @pytest.mark.parametrize(
-        "payload", [["a", "b"], {"x": 1.0}, [[1.0], [2.0, 3.0]]], ids=["strings", "dict", "ragged"]
-    )
-    def test_non_numeric_payload_is_malformed(self, payload):
-        from potselect.providers import MalformedResponse, RemoteEmbeddingProvider
-
-        provider = RemoteEmbeddingProvider(
-            dimension=2, endpoint="http://example.invalid", transport=lambda e, p, h: payload,
-        )
-        with pytest.raises(MalformedResponse):
-            provider.embed("text")
-
-    def test_returns_vector(self):
-        from potselect.providers import RemoteEmbeddingProvider
-
-        provider = RemoteEmbeddingProvider(
-            dimension=2, endpoint="http://example.invalid",
-            transport=lambda e, p, h: [0.6, 0.8],
-        )
-        assert np.allclose(provider.embed("text"), [0.6, 0.8])
 
 
 class TestConceptExtract:

@@ -343,11 +343,20 @@ class TestTuneWeights:
 
     def test_accuracy_pipeline_objective(self, tmp_path):
         dataset = _train_set(tmp_path)
-        weights = tune_weights(
+        best = tune_weights(
             eval_pool(), dataset, budget=2, seed=0, services=make_services(eval_fixtures()),
             selection_config_template=SelectionConfig(),
         )
-        assert isinstance(weights, Weights)
+        assert isinstance(best, Trial)
+        assert best.seq in (0, 1)
+
+    def test_empty_training_set_raises_before_the_first_trial(self, tmp_path):
+        services = make_services(eval_fixtures())
+        log_path = tmp_path / "t.jsonl"
+        with pytest.raises(ValueError, match="training set is empty"):
+            tune_weights(eval_pool(), [], 3, 0, services, log_path=log_path)
+        assert services.completion.calls == 0
+        assert not log_path.exists()
 
     def test_metrics_computed_once_per_item_and_trials_unchanged(self, tmp_path):
         # an item is answered correctly only when the bolts example is picked first,
@@ -362,7 +371,7 @@ class TestTuneWeights:
         pool, dataset, budget, seed = eval_pool(), _train_set(tmp_path), 14, 5
         services = make_services(fixtures)
         log_path = tmp_path / "t.jsonl"
-        weights = tune_weights(
+        best = tune_weights(
             pool, dataset, budget, seed, services,
             selection_config_template=SelectionConfig(), log_path=log_path,
         )
@@ -384,4 +393,4 @@ class TestTuneWeights:
         assert [t.point for t in trials] == [t.point for t in reference.trials]
         assert [t.objective for t in trials] == [t.objective for t in reference.trials]
         assert len({t.objective for t in trials}) > 1
-        assert weights == Weights.from_array(best_trial(reference).point)
+        assert best == best_trial(reference)
