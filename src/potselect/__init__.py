@@ -17,7 +17,7 @@ from .augmentation import (
     load_pool,
     save_pool,
 )
-from .cache import CacheStore, cached_complete
+from .cache import CacheStore
 from .evalharness import (
     EvalReport,
     QAItem,
@@ -89,7 +89,6 @@ __all__ = [
     "accuracy_objective",
     "augment_pool",
     "build_prompt",
-    "cached_complete",
     "calculate_metrics",
     "check_consistency",
     "complexity",

@@ -48,6 +48,8 @@ class Provenance:
             raise ValueError(f"unknown stage {self.stage!r}")
         if (self.stage == "stage3") != (self.iteration is not None):
             raise ValueError("iteration is set exactly for stage3 provenance")
+        if self.iteration is not None and (type(self.iteration) is not int or self.iteration < 1):
+            raise ValueError(f"stage3 iteration must be an int >= 1, got {self.iteration!r}")
 
     def to_json(self) -> dict:
         out: dict = {"stage": self.stage}

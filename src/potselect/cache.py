@@ -1,10 +1,10 @@
-"""Persistent content-addressed cache for completion responses.
+"""Persistent content-addressed storage for completion responses.
 
-One UTF-8 file per request key under a directory.  Each entry declares byte
-lengths for the canonical request and the verbatim response so round-trips
-are bit-exact.  Writes go through a temp file and an atomic rename, so
-concurrent writers of the same key are benign and distinct keys never
-interfere.
+``Services.complete_text`` reads and writes it.  One UTF-8 file per request
+key under a directory.  Each entry declares byte lengths for the canonical
+request and the verbatim response so round-trips are bit-exact.  Writes go
+through a temp file and an atomic rename, so concurrent writers of the same
+key are benign and distinct keys never interfere.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class CacheStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: str) -> Path:
-        return self.directory / key
-
     def get(self, request: "CompletionRequest") -> str | None:
         """Return the stored response, or None on miss.
 
@@ -53,7 +50,7 @@ class CacheStore:
         treated as a miss.
         """
         key = request.key()
-        path = self._path(key)
+        path = self.directory / key
         if not path.exists():
             return None
         try:
@@ -84,7 +81,7 @@ class CacheStore:
                 fh.write(header.encode("utf-8"))
                 fh.write(request_bytes)
                 fh.write(response_bytes)
-            os.replace(tmp_name, self._path(key))
+            os.replace(tmp_name, self.directory / key)
         except BaseException:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
@@ -133,18 +130,3 @@ def _read_entry(path: Path) -> CacheEntry:
         raise CacheCorrupt(f"response is not UTF-8: {exc}") from None
     return CacheEntry(key=key, response=response, created_at=created_at, provider_id=provider_id)
 
-
-def cached_complete(
-    request: "CompletionRequest",
-    cache: CacheStore | None,
-    provider,
-) -> str:
-    """Serve from cache when possible; otherwise call the provider and persist."""
-    if cache is None:
-        return provider.complete(request)
-    hit = cache.get(request)
-    if hit is not None:
-        return hit
-    response = provider.complete(request)
-    cache.put(request, response, provider.provider_id)
-    return response

@@ -22,6 +22,7 @@ from .providers import ProviderError, Services
 from .selection import SelectionConfig, select_examples
 
 EPS_EVAL = 1e-3  # absolute tolerance between an executed answer and the gold value
+PROVIDER_CAUSE = "provider: "  # how an item's cause starts when the provider failed
 
 
 class MissingMarker(DatasetError):
@@ -173,7 +174,7 @@ def evaluate(
                     if not correct:
                         cause = "wrong value"
         except ProviderError as exc:
-            cause = f"provider: {exc}"
+            cause = f"{PROVIDER_CAUSE}{exc}"
         except ValueError as exc:
             cause = f"selection: {exc}"
         if correct:

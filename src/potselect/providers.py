@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cache import CacheStore, cached_complete
+from .cache import CacheStore
 from .prompts import concept_prompt
 
 ENDPOINT_ENV = "POTSELECT_ENDPOINT"
@@ -48,32 +48,25 @@ class MalformedResponse(ProviderError):
     """The remote endpoint answered, but not with JSON carrying the expected field."""
 
 
+TEMPERATURE = 0.0  # every completion is greedy
+MAX_TOKENS = 512  # and at most this long
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
     model_id: str = "scripted"
-    temperature: float = 0.0
-    max_tokens: int = 512
     stop_sequences: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "temperature", float(self.temperature))
-        object.__setattr__(self, "max_tokens", int(self.max_tokens))
-        object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
 
     def canonical(self) -> str:
         """Unique serialization: sorted keys, fixed separators and number forms."""
         return json.dumps(
             {
-                "max_tokens": self.max_tokens,
+                "max_tokens": MAX_TOKENS,
                 "model_id": self.model_id,
                 "prompt": self.prompt,
                 "stop_sequences": list(self.stop_sequences),
-                "temperature": self.temperature,
+                "temperature": TEMPERATURE,
             },
             sort_keys=True,
             ensure_ascii=False,
@@ -96,9 +89,15 @@ class Fixture:
 
 
 def load_fixtures(path: str | Path) -> list[Fixture]:
-    """The fixtures of a file; a non-string field raises ``ValueError`` naming its index."""
+    """The fixtures of a file holding a JSON array of objects; another shape, or
+    a non-string field, raises ``ValueError`` naming the fixture's index."""
+    records = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(records, list):
+        raise ValueError(f"fixture file {path} must hold a JSON array")
     fixtures = []
-    for i, r in enumerate(json.loads(Path(path).read_text(encoding="utf-8"))):
+    for i, r in enumerate(records):
+        if not isinstance(r, dict):
+            raise ValueError(f"fixture {i}: not an object")
         values = (r["match"], r["text"], r["response"])
         if not all(isinstance(v, str) for v in values):
             raise ValueError(f"fixture {i}: match, text and response must be strings")
@@ -118,10 +117,10 @@ class ScriptedProvider:
     order; once all matches are consumed, the last one keeps answering.
     Pattern responses may use backreferences (``\\1``) into the match.
 
-    Each distinct prompt is matched against the fixtures once, and a
-    response is expanded only when its fixture is served, once per prompt;
+    Each distinct prompt is matched against the fixtures once, when it is
+    first seen, and each matching response is expanded from that match;
     ``calls`` still counts every request.  The memo is keyed by the prompt's
-    SHA-256 digest and holds no ``re.Match``, so it keeps no prompt alive.
+    SHA-256 digest and holds only responses, so it keeps no prompt alive.
     A pattern that does not compile, or a response with a bad group
     reference, raises ``ValueError`` on construction, naming the fixture's
     index.
@@ -135,8 +134,8 @@ class ScriptedProvider:
         self.calls = 0
         self._consumed = [False] * len(self.fixtures)
         self._patterns = [_compile_fixture(i, f) for i, f in enumerate(self.fixtures)]
-        # prompt digest -> {matching fixture index: its response, once expanded}
-        self._served: dict[bytes, dict[int, str | None]] = {}
+        # prompt digest -> {matching fixture index: its response}
+        self._served: dict[bytes, dict[int, str]] = {}
 
     @classmethod
     def from_file(cls, path: str | Path, model_id: str = "scripted") -> "ScriptedProvider":
@@ -152,26 +151,20 @@ class ScriptedProvider:
         if not served:
             head = prompt[:120].replace("\n", "\\n")
             raise NoFixture(f"no fixture matches prompt starting {head!r}")
-        unconsumed = [i for i in served if not self._consumed[i]]
-        index = unconsumed[0] if unconsumed else next(reversed(served))
+        index = next((i for i in served if not self._consumed[i]), max(served))
         self._consumed[index] = True
-        response = served[index]
-        if response is None:  # searched again: a kept Match would keep the prompt alive
-            fixture = self.fixtures[index]
-            response = self._patterns[index].search(prompt).expand(fixture.response)
-            served[index] = response
-        return response
+        return served[index]
 
-    def _match(self, prompt: str) -> dict[int, str | None]:
-        """The fixtures matching ``prompt`` in declared order, each mapped to
-        its response if exact, or to None while a pattern's is unexpanded."""
-        matches: dict[int, str | None] = {}
+    def _match(self, prompt: str) -> dict[int, str]:
+        """The fixtures matching ``prompt`` in declared order, each mapped to its
+        response; a pattern's is expanded from the match just found."""
+        matches: dict[int, str] = {}
         for i, (fixture, pattern) in enumerate(zip(self.fixtures, self._patterns)):
             if pattern is None:
                 if fixture.text == prompt:
                     matches[i] = fixture.response
-            elif pattern.search(prompt):
-                matches[i] = None
+            elif match := pattern.search(prompt):
+                matches[i] = match.expand(fixture.response)
         return matches
 
 
@@ -248,8 +241,8 @@ class RemoteCompletionProvider:
         payload = {
             "model": request.model_id,
             "prompt": request.prompt,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
             "stop": list(request.stop_sequences),
         }
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
@@ -323,11 +316,12 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 class Services:
     """Completion + embedding providers and an optional response cache.
 
+    ``complete_text`` is the one place where a completion meets the cache.
     Not shareable across threads: the embed memo grows on every new text,
     the metrics memo grows on every new (pool, question) pair, and
     ``ScriptedProvider`` marks each fixture it serves as consumed and
-    memoizes, per distinct prompt, its matching fixtures and their expanded
-    responses.  The embed and fixture memos do not change what a call
+    memoizes, per distinct prompt, the expanded responses of its matching
+    fixtures.  The embed and fixture memos do not change what a call
     returns or counts: the provider still steps through fixtures on
     repeated prompts, and its ``calls`` counts every request.  The metrics
     memo does: ``selection.candidate_metrics`` scores a question once per
@@ -346,13 +340,19 @@ class Services:
     )
 
     def complete_text(self, prompt: str, *, stop_sequences: tuple[str, ...] = ()) -> str:
-        """Complete ``prompt`` with ``CompletionRequest``'s default temperature and token limit."""
+        """A cache hit, or else the provider's response, which the cache then stores."""
         request = CompletionRequest(
             prompt=prompt,
             model_id=getattr(self.completion, "model_id", "default"),
             stop_sequences=stop_sequences,
         )
-        return cached_complete(request, self.cache, self.completion)
+        if self.cache is None:
+            return self.completion.complete(request)
+        response = self.cache.get(request)
+        if response is None:
+            response = self.completion.complete(request)
+            self.cache.put(request, response, self.completion.provider_id)
+        return response
 
     def embed(self, text: str) -> np.ndarray:
         hit = self._embed_memo.get(text)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .augmentation import MalformedRecord, read_jsonl
-from .providers import Services
+from .providers import ProviderError, Services
 from .selection import EmptyPool, SelectionConfig, Weights
 
 
@@ -302,12 +302,16 @@ def accuracy_objective(
     services: Services,
     selection_config_template: SelectionConfig | None = None,
 ) -> float:
-    """Fraction of training items solved by the full select/prompt/execute pipeline."""
-    from .evalharness import evaluate
+    """Fraction of training items solved by the full select/prompt/execute pipeline;
+    an item the provider failed raises ``ProviderError``, as it says nothing of the weights."""
+    from .evalharness import PROVIDER_CAUSE, evaluate
 
     template = selection_config_template or SelectionConfig()
     config = replace(template, weights=weights)
     report = evaluate(train_set, train_pool, config, services)
+    for item in report.items:
+        if item.cause and item.cause.startswith(PROVIDER_CAUSE):
+            raise ProviderError(f"item {item.item_id}: {item.cause.removeprefix(PROVIDER_CAUSE)}")
     return report.accuracy
 
 
@@ -326,7 +330,8 @@ def tune_weights(
     ``services`` memoizes each training item's metric rows on its first
     trial (``selection.candidate_metrics``), so later trials only re-weight them.
     An empty pool raises ``EmptyPool``, and an empty training set
-    ``ValueError``, before the first trial.
+    ``ValueError``, before the first trial; a provider failure raises
+    ``ProviderError`` in its trial, and the log keeps the trials before it.
     """
     if not train_pool:
         raise EmptyPool("candidate pool is empty")

@@ -115,8 +115,10 @@ ROUGH_FIXTURE = Fixture(
 )
 
 
-def fake_post(monkeypatch, status: int, body: bytes) -> list[dict]:
-    """Make every ``requests.post`` answer with one canned response.
+def fake_post(
+    monkeypatch, status: int = 200, body: bytes = b"", raises: Exception | None = None
+) -> list[dict]:
+    """Make every ``requests.post`` answer with one canned response, or raise ``raises``.
 
     Returns the list that collects each posted payload.
     """
@@ -124,6 +126,8 @@ def fake_post(monkeypatch, status: int, body: bytes) -> list[dict]:
 
     def post(endpoint, json, headers, timeout):
         posts.append(json)
+        if raises is not None:
+            raise raises
         resp = requests.Response()
         resp.status_code = status
         resp._content = body

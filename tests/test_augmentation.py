@@ -475,10 +475,16 @@ class TestPoolFiles:
             '"provenance": {"stage": "stage1"}, "parent_id": ["b"]}',
             '{"id": 7, "question": "q", "answer_text": "ans = 1", '
             '"provenance": {"stage": "seed"}}',
+            *(
+                '{"id": "a.s3", "question": "q", "answer_text": "ans = 1", "parent_id": "a", '
+                '"provenance": {"stage": "stage3", "iteration": ' + iteration + "}}"
+                for iteration in ('"x"', "0", "true")
+            ),
         ],
         ids=[
             "list", "provenance-string", "question-number", "no-question",
             "id-list", "parent-id-list", "id-number",
+            "iteration-string", "iteration-zero", "iteration-bool",
         ],
     )
     def test_wrong_shaped_record_names_its_line(self, tmp_path, record):

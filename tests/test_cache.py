@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from potselect.cache import CacheCorrupt, CacheStore, _read_entry, cached_complete
-from potselect.providers import CompletionRequest, Fixture, NoFixture, ScriptedProvider
+from potselect.cache import CacheCorrupt, CacheStore, _read_entry
+from potselect.providers import CompletionRequest, Fixture, NoFixture
+
+from conftest import make_services
 
 
 @pytest.fixture
@@ -13,56 +15,58 @@ def store(tmp_path):
     return CacheStore(tmp_path / "cache")
 
 
-def _provider(response="r"):
-    return ScriptedProvider([Fixture("pattern", r"(?s).*", response)])
+def _services(store, response="r"):
+    return make_services([Fixture("pattern", r"(?s).*", response)], cache=store)
 
 
 class TestCachedComplete:
-    def test_idempotence_one_provider_call_for_n_requests(self, store):
-        provider = _provider()
-        request = CompletionRequest(prompt="p")
-        for _ in range(5):
-            assert cached_complete(request, store, provider) == "r"
-        assert provider.calls == 1
+    """The cache round-trip of ``Services.complete_text``."""
 
-    def test_distinct_temperatures_are_distinct_keys(self, store):
-        provider = _provider()
-        cached_complete(CompletionRequest(prompt="p", temperature=0.0), store, provider)
-        cached_complete(CompletionRequest(prompt="p", temperature=0.7), store, provider)
-        assert provider.calls == 2
-        assert store.stats()["entries"] == 2
+    def test_idempotence_one_provider_call_for_n_requests(self, store):
+        services = _services(store)
+        for _ in range(5):
+            assert services.complete_text("p") == "r"
+        assert services.completion.calls == 1
+
+    def test_distinct_model_ids_and_stop_sequences_are_distinct_keys(self, store):
+        services = _services(store)
+        services.complete_text("p")
+        services.complete_text("p", stop_sequences=("x",))
+        other = _services(store)
+        other.completion.model_id = "other"
+        other.complete_text("p")
+        assert (services.completion.calls, other.completion.calls) == (2, 1)
+        assert store.stats()["entries"] == 3
 
     def test_no_cache_passes_through(self):
-        provider = _provider()
-        request = CompletionRequest(prompt="p")
-        cached_complete(request, None, provider)
-        cached_complete(request, None, provider)
-        assert provider.calls == 2
+        services = _services(None)
+        services.complete_text("p")
+        services.complete_text("p")
+        assert services.completion.calls == 2
 
     def test_provider_errors_propagate_and_nothing_is_stored(self, store):
-        provider = ScriptedProvider([])
+        services = make_services([], cache=store)
         with pytest.raises(NoFixture):
-            cached_complete(CompletionRequest(prompt="p"), store, provider)
+            services.complete_text("p")
         assert store.stats()["entries"] == 0
 
 
 class TestCorruption:
     def test_tampered_entry_quarantined_then_refetched(self, store):
-        provider = _provider("original")
+        services = _services(store, "original")
         request = CompletionRequest(prompt="p")
-        cached_complete(request, store, provider)
+        services.complete_text("p")
         path = store.directory / request.key()
         path.write_bytes(path.read_bytes().replace(b"original", b"tampered!"))
 
-        assert cached_complete(request, store, provider) == "original"
-        assert provider.calls == 2
+        assert services.complete_text("p") == "original"
+        assert services.completion.calls == 2
         assert store.stats()["quarantined"] == 1
         assert store.stats()["entries"] == 1
 
     def test_wrong_key_in_header_is_corrupt(self, store):
-        provider = _provider()
         request = CompletionRequest(prompt="p")
-        cached_complete(request, store, provider)
+        _services(store).complete_text("p")
         path = store.directory / request.key()
         blob = path.read_bytes()
         path.write_bytes(blob.replace(request.key().encode()[:8], b"deadbeef", 1))
@@ -70,9 +74,8 @@ class TestCorruption:
             _read_entry(path)
 
     def test_truncated_entry_is_corrupt(self, store):
-        provider = _provider()
         request = CompletionRequest(prompt="p")
-        cached_complete(request, store, provider)
+        _services(store).complete_text("p")
         path = store.directory / request.key()
         path.write_bytes(path.read_bytes()[:-2])
         assert store.get(request) is None
@@ -102,15 +105,14 @@ class TestRoundTrip:
         ],
     )
     def test_response_round_trips_bit_exact(self, store, response):
-        provider = _provider(response)
-        request = CompletionRequest(prompt="p with unicode ∆ and\nnewlines")
-        assert cached_complete(request, store, provider) == response
+        prompt = "p with unicode ∆ and\nnewlines"
+        request = CompletionRequest(prompt=prompt)
+        assert _services(store, response).complete_text(prompt) == response
         assert store.get(request) == response
 
     def test_entry_header_fields(self, store):
-        provider = _provider("resp")
         request = CompletionRequest(prompt="p")
-        cached_complete(request, store, provider)
+        _services(store, "resp").complete_text("p")
         entry = _read_entry(store.directory / request.key())
         assert entry.key == request.key()
         assert entry.provider_id == "scripted"
@@ -126,8 +128,7 @@ class TestRoundTrip:
 
 
 def test_stats_counts_only_well_named_entries(store):
-    provider = _provider()
-    cached_complete(CompletionRequest(prompt="a"), store, provider)
+    _services(store).complete_text("a")
     (store.directory / "notes.txt").write_text("not an entry")
     stats = store.stats()
     assert stats["entries"] == 1

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 import potselect
 from potselect.cli import _effective_config, build_parser, main
@@ -393,8 +394,20 @@ def test_repeated_question_without_cache_is_scored_once(eval_environment, monkey
     assert records[0] == records[1]
 
 
+# (fake_post keywords, posts per failed request): a timeout or a refused
+# connection is retried up to the attempt limit, a 404 or a body that is not
+# JSON fails on its first post
+_POST_FAILURES = [
+    pytest.param({"raises": requests.Timeout("slow")}, 3, id="timeout"),
+    pytest.param({"raises": requests.ConnectionError("refused")}, 3, id="connection-error"),
+    pytest.param({"status": 404, "body": b"not found"}, 1, id="404"),
+    pytest.param({"status": 200, "body": b"not json"}, 1, id="non-json"),
+]
+
+
 class TestRemoteProviderFailures:
-    """A remote response without a "text" field, injected at ``requests.post``."""
+    """A failing remote endpoint, injected at ``requests.post``; by default a
+    response without a "text" field."""
 
     @pytest.fixture(autouse=True)
     def malformed_endpoint(self, monkeypatch):
@@ -410,6 +423,7 @@ class TestRemoteProviderFailures:
                 "--pool", eval_environment["pool"],
                 "--dataset", eval_environment["dataset"],
                 "--out", str(out),
+                *(["--budget", "2"] if command == "tune" else []),
             ]
         )
         return code, out
@@ -443,18 +457,47 @@ class TestRemoteProviderFailures:
             assert len(items) == 5
             assert all(item["cause"].startswith("provider: ") for item in items)
 
+    @pytest.mark.parametrize("command", ["select", "eval", "tune"])
+    @pytest.mark.parametrize("failure, posts_per_request", _POST_FAILURES)
+    def test_failure_mode(
+        self, eval_environment, monkeypatch, capsys, command, failure, posts_per_request
+    ):
+        monkeypatch.setattr("time.sleep", lambda seconds: None)
+        posts = fake_post(monkeypatch, **failure)
+        code, out = self._run(command, eval_environment)
+        if command == "eval":
+            assert code == 0
+            items = [json.loads(l) for l in out.read_text().splitlines()][1:-1]
+            assert len(items) == 5
+            assert all(item["cause"].startswith("provider: ") for item in items)
+        else:
+            assert code == 2
+            assert "provider error: " in capsys.readouterr().err
+            assert not out.exists()
+        if command == "tune":  # the first trial failed: the log holds its header only
+            log = Path(f"{out}.trials.jsonl").read_text().splitlines()
+            assert [json.loads(l) for l in log] == [{"rng_seed": 0}]
+        # each question fails at its first completion; select stops at the first,
+        # while eval and tune's first trial go through all 5
+        assert len(posts) == posts_per_request * (1 if command == "select" else 5)
+
 
 class TestAugmentRemoteFailures:
     """``augment --provider remote`` against a failing endpoint at ``requests.post``."""
 
     @pytest.mark.parametrize(
-        "status, body", [(200, b'{"choices": []}'), (503, b"busy")], ids=["no-text", "503"]
+        "failure, posts_per_request",
+        [
+            pytest.param({"body": b'{"choices": []}'}, 1, id="no-text"),
+            pytest.param({"status": 503, "body": b"busy"}, 3, id="503"),
+            *_POST_FAILURES,
+        ],
     )
     def test_exits_with_provider_code_and_writes_nothing(
-        self, augment_files, monkeypatch, capsys, status, body
+        self, augment_files, monkeypatch, capsys, failure, posts_per_request
     ):
         monkeypatch.setenv("POTSELECT_ENDPOINT", "http://example.invalid")
-        posts = fake_post(monkeypatch, status, body)
+        posts = fake_post(monkeypatch, **failure)
         monkeypatch.setattr("time.sleep", lambda seconds: None)
         out = augment_files["tmp"] / "augmented.jsonl"
         code = main(
@@ -469,7 +512,7 @@ class TestAugmentRemoteFailures:
         assert "provider error" in capsys.readouterr().err
         assert not out.exists()
         assert not (augment_files["tmp"] / "augmented.jsonl.attempts.jsonl").exists()
-        assert len(posts) == (3 if status == 503 else 1)  # the first request: a 503 is retried
+        assert len(posts) == posts_per_request  # the first request fails
 
 
 class TestEmbeddingFailures:
@@ -504,34 +547,45 @@ class TestEmbeddingFailures:
         assert not out.exists()
 
 
+def _after_the_good_fixtures(record):
+    return lambda good: [*good, record]
+
+
 class TestBadFixtureFile:
-    """A pattern that does not compile, or a bad group reference, is bad data (exit 3)."""
+    """A pattern that does not compile, a bad group reference, or a file that is
+    not an array of objects is bad data (exit 3)."""
 
     @pytest.mark.parametrize("command", ["augment", "select", "tune", "eval"])
     @pytest.mark.parametrize(
-        "fixture, message",
+        "content, message",
         [
-            ({"match": "pattern", "text": "(", "response": "r"}, "missing )"),
             (
-                {"match": "pattern", "text": r"(\d)", "response": r"\3"},
-                "invalid group reference 3",
+                _after_the_good_fixtures({"match": "pattern", "text": "(", "response": "r"}),
+                "fixture {n}: missing )",
             ),
-            ({"match": "pattern", "text": "(a)", "response": 5}, "must be strings"),
+            (
+                _after_the_good_fixtures({"match": "pattern", "text": r"(\d)", "response": r"\3"}),
+                "fixture {n}: invalid group reference 3",
+            ),
+            (
+                _after_the_good_fixtures({"match": "pattern", "text": "(a)", "response": 5}),
+                "fixture {n}: match, text and response must be strings",
+            ),
+            (_after_the_good_fixtures(5), "fixture {n}: not an object"),
+            (lambda good: {"a": 1}, "fixture file {path} must hold a JSON array"),
         ],
-        ids=["pattern", "group-reference", "non-string-response"],
+        ids=["pattern", "group-reference", "non-string-response", "not-an-object", "not-an-array"],
     )
-    def test_is_a_data_error_on_loading(self, eval_environment, capsys, command, fixture, message):
+    def test_is_a_data_error_on_loading(self, eval_environment, capsys, command, content, message):
         good = json.loads(Path(eval_environment["fixtures"]).read_text())
         fixtures_path = eval_environment["tmp"] / "bad-fixtures.json"
-        fixtures_path.write_text(json.dumps([*good, fixture]))
+        fixtures_path.write_text(json.dumps(content(good)))
         out = eval_environment["tmp"] / "out.jsonl"
         argv = [command, "--pool", eval_environment["pool"], "--fixtures", str(fixtures_path)]
         if command != "augment":
             argv += ["--dataset", eval_environment["dataset"]]
         assert main([*argv, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert f"data error: fixture {len(good)}: " in err
-        assert message in err
+        assert "data error: " + message.format(n=len(good), path=fixtures_path) in capsys.readouterr().err
         assert not out.exists()
 
 

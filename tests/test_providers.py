@@ -32,38 +32,33 @@ from conftest import fake_post
 
 class TestCompletionRequest:
     def test_identical_requests_share_a_key(self):
-        a = CompletionRequest(prompt="p", temperature=0.0)
-        b = CompletionRequest(prompt="p", temperature=0)
+        a = CompletionRequest(prompt="p", model_id="m", stop_sequences=("s",))
+        b = CompletionRequest(prompt="p", model_id="m", stop_sequences=("s",))
         assert a.key() == b.key()
         assert a.canonical() == b.canonical()
-
-    def test_temperature_changes_the_key(self):
-        a = CompletionRequest(prompt="p", temperature=0.0)
-        b = CompletionRequest(prompt="p", temperature=0.5)
-        assert a.key() != b.key()
 
     def test_every_field_enters_the_canonical_form(self):
         base = CompletionRequest(prompt="p")
         variants = [
             CompletionRequest(prompt="q"),
             CompletionRequest(prompt="p", model_id="other"),
-            CompletionRequest(prompt="p", max_tokens=64),
             CompletionRequest(prompt="p", stop_sequences=("x",)),
         ]
         keys = {base.key()} | {v.key() for v in variants}
-        assert len(keys) == 5
+        assert len(keys) == 4
+
+    def test_canonical_form_carries_the_fixed_temperature_and_token_limit(self):
+        request = CompletionRequest(prompt="p", model_id="m", stop_sequences=("s",))
+        assert request.canonical() == (
+            '{"max_tokens":512,"model_id":"m","prompt":"p","stop_sequences":["s"],'
+            '"temperature":0.0}'
+        )
 
     def test_key_is_sha256_of_canonical(self):
         request = CompletionRequest(prompt="p")
         expected = hashlib.sha256(request.canonical().encode("utf-8")).hexdigest()
         assert request.key() == expected
         assert re.fullmatch(r"[0-9a-f]{64}", request.key())
-
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="p", temperature=-1)
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="p", max_tokens=0)
 
 
 class TestScriptedProvider:
@@ -143,7 +138,7 @@ class TestScriptedProvider:
         assert provider.calls == 3
         assert provider.complete(CompletionRequest(prompt="yes")) == "r"
 
-    def test_a_matching_fixture_that_is_not_served_is_never_expanded(self):
+    def test_each_matching_response_is_expanded_once_per_prompt(self):
         class SpyFixture:
             """A fixture that counts reads of its response (needed to expand it)."""
 
@@ -155,13 +150,15 @@ class TestScriptedProvider:
                 self.reads += 1
                 return self._response
 
-        served = SpyFixture("pattern", r"(a)", r"\1\1")
-        unserved = SpyFixture("pattern", r"(a)", r"\1\1\1")
-        provider = ScriptedProvider([served, unserved])
-        unserved_reads = unserved.reads  # construction may check the template
-        assert provider.complete(CompletionRequest(prompt="a")) == "aa"
-        assert served.reads > 0
-        assert unserved.reads == unserved_reads
+        first = SpyFixture("pattern", r"(a)", r"\1\1")
+        second = SpyFixture("pattern", r"(a)", r"\1\1\1")
+        provider = ScriptedProvider([first, second])
+        built = [first.reads, second.reads]  # construction checks the templates
+        answers = [provider.complete(CompletionRequest(prompt="a")) for _ in range(3)]
+        assert answers == ["aa", "aaa", "aaa"]
+        assert [first.reads, second.reads] == [built[0] + 1, built[1] + 1]
+        assert provider.complete(CompletionRequest(prompt="ba")) == "aaa"  # both consumed
+        assert [first.reads, second.reads] == [built[0] + 2, built[1] + 2]
 
     @pytest.mark.parametrize(
         "text, response, message",
@@ -384,13 +381,11 @@ class TestRemoteProvider:
         provider = RemoteCompletionProvider(
             endpoint="http://example.invalid", model_id="m", transport=transport
         )
-        provider.complete(
-            CompletionRequest(prompt="p", model_id="m", temperature=0.25, stop_sequences=("s",))
-        )
+        provider.complete(CompletionRequest(prompt="p", model_id="m", stop_sequences=("s",)))
         assert seen == {
             "model": "m",
             "prompt": "p",
-            "temperature": 0.25,
+            "temperature": 0.0,
             "max_tokens": 512,
             "stop": ["s"],
         }

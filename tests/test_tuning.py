@@ -36,7 +36,7 @@ from conftest import (
     make_services,
 )
 from potselect.evalharness import load_gsm8k
-from potselect.providers import Fixture
+from potselect.providers import Fixture, ProviderError, ProviderUnavailable
 
 
 def _quadratic(point) -> float:
@@ -357,6 +357,23 @@ class TestTuneWeights:
             tune_weights(eval_pool(), [], 3, 0, services, log_path=log_path)
         assert services.completion.calls == 0
         assert not log_path.exists()
+
+    def test_provider_failure_raises_in_its_trial_and_the_log_keeps_earlier_ones(self, tmp_path):
+        pool, dataset = eval_pool(), _train_set(tmp_path)
+        services = make_services(eval_fixtures())
+        provider = services.completion
+        first_trial = len(dataset) * 3 * len(pool) + len(dataset)  # metric rows, then prompts
+
+        def complete(request, served=provider.complete):
+            if provider.calls == first_trial:
+                raise ProviderUnavailable("endpoint down")
+            return served(request)
+
+        provider.complete = complete
+        log_path = tmp_path / "t.jsonl"
+        with pytest.raises(ProviderError, match="item E1: endpoint down"):
+            tune_weights(pool, dataset, 3, 0, services, log_path=log_path)
+        assert [t.seq for t in load_history(log_path).trials] == [0]
 
     def test_metrics_computed_once_per_item_and_trials_unchanged(self, tmp_path):
         # an item is answered correctly only when the bolts example is picked first,
