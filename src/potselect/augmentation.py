@@ -10,6 +10,7 @@ joins the pool.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -96,12 +97,16 @@ class Example:
     provenance: Provenance = SEED
     parent_id: str | None = None
     consistency: ConsistencyReport | None = None
-    program: Program = field(init=False, repr=False, compare=False)  # answer_text, parsed once
+    # answer_text parsed once: given by a caller that already holds it, else parsed here
+    program: Program | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # must parse and execute at creation time
-        object.__setattr__(self, "program", interpreter.parse(self.answer_text))
-        interpreter.execute(self.program)
+        if self.program is None:
+            object.__setattr__(self, "program", interpreter.parse(self.answer_text))
+        elif self.program.source_text != self.answer_text:
+            raise ValueError("program is not a parse of answer_text")
+        self.program.value
         if (self.provenance.stage == "seed") != (self.parent_id is None):
             raise ValueError("seed examples have no parent; augmented ones must")
 
@@ -162,6 +167,11 @@ class ExamplePool:
 
     def get(self, example_id: str) -> Example | None:
         return self._by_id.get(example_id)
+
+    @functools.cached_property
+    def in_id_order(self) -> tuple[Example, ...]:
+        """The examples sorted by id, on first use only."""
+        return tuple(sorted(self.examples, key=lambda e: e.id))
 
 
 @dataclass(frozen=True)
@@ -256,14 +266,15 @@ def check_consistency(
     """Two-phase gate: execute-and-compare outputs, then step similarity vs tau.
 
     All failures fold into an inconsistent verdict with a recorded cause;
-    nothing raises.  A phase-1 mismatch skips phase 2 entirely.
+    nothing raises.  A phase-1 mismatch skips phase 2 entirely.  Each
+    program executes once however many gates it meets (``Program.value``).
     """
     try:
-        reference_value = interpreter.execute(reference)
+        reference_value = reference.value
     except InterpreterError as exc:
         return ConsistencyReport(False, None, None, None, "inconsistent", f"reference: {exc}")
     try:
-        candidate_value = interpreter.execute(candidate)
+        candidate_value = candidate.value
     except InterpreterError as exc:
         return ConsistencyReport(
             False, None, reference_value, None, "inconsistent", f"candidate: {exc}"
@@ -327,11 +338,13 @@ def _lineage_ids(example: Example, pool: ExamplePool) -> set[str]:
 
 
 def _stage2_reference(example: Example, pool: ExamplePool) -> Example | None:
+    """The smallest-id example of ``pool`` outside ``example``'s lineage.
+
+    The scan of the id-ordered pool stops after at most one example more
+    than the lineage holds.
+    """
     lineage = _lineage_ids(example, pool)
-    candidates = [e for e in pool if e.id not in lineage]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda e: e.id)
+    return next((e for e in pool.in_id_order if e.id not in lineage), None)
 
 
 Proposal = tuple[str, Program, Program]  # (question, candidate answer, reference answer)
@@ -454,6 +467,7 @@ def _child(
         provenance=Provenance(f"stage{stage}", iteration),
         parent_id=parent.id,
         consistency=report,
+        program=answer,
     )
 
 

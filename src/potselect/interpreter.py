@@ -10,6 +10,7 @@ and precedence to :mod:`ast` and this module only validates and converts.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -91,6 +92,11 @@ class Program:
     statements: tuple[Assignment, ...]
     source_text: str
 
+    @functools.cached_property
+    def value(self) -> float:
+        """``execute(self)``, run on first use only; a failure raises each time."""
+        return execute(self)
+
 
 @dataclass(frozen=True)
 class ModificationChain:
@@ -116,26 +122,28 @@ class ModificationChain:
 _ALLOWED_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
-def _convert(node: ast.expr, line_no: int) -> Expr:
+class _Unsupported(Exception):
+    """A construct outside the dialect; ``parse_line`` adds the line number."""
+
+
+def _convert(node: ast.expr) -> Expr:
     if isinstance(node, ast.Constant):
         # bool is an int subclass; reject it along with strings etc.
         if type(node.value) in (int, float):
             return Num(float(node.value))
-        raise UnsupportedConstructError(line_no, f"literal {node.value!r}")
+        raise _Unsupported(f"literal {node.value!r}")
     if isinstance(node, ast.Name):
         return Var(node.id)
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
-            return Neg(_convert(node.operand, line_no))
-        raise UnsupportedConstructError(line_no, "unary operator other than '-'")
+            return Neg(_convert(node.operand))
+        raise _Unsupported("unary operator other than '-'")
     if isinstance(node, ast.BinOp):
         op = _ALLOWED_BINOPS.get(type(node.op))
         if op is None:
-            raise UnsupportedConstructError(
-                line_no, f"operator {type(node.op).__name__}"
-            )
-        return BinOp(op, _convert(node.left, line_no), _convert(node.right, line_no))
-    raise UnsupportedConstructError(line_no, type(node).__name__)
+            raise _Unsupported(f"operator {type(node.op).__name__}")
+        return BinOp(op, _convert(node.left), _convert(node.right))
+    raise _Unsupported(type(node).__name__)
 
 
 def references(expr: Expr) -> frozenset[str]:
@@ -149,26 +157,47 @@ def references(expr: Expr) -> frozenset[str]:
     return frozenset()
 
 
+PARSE_MEMO_SIZE = 4096  # distinct lines whose parse outcome is kept
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse_statement(line: str) -> Assignment | str | None:
+    """What a non-blank, non-comment line holds, memoized by its text: the
+    assignment, the unsupported construct it uses, or None when it is not
+    Python.  Results are frozen, so callers share them."""
+    try:
+        tree = ast.parse(line, mode="exec")
+    except SyntaxError:
+        return None
+    if len(tree.body) != 1:
+        return "multiple statements on one line"
+    stmt = tree.body[0]
+    if not isinstance(stmt, ast.Assign):
+        return type(stmt).__name__
+    if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
+        return "assignment target"
+    try:
+        return Assignment(stmt.targets[0].id, _convert(stmt.value))
+    except _Unsupported as exc:
+        return str(exc)
+
+
 def parse_line(line: str, line_no: int = 1) -> Assignment | None:
     """Parse one line; None for blank/comment lines.
 
     No forward-reference checking here — callers own the running scope.
+    Each distinct line goes through :mod:`ast` once while it stays among the
+    last ``PARSE_MEMO_SIZE`` distinct lines; an error names ``line_no``.
     """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    try:
-        tree = ast.parse(line, mode="exec")
-    except SyntaxError:
-        raise ProgramSyntaxError(line_no, line) from None
-    if len(tree.body) != 1:
-        raise UnsupportedConstructError(line_no, "multiple statements on one line")
-    stmt = tree.body[0]
-    if not isinstance(stmt, ast.Assign):
-        raise UnsupportedConstructError(line_no, type(stmt).__name__)
-    if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
-        raise UnsupportedConstructError(line_no, "assignment target")
-    return Assignment(stmt.targets[0].id, _convert(stmt.value, line_no))
+    outcome = _parse_statement(line)
+    if outcome is None:
+        raise ProgramSyntaxError(line_no, line)
+    if isinstance(outcome, str):
+        raise UnsupportedConstructError(line_no, outcome)
+    return outcome
 
 
 def parse(source: str) -> Program:
@@ -325,5 +354,5 @@ def modify_answer(program: Program, chain: ModificationChain) -> Program:
 
     modified = Program(tuple(statements), "")
     modified = Program(tuple(statements), render(modified))
-    execute(modified)  # surface non-finite chained values to the caller now
+    modified.value  # surface non-finite chained values to the caller now
     return modified

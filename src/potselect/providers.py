@@ -90,7 +90,7 @@ class Fixture:
 
 def load_fixtures(path: str | Path) -> list[Fixture]:
     """The fixtures of a file holding a JSON array of objects; another shape, or
-    a non-string field, raises ``ValueError`` naming the fixture's index."""
+    a missing or non-string field, raises ``ValueError`` naming the fixture's index."""
     records = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(records, list):
         raise ValueError(f"fixture file {path} must hold a JSON array")
@@ -98,6 +98,9 @@ def load_fixtures(path: str | Path) -> list[Fixture]:
     for i, r in enumerate(records):
         if not isinstance(r, dict):
             raise ValueError(f"fixture {i}: not an object")
+        missing = next((key for key in ("match", "text", "response") if key not in r), None)
+        if missing is not None:
+            raise ValueError(f"fixture {i}: missing field {missing}")
         values = (r["match"], r["text"], r["response"])
         if not all(isinstance(v, str) for v in values):
             raise ValueError(f"fixture {i}: match, text and response must be strings")
@@ -118,8 +121,9 @@ class ScriptedProvider:
     Pattern responses may use backreferences (``\\1``) into the match.
 
     Each distinct prompt is matched against the fixtures once, when it is
-    first seen, and each matching response is expanded from that match;
-    ``calls`` still counts every request.  The memo is keyed by the prompt's
+    first seen, and each matching response is expanded from that match with
+    the template parsed when the fixture was compiled; ``calls`` still
+    counts every request.  The memo is keyed by the prompt's
     SHA-256 digest and holds only responses, so it keeps no prompt alive.
     A pattern that does not compile, or a response with a bad group
     reference, raises ``ValueError`` on construction, naming the fixture's
@@ -164,8 +168,20 @@ class ScriptedProvider:
                 if fixture.text == prompt:
                     matches[i] = fixture.response
             elif match := pattern.search(prompt):
-                matches[i] = match.expand(fixture.response)
+                matches[i] = _expand(match, fixture.response)
         return matches
+
+
+def _expand(match: re.Match, template: str) -> str:
+    """``match.expand(template)``, from the template parse that ``re`` caches.
+
+    ``Match.expand`` parses its template on every call; ``Pattern.subn``
+    keeps the parse in ``re``'s cache.  Its first match is ``match``, which
+    leaves the text around it as it was, so the expansion is the middle.
+    """
+    prompt = match.string
+    substituted, _ = match.re.subn(template, prompt, count=1)
+    return substituted[match.start() : len(substituted) - (len(prompt) - match.end())]
 
 
 def _compile_fixture(index: int, fixture: Fixture) -> re.Pattern | None:

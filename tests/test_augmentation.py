@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from potselect import interpreter, prompts
+from potselect import augmentation, interpreter, prompts
 from potselect.augmentation import (
     AttemptRecord,
     AugmentationConfig,
@@ -54,6 +54,7 @@ from conftest import (
     make_services,
     thirteen_seeds,
 )
+from test_golden import ROUNDS_FIXTURES
 from test_interpreter import random_program
 
 
@@ -332,6 +333,42 @@ class TestRunStage:
         assert out.parent_id == "bolts.s1.s2"
 
 
+class TestStage2Reference:
+    @staticmethod
+    def _random_pool(rng: np.random.Generator) -> ExamplePool:
+        """Shuffled ids; each example is a seed or a child of an earlier one."""
+        ids = [f"E{n:03d}" for n in rng.permutation(200)[: int(rng.integers(1, 30))]]
+        examples = []
+        for i, example_id in enumerate(ids):
+            parent = examples[int(rng.integers(0, i))].id if i and rng.random() < 0.7 else None
+            stage = Provenance("stage1") if parent else Provenance("seed")
+            examples.append(Example(example_id, "q", "ans = 1", stage, parent))
+        return ExamplePool(tuple(examples))
+
+    def test_equals_the_smallest_id_outside_the_lineage(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            pool = self._random_pool(rng)
+            parent = pool.examples[int(rng.integers(0, len(pool)))]
+            product = Example(parent.id + ".s1", "q", "ans = 1", Provenance("stage1"), parent.id)
+            lineage, current = {product.id}, product
+            while current.parent_id is not None:
+                lineage.add(current.parent_id)
+                current = pool.get(current.parent_id)
+            outside = [e for e in pool if e.id not in lineage]
+            expected = min(outside, key=lambda e: e.id) if outside else None
+            assert augmentation._stage2_reference(product, pool) is expected
+
+    def test_skip_is_logged_when_the_lineage_covers_the_pool(self):
+        seed = Example("S", "q", "ans = 1")
+        child = Example("S.s1", "q", "ans = 1", Provenance("stage1"), "S")
+        product = Example("S.s1.s1", "q", "ans = 1", Provenance("stage1"), "S.s1")
+        log = []
+        out = stage2(product, ExamplePool((child, seed)), AugmentationConfig(), make_services([]), log)
+        assert out is None
+        assert [(r.stage, r.skip_reason) for r in log] == [(2, "no reference outside lineage")]
+
+
 class TestAugmentPool:
     def test_thirteen_seeds_two_stages_give_thirty_nine(self):
         result = augment_pool(
@@ -345,12 +382,54 @@ class TestAugmentPool:
         assert counts == {1: 13, 2: 13, 3: 0}
 
     def test_each_added_example_is_parsed_once(self, monkeypatch):
+        # by extract_answer_block, whose Program the added example keeps
         seeds, services = thirteen_seeds(), make_services(augmentation_fixtures())
-        calls = []
-        real_parse = interpreter.parse
+        calls, blocks = [], []
+        real_parse, real_extract = interpreter.parse, augmentation.extract_answer_block
         monkeypatch.setattr(interpreter, "parse", lambda s: calls.append(s) or real_parse(s))
+        monkeypatch.setattr(
+            augmentation, "extract_answer_block", lambda c: blocks.append(real_extract(c)) or blocks[-1]
+        )
         result = augment_pool(seeds, AugmentationConfig(), services, stages=(1, 2))
-        assert len(calls) == len(result.pool) - len(seeds) == 26
+        added = result.pool.examples[len(seeds) :]
+        assert calls == []
+        assert len(added) == len(blocks) == 26
+        assert all(example.program is block for example, block in zip(added, blocks))
+
+    def test_each_program_is_executed_once(self, monkeypatch):
+        seeds = thirteen_seeds()  # executed when built
+        services = make_services(augmentation_fixtures() + ROUNDS_FIXTURES)
+        calls, modified = [], []
+        real_execute, real_modify = interpreter.execute, interpreter.modify_answer
+        monkeypatch.setattr(interpreter, "execute", lambda p: calls.append(p) or real_execute(p))
+        monkeypatch.setattr(
+            interpreter, "modify_answer", lambda p, c: modified.append(real_modify(p, c)) or modified[-1]
+        )
+        result = augment_pool(seeds, AugmentationConfig(iterations=3), services)
+        gated = [r for r in result.attempts if r.report is not None and r.report.reference_value is not None]
+        assert len(calls) == len(gated) + len(modified)
+        assert len({id(p) for p in calls}) == len(calls)
+
+    def test_carried_programs_and_values_equal_a_fresh_parse(self):
+        result = augment_pool(
+            thirteen_seeds(),
+            AugmentationConfig(iterations=3),
+            make_services(augmentation_fixtures() + ROUNDS_FIXTURES),
+        )
+        assert result.accepted_per_stage()[3] > 0
+        for example in result.pool:
+            fresh = parse(example.answer_text)
+            assert example.program.statements == fresh.statements
+            assert example.program.value == execute(fresh)
+            report = example.consistency
+            if report is not None:  # stage 3 keeps the reference, the modified answer
+                stage3 = example.provenance.stage == "stage3"
+                gated = report.reference_value if stage3 else report.candidate_value
+                assert gated == execute(fresh)
+
+    def test_a_given_program_must_parse_from_the_answer_text(self):
+        with pytest.raises(ValueError, match="program is not a parse of answer_text"):
+            Example("S", "q", "ans = 1", program=parse("ans = 2"))
 
     def test_seeds_first_then_generation_order(self):
         result = augment_pool(

@@ -552,8 +552,8 @@ def _after_the_good_fixtures(record):
 
 
 class TestBadFixtureFile:
-    """A pattern that does not compile, a bad group reference, or a file that is
-    not an array of objects is bad data (exit 3)."""
+    """A pattern that does not compile, a bad group reference, a missing or
+    non-string field, or a file that is not an array of objects is bad data (exit 3)."""
 
     @pytest.mark.parametrize("command", ["augment", "select", "tune", "eval"])
     @pytest.mark.parametrize(
@@ -573,8 +573,15 @@ class TestBadFixtureFile:
             ),
             (_after_the_good_fixtures(5), "fixture {n}: not an object"),
             (lambda good: {"a": 1}, "fixture file {path} must hold a JSON array"),
+            (
+                _after_the_good_fixtures({"match": "exact", "text": "a"}),
+                "fixture {n}: missing field response",
+            ),
         ],
-        ids=["pattern", "group-reference", "non-string-response", "not-an-object", "not-an-array"],
+        ids=[
+            "pattern", "group-reference", "non-string-response", "not-an-object", "not-an-array",
+            "missing-field",
+        ],
     )
     def test_is_a_data_error_on_loading(self, eval_environment, capsys, command, content, message):
         good = json.loads(Path(eval_environment["fixtures"]).read_text())

@@ -86,6 +86,38 @@ class TestParse:
         assert execute(program) == 1.0
 
 
+class TestParseMemo:
+    """Each distinct line reaches ``ast`` once; errors still name the caller's line."""
+
+    @pytest.mark.parametrize(
+        "line, error", [("b = = 2", ProgramSyntaxError), ("b = 2 ** 3", UnsupportedConstructError)]
+    )
+    def test_a_repeated_failing_line_reports_its_own_line_number(self, line, error):
+        with pytest.raises(error) as first:
+            parse(line)
+        with pytest.raises(error) as again:
+            parse(f"a = 1\n\n{line}")
+        assert (first.value.line_no, again.value.line_no) == (1, 3)
+        assert str(again.value).startswith("line 3: ")
+        with pytest.raises(error) as direct:
+            interpreter.parse_line(line, 7)
+        assert direct.value.line_no == 7
+
+    def test_a_memoized_line_after_an_undefined_name_is_a_forward_reference(self):
+        assert execute(parse("y = 1\nans = y + 1")) == 2.0
+        with pytest.raises(ForwardReferenceError) as info:
+            parse("a = 1\n# comment\nans = y + 1")
+        assert (info.value.name, info.value.line_no) == ("y", 3)
+
+    def test_memo_stays_bounded_and_equals_an_uncached_parse(self):
+        uncached = interpreter._parse_statement.__wrapped__
+        lines = [f"v{i} = {i} * 2 - -w" for i in range(interpreter.PARSE_MEMO_SIZE + 50)]
+        for line in lines + lines[:50]:  # the first 50 were evicted, so parse again
+            assert interpreter.parse_line(line) == uncached(line)
+            assert interpreter._parse_statement.cache_info().currsize <= interpreter.PARSE_MEMO_SIZE
+        assert interpreter.parse_line(lines[0]) is interpreter.parse_line(lines[0])
+
+
 class TestExecute:
     def test_bolts_trace(self):
         assert execute(parse(BOLTS_A)) == 3.0
@@ -125,6 +157,19 @@ class TestExecute:
     def test_determinism_bit_identical(self):
         text = "a = 0.1\nb = 0.2\nans = (a + b) / 3"
         assert execute(parse(text)) == execute(parse(text))
+
+    def test_program_value_executes_once_and_failures_raise_each_time(self, monkeypatch):
+        calls = []
+        real_execute = interpreter.execute
+        monkeypatch.setattr(interpreter, "execute", lambda p: calls.append(p) or real_execute(p))
+        program = parse("a = 2\nans = a * 3")
+        assert (program.value, program.value) == (6.0, 6.0)
+        assert calls == [program]
+        failing = parse("a = 0\nans = 1 / a")
+        for _ in range(2):
+            with pytest.raises(DivisionByZeroError):
+                failing.value
+        assert len(calls) == 3
 
 
 class TestComplexity:

@@ -176,6 +176,35 @@ class TestScriptedProvider:
             ScriptedProvider(fixtures)
 
     @pytest.mark.parametrize("field", ["match", "text", "response"])
+    def test_missing_fixture_field_is_rejected_on_loading(self, tmp_path, field):
+        record = {"match": "pattern", "text": "(a)", "response": "r"}
+        del record[field]
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps([{"match": "exact", "text": "P", "response": "R"}, record]))
+        with pytest.raises(ValueError, match=f"^fixture 1: missing field {field}$"):
+            load_fixtures(path)
+
+    @pytest.mark.parametrize(
+        "pattern, template, prompt",
+        [
+            (r"count (\d+)", r"n=\1", "count 42 sheep"),
+            (r"(?P<word>\w+)!", r"\g<word>?", "say hi! now"),
+            (r"(a)(b)", r"\2\n\1", "xxabyy"),
+            (r"(\d)", r"\\\1\\", "x7y"),
+            (r"mid(\w)", r"<\1> \g<0>", "left mid5 right"),
+            (r"(x)?y", r"[\1]", "zyy"),
+            (r"(?<=a)b", "B", "abab"),
+            (r"b*", r"[\g<0>]", "aaa"),
+        ],
+        ids=["group-number", "group-name", "newline", "backslash", "middle", "unmatched-group",
+             "literal", "empty-match"],
+    )
+    def test_expansion_equals_match_expand(self, pattern, template, prompt):
+        match = re.search(pattern, prompt)
+        provider = ScriptedProvider([Fixture("pattern", pattern, template)])
+        assert provider.complete(CompletionRequest(prompt=prompt)) == match.expand(template)
+
+    @pytest.mark.parametrize("field", ["match", "text", "response"])
     def test_non_string_fixture_field_is_rejected_on_loading(self, tmp_path, field):
         record = {"match": "pattern", "text": "(a)", "response": "r", field: 5}
         path = tmp_path / "fixtures.json"
