@@ -8,6 +8,7 @@ embedder is a bit-exact deterministic hashed bag-of-tokens encoder.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -155,7 +156,9 @@ class ScriptedProvider:
         if not served:
             head = prompt[:120].replace("\n", "\\n")
             raise NoFixture(f"no fixture matches prompt starting {head!r}")
-        index = next((i for i in served if not self._consumed[i]), max(served))
+        index = next((i for i in served if not self._consumed[i]), None)
+        if index is None:  # every match was consumed: the last one keeps answering
+            index = max(served)
         self._consumed[index] = True
         return served[index]
 
@@ -281,13 +284,18 @@ class RemoteCompletionProvider:
         raise ProviderUnavailable(f"gave up after {self.max_attempts} attempts: {last}") from last
 
 
+TOKEN_HASH_MEMO_SIZE = 4096  # distinct tokens whose hash is kept
+
+
 class HashEmbedding:
     """Deterministic hashed bag-of-tokens embedding, bit-exact by construction.
 
     Lowercase, split on non-alphanumeric runs, hash each token with a fixed
     64-bit hash (blake2b, 8-byte digest, big-endian), accumulate token counts
     into bucket ``hash % dimension``, L2-normalize.  Empty token list yields
-    the all-zero vector.  Depends only on the multiset of tokens.
+    the all-zero vector.  Depends only on the multiset of tokens.  Each
+    distinct token is hashed once while it stays among the last
+    ``TOKEN_HASH_MEMO_SIZE`` distinct tokens.
     """
 
     provider_id = "hash-embedding"
@@ -296,6 +304,7 @@ class HashEmbedding:
         self.dimension = dimension
 
     @staticmethod
+    @functools.lru_cache(maxsize=TOKEN_HASH_MEMO_SIZE)
     def _token_hash(token: str) -> int:
         return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
 
@@ -310,6 +319,9 @@ class HashEmbedding:
         return vector
 
 
+Embedded = tuple[np.ndarray, float]  # a float64 vector and its norm, math.sqrt(v.dot(v))
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """u.v / (|u||v|), 0.0 when either norm is zero; clamped to [-1, 1], NaN passes.
 
@@ -318,10 +330,17 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:  # before the norms: a 2-D input has no scalar self-dot
+        raise DimensionMismatch(f"dimensions differ: {u.shape} vs {v.shape}")
+    return embedded_cosine((u, math.sqrt(u.dot(u))), (v, math.sqrt(v.dot(v))))
+
+
+def embedded_cosine(a: Embedded, b: Embedded) -> float:
+    """``cosine`` of two vectors whose norms are already known, bit for bit."""
+    u, nu = a
+    v, nv = b
     if u.shape != v.shape:
         raise DimensionMismatch(f"dimensions differ: {u.shape} vs {v.shape}")
-    nu = math.sqrt(u.dot(u))
-    nv = math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     value = float(u.dot(v) / (nu * nv))
@@ -334,24 +353,29 @@ class Services:
 
     ``complete_text`` is the one place where a completion meets the cache.
     Not shareable across threads: the embed memo grows on every new text,
-    the metrics memo grows on every new (pool, question) pair, and
+    the metrics memo on every new pool and (pool, question) pair, and
     ``ScriptedProvider`` marks each fixture it serves as consumed and
     memoizes, per distinct prompt, the expanded responses of its matching
     fixtures.  The embed and fixture memos do not change what a call
     returns or counts: the provider still steps through fixtures on
-    repeated prompts, and its ``calls`` counts every request.  The metrics
-    memo does: ``selection.candidate_metrics`` scores a question once per
-    pool, so a repeated question makes no further metric completions.
-    Like the response cache, it assumes a prompt's response does not change.
+    repeated prompts, and its ``calls`` counts every request.  The embed
+    memo keeps each text's vector beside its norm.
+
+    The metrics memo, kept by ``selection.candidate_metrics``, does change
+    what is requested.  Once per pool it holds each candidate's question and
+    answer embedding and its normalized complexity; once per (pool, question)
+    it holds the question's metric rows, so a repeated question makes no
+    further metric completions.  Like the response cache, it assumes a
+    prompt's response does not change.
     """
 
     completion: object
     embedding: object
     cache: CacheStore | None = None
-    _embed_memo: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    # id(pool) -> (pool, {question: (n, 4) metric rows}), kept by
-    # selection.candidate_metrics; holding the pool keeps its id from reuse
-    _metrics_memo: dict[int, tuple[object, dict[str, np.ndarray]]] = field(
+    _embed_memo: dict[str, Embedded] = field(default_factory=dict, repr=False)
+    # id(pool) -> (pool, selection's per-pool entry, which holds each
+    # question's (n, 4) metric rows); holding the pool keeps its id from reuse
+    _metrics_memo: dict[int, tuple[object, object]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -371,10 +395,15 @@ class Services:
         return response
 
     def embed(self, text: str) -> np.ndarray:
+        return self.embed_with_norm(text)[0]
+
+    def embed_with_norm(self, text: str) -> Embedded:
+        """``text``'s embedding as a float64 vector, with its norm as ``cosine``
+        computes it; both are computed once per distinct text."""
         hit = self._embed_memo.get(text)
         if hit is None:
-            hit = self.embedding.embed(text)
-            self._embed_memo[text] = hit
+            vector = np.asarray(self.embedding.embed(text), dtype=np.float64)
+            hit = self._embed_memo[text] = (vector, math.sqrt(vector.dot(vector)))
         return hit
 
 

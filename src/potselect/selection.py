@@ -19,7 +19,7 @@ import numpy as np
 
 from . import interpreter, prompts
 from .augmentation import Example, ExamplePool, write_jsonl
-from .providers import Services, concept_extract, cosine
+from .providers import Embedded, Services, concept_extract, cosine, embedded_cosine
 
 
 class EmptyPool(ValueError):
@@ -114,6 +114,49 @@ def rough_answer(test_question: str, services: Services) -> str:
     )
 
 
+def _normalized(raw: int, pool_stats: PoolStats) -> float:
+    """Min-max normalized complexity; a degenerate pool pins it at 0.5."""
+    if pool_stats.max_complexity == pool_stats.min_complexity:
+        return 0.5
+    return (raw - pool_stats.min_complexity) / (
+        pool_stats.max_complexity - pool_stats.min_complexity
+    )
+
+
+def _metric_row(
+    question: str,
+    question_vector: Embedded,
+    test_question: str,
+    test_vector: Embedded,
+    answer_vector: Embedded,
+    complexity: float,
+    services: Services,
+) -> tuple[float, float, float, float]:
+    """The per-pair half of one candidate's metrics, from its embedded parts.
+
+    Makes the pair's three metric completions, in this order: the concepts
+    of ``question``, the concepts of ``test_question``, the rough answer.
+    A metric out of range raises ``MetricVector``'s ``ValueError``.
+    """
+    relevance = embedded_cosine(question_vector, test_vector)
+    concept = embedded_cosine(
+        services.embed_with_norm(concept_extract(question, services)),
+        services.embed_with_norm(concept_extract(test_question, services)),
+    )
+    similarity = embedded_cosine(
+        answer_vector, services.embed_with_norm(rough_answer(test_question, services))
+    )
+    # MetricVector's range check, inline; only a failing row builds one, to raise
+    if not (
+        -1.0 <= relevance <= 1.0
+        and -1.0 <= concept <= 1.0
+        and -1.0 <= similarity <= 1.0
+        and 0.0 <= complexity <= 1.0
+    ):
+        MetricVector(relevance, concept, complexity, similarity)
+    return relevance, concept, complexity, similarity
+
+
 def calculate_metrics(
     question: str,
     answer_text: str,
@@ -127,24 +170,16 @@ def calculate_metrics(
     complexities equal) pins it at 0.5.  Concept/rough-answer completions
     dedupe through the response cache when one is configured.
     """
-    relevance = cosine(services.embed(question), services.embed(test_question))
-    concept = cosine(
-        services.embed(concept_extract(question, services)),
-        services.embed(concept_extract(test_question, services)),
+    row = _metric_row(
+        question,
+        services.embed_with_norm(question),
+        test_question,
+        services.embed_with_norm(test_question),
+        services.embed_with_norm(answer_text),
+        _normalized(interpreter.complexity(answer_text), pool_stats),
+        services,
     )
-    raw = interpreter.complexity(answer_text)
-    if pool_stats.max_complexity == pool_stats.min_complexity:
-        normalized = 0.5
-    else:
-        normalized = (raw - pool_stats.min_complexity) / (
-            pool_stats.max_complexity - pool_stats.min_complexity
-        )
-    similarity = cosine(
-        services.embed(answer_text), services.embed(rough_answer(test_question, services))
-    )
-    return MetricVector(
-        relevance=relevance, concept=concept, complexity=normalized, similarity=similarity
-    )
+    return MetricVector(*row)
 
 
 def score(metrics: MetricVector, weights: Weights) -> float:
@@ -204,26 +239,69 @@ class SelectionResult:
         return [example.id for example, _ in self.chosen]
 
 
+@dataclass(frozen=True)
+class _PoolEntry:
+    """What scoring needs of a pool that no test question changes."""
+
+    questions: list[Embedded]  # each candidate's question, embedded
+    answers: list[Embedded]  # each candidate's answer, embedded
+    complexity: list[float]  # each candidate's, normalized over the pool
+    rows: dict[str, np.ndarray] = field(default_factory=dict)  # question -> metric rows
+
+
+def _pool_entry(pool: ExamplePool, services: Services) -> _PoolEntry:
+    """The pool's memoized entry in ``services``, built on first use."""
+    memo = services._metrics_memo.get(id(pool))
+    if memo is not None:
+        return memo[1]
+    counts = [interpreter.complexity(e.answer_text) for e in pool]
+    stats = PoolStats(min_complexity=min(counts), max_complexity=max(counts))
+    entry = _PoolEntry(
+        questions=[services.embed_with_norm(e.question) for e in pool],
+        answers=[services.embed_with_norm(e.answer_text) for e in pool],
+        complexity=[_normalized(count, stats) for count in counts],
+    )
+    services._metrics_memo[id(pool)] = (pool, entry)
+    return entry
+
+
 def candidate_metrics(pool: ExamplePool, test_question: str, services: Services) -> np.ndarray:
     """One read-only metric row per candidate, in pool order: the weight-independent half.
 
-    Complexity normalization is over the whole pool.  None of the four
-    metrics depends on the weights, so the rows are memoized in ``services``
+    The work is split by what it depends on, and memoized in ``services``:
+    - once per pool: each candidate's question and answer embedding, with
+      its norm, and its complexity, min-max normalized over the whole pool;
+    - once per question: the test question's embedding and norm;
+    - once per pair: the three metric completions (both concept lists, then
+      the rough answer), their embed-memo lookups and three dot products.
+    The test question's two completions are requested again for every
+    candidate, so each pair makes the same provider calls as
+    ``calculate_metrics``; they move to once per question only when the
+    benchmark no longer pins eval's call count (ROADMAP item 1a).
+
+    None of the four metrics depends on the weights, so the rows are kept
     per pool and question: scoring a question again, under any weights,
-    makes no provider call.  A computation that raises stores nothing.
+    makes no provider call.  A computation that raises stores no rows.
     """
     if not pool:
         raise EmptyPool("candidate pool is empty")
-    _, by_question = services._metrics_memo.setdefault(id(pool), (pool, {}))
-    rows = by_question.get(test_question)
+    entry = _pool_entry(pool, services)
+    rows = entry.rows.get(test_question)
     if rows is None:
-        stats = PoolStats.from_examples(pool)
-        rows = np.array([
-            calculate_metrics(e.question, e.answer_text, test_question, stats, services).as_array()
-            for e in pool
-        ])
+        test_vector = services.embed_with_norm(test_question)
+        rows = np.empty((len(entry.complexity), 4))
+        for i, example in enumerate(pool):
+            rows[i] = _metric_row(
+                example.question,
+                entry.questions[i],
+                test_question,
+                test_vector,
+                entry.answers[i],
+                entry.complexity[i],
+                services,
+            )
         rows.flags.writeable = False
-        by_question[test_question] = rows
+        entry.rows[test_question] = rows
     return rows
 
 
@@ -245,7 +323,7 @@ def select_examples(
     weights = config.weights.as_array()
     # per-row np.dot, as in score(): a matrix product can differ in the last ulp
     scores = [float(np.dot(row, weights)) for row in metrics]
-    vectors = [services.embed(e.answer_text) for e in examples]
+    vectors = [vector for vector, _ in _pool_entry(pool, services).answers]
 
     remaining = list(range(len(examples)))
     chosen: list[int] = []

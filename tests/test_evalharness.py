@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from potselect.augmentation import Example
+from potselect.cli import main
 from potselect.evalharness import (
     EvalReport,
     ItemResult,
@@ -295,6 +297,35 @@ class TestEvaluate:
         again = evaluate(dataset, pool, config, services)
         assert again.items == report.items
         assert services.completion.calls == len(dataset)
+
+    def test_nan_embedding_is_a_selection_cause_and_a_data_error_for_select(
+        self, eval_environment, monkeypatch, capsys
+    ):
+        class NanEmbedding:
+            def embed(self, text):
+                return np.full(4, np.nan)
+
+        dataset = load_gsm8k(eval_environment["dataset"])
+        services = make_services(eval_fixtures(), embedding=NanEmbedding())
+        report = evaluate(dataset, eval_pool(), SelectionConfig(), services)
+        assert report.n_items == 5
+        causes = {r.cause for r in report.items}
+        assert causes == {"selection: relevance must lie in [-1, 1], got nan"}
+
+        monkeypatch.setattr("potselect.cli.HashEmbedding", NanEmbedding)
+        out = eval_environment["tmp"] / "chosen.jsonl"
+        code = main(
+            [
+                "select",
+                "--pool", eval_environment["pool"],
+                "--dataset", eval_environment["dataset"],
+                "--fixtures", eval_environment["fixtures"],
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert "data error: relevance must lie in [-1, 1], got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_dataset(self):
         report = evaluate([], eval_pool(), SelectionConfig(), make_services(eval_fixtures()))

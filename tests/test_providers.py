@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -21,13 +22,15 @@ from potselect.providers import (
     ProviderUnavailable,
     RemoteCompletionProvider,
     ScriptedProvider,
+    TOKEN_HASH_MEMO_SIZE,
     Services,
     cosine,
+    embedded_cosine,
     load_fixtures,
     save_fixtures,
 )
 
-from conftest import fake_post
+from conftest import StubEmbedding, fake_post
 
 
 class TestCompletionRequest:
@@ -252,6 +255,22 @@ class TestHashEmbedding:
         vector = HashEmbedding().embed("one two three four")
         assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
 
+    def test_token_hash_memo_is_bounded_and_vectors_stay_exact(self):
+        def uncached(text):
+            vector = np.zeros(256)
+            for token in re.split(r"[^a-z0-9]+", text.lower()):
+                if token:
+                    vector[HashEmbedding._token_hash.__wrapped__(token) % 256] += 1.0
+            return vector / np.linalg.norm(vector)
+
+        emb = HashEmbedding()
+        many = " ".join(f"t{i}" for i in range(TOKEN_HASH_MEMO_SIZE + 50))
+        texts = ["eggs sold at the market", many]
+        texts.append(texts[0])  # its tokens were evicted by the second text
+        for text in texts:
+            assert emb.embed(text).tobytes() == uncached(text).tobytes()
+        assert HashEmbedding._token_hash.cache_info().currsize <= TOKEN_HASH_MEMO_SIZE
+
 
 class TestCosine:
     def test_self_similarity_is_one(self):
@@ -330,6 +349,22 @@ class TestCosine:
     def test_nan_component_gives_nan(self):
         assert np.isnan(cosine(np.array([1.0, np.nan]), np.array([1.0, 2.0])))
         assert np.isnan(cosine([np.nan, 0.0], [np.nan, 0.0]))
+
+    def test_embedded_cosine_equals_cosine_exactly(self):
+        rng = np.random.default_rng(1)
+        pairs = [
+            tuple(rng.standard_normal((2, d)) * 10.0 ** rng.uniform(-5, 5)) for d in range(1, 300)
+        ]
+        pairs += [(u, 3.0 * u) for u, _ in pairs[:50]]
+        pairs += [(np.zeros(4), np.ones(4)), (np.full(2, np.nan), np.ones(2))]
+
+        def embedded(v):
+            return v, math.sqrt(v.dot(v))
+
+        got = [embedded_cosine(embedded(u), embedded(v)) for u, v in pairs]
+        assert np.array(got).tobytes() == np.array([cosine(u, v) for u, v in pairs]).tobytes()
+        with pytest.raises(DimensionMismatch, match=r"dimensions differ: \(2,\) vs \(3,\)"):
+            embedded_cosine(embedded(np.ones(2)), embedded(np.ones(3)))
 
     def test_shape_mismatch_raises_for_list_inputs(self):
         with pytest.raises(DimensionMismatch):
@@ -509,3 +544,12 @@ class TestServices:
         services.embed("t")
         services.embed("t")
         assert embedding.calls == 1
+
+    def test_embed_with_norm_keeps_a_float64_vector_beside_its_norm(self):
+        embedding = StubEmbedding({"t": [3, 4]})
+        services = Services(completion=ScriptedProvider([]), embedding=embedding)
+        vector, norm = services.embed_with_norm("t")
+        assert vector.dtype == np.float64 and vector.tolist() == [3.0, 4.0]
+        assert norm == 5.0
+        assert services.embed("t") is vector
+        assert services.embed_with_norm("t")[0] is vector

@@ -8,6 +8,7 @@ import gc
 import numpy as np
 import pytest
 
+from potselect import interpreter
 from potselect.augmentation import Example, ExamplePool, write_jsonl
 from potselect.providers import HashEmbedding, ScriptedProvider, Services
 from potselect.selection import (
@@ -18,6 +19,7 @@ from potselect.selection import (
     SelectionConfig,
     Weights,
     calculate_metrics,
+    candidate_metrics,
     load_weights,
     prune,
     save_weights,
@@ -154,6 +156,38 @@ class TestCalculateMetrics:
             assert got.concept == pytest.approx(expected_concept, abs=1e-12)
             assert got.complexity == pytest.approx(expected_complexity, abs=1e-12)
             assert got.similarity == pytest.approx(expected_similarity, abs=1e-12)
+
+
+class TestCandidateMetrics:
+    def test_pool_work_is_done_once_and_rows_equal_calculate_metrics(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        pool, first = random_pool(rng, n_max=8)
+        pool = ExamplePool(tuple(pool) + (_example(99, "one more question", extra_lines=6),))
+        second = first + " and then some more"
+        counted = []
+        complexity = interpreter.complexity
+
+        def counting(answer_text):
+            counted.append(answer_text)
+            return complexity(answer_text)
+
+        monkeypatch.setattr(interpreter, "complexity", counting)
+        services = _metric_services()
+        for question in (first, second):
+            select_examples(pool, question, SelectionConfig(epsilon=0.0), services)
+        assert len(counted) == len(pool)
+
+        oracle_services = _metric_services()
+        stats = PoolStats.from_examples(list(pool))
+        expected = np.array([
+            calculate_metrics(e.question, e.answer_text, second, stats, oracle_services).as_array()
+            for e in pool
+        ])
+        calls = services.completion.calls
+        rows = candidate_metrics(pool, second, services)
+        assert services.completion.calls == calls  # the memo answers
+        assert rows.shape == expected.shape and rows.dtype == np.float64
+        assert rows.tobytes() == expected.tobytes()
 
 
 class TestPrune:
