@@ -1,6 +1,6 @@
 """Persistent content-addressed storage for completion responses.
 
-``Services.complete_text`` reads and writes it.  One UTF-8 file per request
+``Services.complete`` reads and writes it.  One UTF-8 file per request
 key under a directory.  Each entry declares byte lengths for the canonical
 request and the verbatim response so round-trips are bit-exact.  Writes go
 through a temp file and an atomic rename, so concurrent writers of the same
@@ -63,9 +63,9 @@ class CacheStore:
         return entry.response
 
     def put(self, request: "CompletionRequest", response: str, provider_id: str) -> None:
-        key = request.key()
-        created_at = datetime.now(timezone.utc).isoformat()
         request_bytes = request.canonical().encode("utf-8")
+        key = hashlib.sha256(request_bytes).hexdigest()  # request.key(), serialized once
+        created_at = datetime.now(timezone.utc).isoformat()
         response_bytes = response.encode("utf-8")
         header = (
             f"key: {key}\n"

@@ -124,8 +124,13 @@ class ScriptedProvider:
     Each distinct prompt is matched against the fixtures once, when it is
     first seen, and each matching response is expanded from that match with
     the template parsed when the fixture was compiled; ``calls`` still
-    counts every request.  The memo is keyed by the prompt's
-    SHA-256 digest and holds only responses, so it keeps no prompt alive.
+    counts every request.  The memo is keyed by the prompt text itself, so
+    a prompt object sent again is found by its cached hash, and the memo
+    keeps every distinct prompt alive for the provider's lifetime.  Each
+    entry holds the matching fixture indices, their responses and a
+    cursor at the first match that may still be unconsumed: fixtures are
+    only ever marked consumed, so the cursor only moves forward, and once
+    it reaches the last match that match keeps answering.
     A pattern that does not compile, or a response with a bad group
     reference, raises ``ValueError`` on construction, naming the fixture's
     index.
@@ -139,8 +144,8 @@ class ScriptedProvider:
         self.calls = 0
         self._consumed = [False] * len(self.fixtures)
         self._patterns = [_compile_fixture(i, f) for i, f in enumerate(self.fixtures)]
-        # prompt digest -> {matching fixture index: its response}
-        self._served: dict[bytes, dict[int, str]] = {}
+        # prompt -> [matching fixture indices, their responses, cursor into both]
+        self._served: dict[str, list] = {}
 
     @classmethod
     def from_file(cls, path: str | Path, model_id: str = "scripted") -> "ScriptedProvider":
@@ -149,30 +154,31 @@ class ScriptedProvider:
     def complete(self, request: CompletionRequest) -> str:
         self.calls += 1
         prompt = request.prompt
-        key = hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).digest()
-        served = self._served.get(key)
+        served = self._served.get(prompt)
         if served is None:
-            served = self._served[key] = self._match(prompt)
-        if not served:
+            served = self._served[prompt] = self._match(prompt)
+        indices, responses, cursor = served
+        if not indices:
             head = prompt[:120].replace("\n", "\\n")
             raise NoFixture(f"no fixture matches prompt starting {head!r}")
-        index = next((i for i in served if not self._consumed[i]), None)
-        if index is None:  # every match was consumed: the last one keeps answering
-            index = max(served)
-        self._consumed[index] = True
-        return served[index]
+        consumed, last = self._consumed, len(indices) - 1
+        while cursor < last and consumed[indices[cursor]]:
+            cursor += 1
+        served[2] = cursor
+        consumed[indices[cursor]] = True
+        return responses[cursor]
 
-    def _match(self, prompt: str) -> dict[int, str]:
-        """The fixtures matching ``prompt`` in declared order, each mapped to its
-        response; a pattern's is expanded from the match just found."""
-        matches: dict[int, str] = {}
+    def _match(self, prompt: str) -> list:
+        """``[indices, responses, 0]``: the fixtures matching ``prompt`` in declared
+        order and their responses, a pattern's expanded from the match just found."""
+        matches: list[tuple[int, str]] = []
         for i, (fixture, pattern) in enumerate(zip(self.fixtures, self._patterns)):
             if pattern is None:
                 if fixture.text == prompt:
-                    matches[i] = fixture.response
+                    matches.append((i, fixture.response))
             elif match := pattern.search(prompt):
-                matches[i] = _expand(match, fixture.response)
-        return matches
+                matches.append((i, _expand(match, fixture.response)))
+        return [[i for i, _ in matches], [response for _, response in matches], 0]
 
 
 def _expand(match: re.Match, template: str) -> str:
@@ -351,7 +357,10 @@ def embedded_cosine(a: Embedded, b: Embedded) -> float:
 class Services:
     """Completion + embedding providers and an optional response cache.
 
-    ``complete_text`` is the one place where a completion meets the cache.
+    ``request`` builds a completion request and ``complete`` sends one: it
+    is the one place where a completion meets the cache.  ``complete_text``
+    is the two in one call.  A caller that sends the same prompt many
+    times builds its request once and passes it to ``complete`` each time.
     Not shareable across threads: the embed memo grows on every new text,
     the metrics memo on every new pool and (pool, question) pair, and
     ``ScriptedProvider`` marks each fixture it serves as consumed and
@@ -363,10 +372,10 @@ class Services:
 
     The metrics memo, kept by ``selection.candidate_metrics``, does change
     what is requested.  Once per pool it holds each candidate's question and
-    answer embedding and its normalized complexity; once per (pool, question)
-    it holds the question's metric rows, so a repeated question makes no
-    further metric completions.  Like the response cache, it assumes a
-    prompt's response does not change.
+    answer embedding, its concept-list request and its normalized
+    complexity; once per (pool, question) it holds the question's metric
+    rows, so a repeated question makes no further metric completions.  Like
+    the response cache, it assumes a prompt's response does not change.
     """
 
     completion: object
@@ -379,13 +388,16 @@ class Services:
         default_factory=dict, init=False, repr=False
     )
 
-    def complete_text(self, prompt: str, *, stop_sequences: tuple[str, ...] = ()) -> str:
-        """A cache hit, or else the provider's response, which the cache then stores."""
-        request = CompletionRequest(
+    def request(self, prompt: str, stop_sequences: tuple[str, ...] = ()) -> CompletionRequest:
+        """The request for ``prompt`` under the completion provider's model."""
+        return CompletionRequest(
             prompt=prompt,
             model_id=getattr(self.completion, "model_id", "default"),
             stop_sequences=stop_sequences,
         )
+
+    def complete(self, request: CompletionRequest) -> str:
+        """A cache hit, or else the provider's response, which the cache then stores."""
         if self.cache is None:
             return self.completion.complete(request)
         response = self.cache.get(request)
@@ -393,6 +405,10 @@ class Services:
             response = self.completion.complete(request)
             self.cache.put(request, response, self.completion.provider_id)
         return response
+
+    def complete_text(self, prompt: str, *, stop_sequences: tuple[str, ...] = ()) -> str:
+        """``complete`` of the request that ``request`` builds."""
+        return self.complete(self.request(prompt, stop_sequences))
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_with_norm(text)[0]
@@ -407,6 +423,11 @@ class Services:
         return hit
 
 
+def concept_request(text: str, services: Services) -> CompletionRequest:
+    """The request for the concept list of ``text``."""
+    return services.request(concept_prompt(text))
+
+
 def concept_extract(text: str, services: Services) -> str:
     """Ask the completion provider for the concept list of ``text``, verbatim."""
-    return services.complete_text(concept_prompt(text))
+    return services.complete(concept_request(text, services))

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import interpreter, prompts
 from .augmentation import Example, ExamplePool, write_jsonl
-from .providers import Embedded, Services, concept_extract, cosine, embedded_cosine
+from .providers import CompletionRequest, Embedded, Services, concept_request, embedded_cosine
+from .providers import concept_extract, cosine  # noqa: F401  # traced here by benchmarks/spans.py
 
 
 class EmptyPool(ValueError):
@@ -107,11 +108,13 @@ class PoolStats:
         return cls(min_complexity=min(counts), max_complexity=max(counts))
 
 
+def _rough_request(test_question: str, services: Services) -> CompletionRequest:
+    return services.request(prompts.zero_shot_prompt(test_question), stop_sequences=("Question:",))
+
+
 def rough_answer(test_question: str, services: Services) -> str:
     """Zero-shot provisional answer for the test question (similarity metric only)."""
-    return services.complete_text(
-        prompts.zero_shot_prompt(test_question), stop_sequences=("Question:",)
-    )
+    return services.complete(_rough_request(test_question, services))
 
 
 def _normalized(raw: int, pool_stats: PoolStats) -> float:
@@ -124,28 +127,26 @@ def _normalized(raw: int, pool_stats: PoolStats) -> float:
 
 
 def _metric_row(
-    question: str,
+    concepts: CompletionRequest,
     question_vector: Embedded,
-    test_question: str,
+    test_concepts: CompletionRequest,
     test_vector: Embedded,
+    rough: CompletionRequest,
     answer_vector: Embedded,
     complexity: float,
     services: Services,
 ) -> tuple[float, float, float, float]:
-    """The per-pair half of one candidate's metrics, from its embedded parts.
+    """The per-pair half of one candidate's metrics, from its embedded parts
+    and its three prebuilt metric requests.
 
-    Makes the pair's three metric completions, in this order: the concepts
-    of ``question``, the concepts of ``test_question``, the rough answer.
+    Sends the pair's three metric requests, in this order: the candidate's
+    concepts, the test question's concepts, the rough answer.
     A metric out of range raises ``MetricVector``'s ``ValueError``.
     """
+    complete, embed = services.complete, services.embed_with_norm
     relevance = embedded_cosine(question_vector, test_vector)
-    concept = embedded_cosine(
-        services.embed_with_norm(concept_extract(question, services)),
-        services.embed_with_norm(concept_extract(test_question, services)),
-    )
-    similarity = embedded_cosine(
-        answer_vector, services.embed_with_norm(rough_answer(test_question, services))
-    )
+    concept = embedded_cosine(embed(complete(concepts)), embed(complete(test_concepts)))
+    similarity = embedded_cosine(answer_vector, embed(complete(rough)))
     # MetricVector's range check, inline; only a failing row builds one, to raise
     if not (
         -1.0 <= relevance <= 1.0
@@ -171,10 +172,11 @@ def calculate_metrics(
     dedupe through the response cache when one is configured.
     """
     row = _metric_row(
-        question,
+        concept_request(question, services),
         services.embed_with_norm(question),
-        test_question,
+        concept_request(test_question, services),
         services.embed_with_norm(test_question),
+        _rough_request(test_question, services),
         services.embed_with_norm(answer_text),
         _normalized(interpreter.complexity(answer_text), pool_stats),
         services,
@@ -186,16 +188,16 @@ def score(metrics: MetricVector, weights: Weights) -> float:
     return float(np.dot(metrics.as_array(), weights.as_array()))
 
 
-def _redundancy(vectors: list[np.ndarray]) -> np.ndarray:
+def _redundancy(vectors: list[Embedded]) -> np.ndarray:
     """R_i = mean cosine similarity of answer i to every other chosen answer."""
     n = len(vectors)
     out = np.zeros(n)
     for i in range(n):
-        out[i] = sum(cosine(vectors[i], vectors[j]) for j in range(n) if j != i) / (n - 1)
+        out[i] = sum(embedded_cosine(vectors[i], vectors[j]) for j in range(n) if j != i) / (n - 1)
     return out
 
 
-def _prune_index(vectors: list[np.ndarray], delta: float) -> tuple[int | None, np.ndarray | None]:
+def _prune_index(vectors: list[Embedded], delta: float) -> tuple[int | None, np.ndarray | None]:
     if len(vectors) < 3:
         return None, None
     redundancy = _redundancy(vectors)
@@ -211,7 +213,7 @@ def prune(chosen: list[Example], delta: float, services: Services) -> list[Examp
     Fewer than three members come back unchanged: with two, the pair is
     symmetric and the rule can never fire.
     """
-    vectors = [services.embed(e.answer_text) for e in chosen]
+    vectors = [services.embed_with_norm(e.answer_text) for e in chosen]
     index, _ = _prune_index(vectors, delta)
     if index is None:
         return list(chosen)
@@ -245,6 +247,7 @@ class _PoolEntry:
 
     questions: list[Embedded]  # each candidate's question, embedded
     answers: list[Embedded]  # each candidate's answer, embedded
+    concepts: list[CompletionRequest]  # each candidate's concept-list request
     complexity: list[float]  # each candidate's, normalized over the pool
     rows: dict[str, np.ndarray] = field(default_factory=dict)  # question -> metric rows
 
@@ -259,6 +262,7 @@ def _pool_entry(pool: ExamplePool, services: Services) -> _PoolEntry:
     entry = _PoolEntry(
         questions=[services.embed_with_norm(e.question) for e in pool],
         answers=[services.embed_with_norm(e.answer_text) for e in pool],
+        concepts=[concept_request(e.question, services) for e in pool],
         complexity=[_normalized(count, stats) for count in counts],
     )
     services._metrics_memo[id(pool)] = (pool, entry)
@@ -270,14 +274,18 @@ def candidate_metrics(pool: ExamplePool, test_question: str, services: Services)
 
     The work is split by what it depends on, and memoized in ``services``:
     - once per pool: each candidate's question and answer embedding, with
-      its norm, and its complexity, min-max normalized over the whole pool;
-    - once per question: the test question's embedding and norm;
-    - once per pair: the three metric completions (both concept lists, then
-      the rough answer), their embed-memo lookups and three dot products.
-    The test question's two completions are requested again for every
-    candidate, so each pair makes the same provider calls as
-    ``calculate_metrics``; they move to once per question only when the
-    benchmark no longer pins eval's call count (ROADMAP item 1a).
+      its norm, its concept-list request, and its complexity, min-max
+      normalized over the whole pool;
+    - once per question: the test question's embedding and norm, and its
+      concept-list and rough-answer requests;
+    - once per pair: the three metric completions, each sending one of the
+      prebuilt requests as is (the candidate's concepts, the test question's
+      concepts, the rough answer), their embed-memo lookups and three dot
+      products.
+    The test question's two requests are sent again for every candidate, so
+    each pair makes the same provider calls as ``calculate_metrics``; they
+    move to once per question only when the benchmark no longer pins eval's
+    call count (ROADMAP item 1a).
 
     None of the four metrics depends on the weights, so the rows are kept
     per pool and question: scoring a question again, under any weights,
@@ -289,13 +297,16 @@ def candidate_metrics(pool: ExamplePool, test_question: str, services: Services)
     rows = entry.rows.get(test_question)
     if rows is None:
         test_vector = services.embed_with_norm(test_question)
+        test_concepts = concept_request(test_question, services)
+        rough = _rough_request(test_question, services)
         rows = np.empty((len(entry.complexity), 4))
-        for i, example in enumerate(pool):
+        for i in range(len(rows)):
             rows[i] = _metric_row(
-                example.question,
+                entry.concepts[i],
                 entry.questions[i],
-                test_question,
+                test_concepts,
                 test_vector,
+                rough,
                 entry.answers[i],
                 entry.complexity[i],
                 services,
@@ -323,7 +334,7 @@ def select_examples(
     weights = config.weights.as_array()
     # per-row np.dot, as in score(): a matrix product can differ in the last ulp
     scores = [float(np.dot(row, weights)) for row in metrics]
-    vectors = [vector for vector, _ in _pool_entry(pool, services).answers]
+    answers = _pool_entry(pool, services).answers
 
     remaining = list(range(len(examples)))
     chosen: list[int] = []
@@ -347,7 +358,7 @@ def select_examples(
             stop = "epsilon"
         else:
             previous = scores[best]
-            index, redundancy = _prune_index([vectors[i] for i in chosen], config.delta)
+            index, redundancy = _prune_index([answers[i] for i in chosen], config.delta)
             if redundancy is not None:
                 redundancy_by_id = {
                     examples[chosen[k]].id: float(redundancy[k]) for k in range(len(chosen))

@@ -119,6 +119,12 @@ class TestRoundTrip:
         assert entry.response == "resp"
         assert entry.created_at  # informational timestamp present
 
+    def test_put_names_the_entry_by_key_and_stores_the_canonical_request(self, store):
+        request = CompletionRequest(prompt="∑ \ud7ff\n", model_id="m", stop_sequences=("Q:",))
+        store.put(request, "r", "scripted")
+        blob = (store.directory / request.key()).read_bytes()
+        assert blob.endswith(b"\n\n" + request.canonical().encode("utf-8") + b"r")
+
     def test_double_put_same_key_is_benign(self, store):
         request = CompletionRequest(prompt="p")
         store.put(request, "r", "scripted")

@@ -33,6 +33,18 @@ from potselect.providers import (
 from conftest import StubEmbedding, fake_post
 
 
+class SpyFixture:
+    """A fixture that counts reads of its response (needed to expand it)."""
+
+    def __init__(self, kind, text, response):
+        self.kind, self.text, self._response, self.reads = kind, text, response, 0
+
+    @property
+    def response(self):
+        self.reads += 1
+        return self._response
+
+
 class TestCompletionRequest:
     def test_identical_requests_share_a_key(self):
         a = CompletionRequest(prompt="p", model_id="m", stop_sequences=("s",))
@@ -141,18 +153,33 @@ class TestScriptedProvider:
         assert provider.calls == 3
         assert provider.complete(CompletionRequest(prompt="yes")) == "r"
 
+    def test_one_unmatched_request_sent_again_raises_and_counts_every_time(self):
+        provider = ScriptedProvider([Fixture("exact", "n", "r")])
+        request = CompletionRequest(prompt="no")
+        for calls in range(1, 4):
+            with pytest.raises(NoFixture, match="no fixture matches prompt starting 'no'"):
+                provider.complete(request)
+            assert provider.calls == calls
+
+    def test_prompts_matching_the_same_fixtures_share_their_consumption(self):
+        provider = ScriptedProvider(
+            [Fixture("pattern", r"(\w+)", r"first \1"), Fixture("pattern", r"(\w+)", r"second \1")]
+        )
+        a, b = CompletionRequest(prompt="A"), CompletionRequest(prompt="B")
+        answers = [provider.complete(r) for r in (a, b, a, b)]
+        assert answers == ["first A", "second B", "second A", "second B"]
+
+    def test_a_prompt_with_a_lone_surrogate_is_served_and_memoized(self):
+        fixture = SpyFixture("pattern", "\ud800(x)", r"got \1")
+        provider = ScriptedProvider([fixture])
+        reads = fixture.reads  # construction checks the template
+        request = CompletionRequest(prompt="a\ud800x")
+        assert [provider.complete(request) for _ in range(3)] == ["got x"] * 3
+        equal_text = "".join(["a", "\ud800", "x"])  # another object, the same text
+        assert provider.complete(CompletionRequest(prompt=equal_text)) == "got x"
+        assert (fixture.reads - reads, provider.calls) == (1, 4)
+
     def test_each_matching_response_is_expanded_once_per_prompt(self):
-        class SpyFixture:
-            """A fixture that counts reads of its response (needed to expand it)."""
-
-            def __init__(self, kind, text, response):
-                self.kind, self.text, self._response, self.reads = kind, text, response, 0
-
-            @property
-            def response(self):
-                self.reads += 1
-                return self._response
-
         first = SpyFixture("pattern", r"(a)", r"\1\1")
         second = SpyFixture("pattern", r"(a)", r"\1\1\1")
         provider = ScriptedProvider([first, second])
@@ -529,6 +556,23 @@ class TestServices:
         provider = ScriptedProvider([Fixture("exact", "p", "r")], model_id="scripted")
         services = Services(completion=provider, embedding=HashEmbedding())
         assert services.complete_text("p") == "r"
+
+    def test_complete_text_sends_the_request_that_request_builds(self):
+        sent = []
+
+        class Recording(ScriptedProvider):
+            def complete(self, request):
+                sent.append(request)
+                return super().complete(request)
+
+        services = Services(
+            completion=Recording([Fixture("exact", "p", "r")], model_id="m"),
+            embedding=HashEmbedding(),
+        )
+        request = services.request("p", ("s",))
+        assert request == CompletionRequest(prompt="p", model_id="m", stop_sequences=("s",))
+        assert services.complete(request) == services.complete_text("p", stop_sequences=("s",))
+        assert sent == [request, request]
 
     def test_embed_memoizes(self):
         class CountingEmbedding:

@@ -10,6 +10,7 @@ import pytest
 
 from potselect import interpreter
 from potselect.augmentation import Example, ExamplePool, write_jsonl
+from potselect.prompts import concept_prompt, zero_shot_prompt
 from potselect.providers import HashEmbedding, ScriptedProvider, Services
 from potselect.selection import (
     EmptyPool,
@@ -188,6 +189,42 @@ class TestCandidateMetrics:
         assert services.completion.calls == calls  # the memo answers
         assert rows.shape == expected.shape and rows.dtype == np.float64
         assert rows.tobytes() == expected.tobytes()
+
+    def test_requests_are_those_of_calculate_metrics_pair_by_pair(self):
+        class Recording(ScriptedProvider):
+            def __init__(self):
+                super().__init__([CONCEPT_FIXTURE, ROUGH_FIXTURE])
+                self.sent = []
+
+            def complete(self, request):
+                self.sent.append(request)
+                return super().complete(request)
+
+        rng = np.random.default_rng(31)
+        pool, first = random_pool(rng, n_max=6)
+        questions = [first, first + " again", "a third question"]
+        services = Services(completion=Recording(), embedding=HashEmbedding())
+        for question in questions:
+            candidate_metrics(pool, question, services)
+        sent = services.completion.sent
+        assert len(sent) == len(questions) * 3 * len(pool)
+        assert [(r.prompt, r.stop_sequences) for r in sent] == [
+            pair
+            for question in questions
+            for example in pool
+            for pair in (
+                (concept_prompt(example.question), ()),
+                (concept_prompt(question), ()),
+                (zero_shot_prompt(question), ("Question:",)),
+            )
+        ]
+
+        oracle = Services(completion=Recording(), embedding=HashEmbedding())
+        stats = PoolStats.from_examples(list(pool))
+        for question in questions:
+            for example in pool:
+                calculate_metrics(example.question, example.answer_text, question, stats, oracle)
+        assert oracle.completion.sent == sent
 
 
 class TestPrune:
