@@ -240,7 +240,9 @@ def cmd_tune(cfg: dict) -> int:
     out = _require(cfg, "out")
     seed = cfg["seed"]
     log_path = Path(f"{out}.trials.jsonl")
-    log_path.unlink(missing_ok=True)  # a new search, not a resumed one
+    # a run that fails before its first trial (empty pool or dataset) must
+    # not leave an earlier run's log behind
+    log_path.unlink(missing_ok=True)
     calls = 0
     if cfg["synthetic_objective"]:
         target = np.full(4, 0.3)

@@ -45,13 +45,28 @@ class QAItem:
 _GSM8K_MARKER = re.compile(r"####\s*(-?[\d,]*\.?\d+)")
 
 
+def _text(line_no: int, name: str, value) -> str:
+    if not isinstance(value, str):
+        raise MalformedRecord(line_no, f"{name} {value!r} is not a string")
+    return value
+
+
+def _item_id(line_no: int, identifier) -> str:
+    """A record's id as text; a missing or null id is named after its line."""
+    if identifier is None:
+        return f"item-{line_no}"
+    if type(identifier) not in (str, int):  # bool is an int subclass
+        raise MalformedRecord(line_no, f"id {identifier!r} is not a string or an integer")
+    return str(identifier)
+
+
 def load_gsm8k(path: str | Path) -> list[QAItem]:
     """Parse GSM8K-format JSONL; gold values come from the final #### marker."""
     items: list[QAItem] = []
     for line_no, record in read_jsonl(path):
         if "question" not in record or "answer" not in record:
             raise MalformedRecord(line_no, "needs 'question' and 'answer' fields")
-        markers = _GSM8K_MARKER.findall(str(record["answer"]))
+        markers = _GSM8K_MARKER.findall(_text(line_no, "answer", record["answer"]))
         if not markers:
             raise MissingMarker(line_no)
         gold = float(markers[-1].replace(",", ""))
@@ -59,8 +74,8 @@ def load_gsm8k(path: str | Path) -> list[QAItem]:
             raise MalformedRecord(line_no, f"gold value {markers[-1]!r} is not finite")
         items.append(
             QAItem(
-                id=str(record.get("id", f"item-{line_no}")),
-                question=str(record["question"]),
+                id=_item_id(line_no, record.get("id")),
+                question=_text(line_no, "question", record["question"]),
                 gold_value=gold,
             )
         )
@@ -94,16 +109,16 @@ def load_svamp(path: str | Path) -> list[QAItem]:
         if body is None or question is None or answer is None:
             raise MalformedRecord(line_no, "needs body, question and answer fields")
         try:
-            gold = float(answer)
+            gold = float(None if isinstance(answer, bool) else answer)  # true is not a number
         except (TypeError, ValueError):
             raise MalformedRecord(line_no, f"answer {answer!r} is not numeric") from None
         if not math.isfinite(gold):
             raise MalformedRecord(line_no, f"answer {answer!r} is not finite")
-        identifier = _field(record, "id")
+        body, question = _text(line_no, "body", body), _text(line_no, "question", question)
         items.append(
             QAItem(
-                id=str(identifier if identifier is not None else f"item-{line_no}"),
-                question=f"{str(body).strip()} {str(question).strip()}",
+                id=_item_id(line_no, _field(record, "id")),
+                question=f"{body.strip()} {question.strip()}",
                 gold_value=gold,
             )
         )

@@ -126,7 +126,15 @@ class _Unsupported(Exception):
     """A construct outside the dialect; ``parse_line`` adds the line number."""
 
 
-def _convert(node: ast.expr) -> Expr:
+# deepest operator nesting an expression may have: it keeps the recursive walkers
+# (convert, references, render, execute) well inside Python's recursion limit, and
+# is fixed rather than read off the stack because _parse_statement memoizes outcomes
+MAX_NESTING = 200
+
+
+def _convert(node: ast.expr, depth: int = 0) -> Expr:
+    if depth > MAX_NESTING:
+        raise _Unsupported(f"expression nested deeper than {MAX_NESTING}")
     if isinstance(node, ast.Constant):
         # bool is an int subclass; reject it along with strings etc.
         if type(node.value) in (int, float):
@@ -136,13 +144,13 @@ def _convert(node: ast.expr) -> Expr:
         return Var(node.id)
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
-            return Neg(_convert(node.operand))
+            return Neg(_convert(node.operand, depth + 1))
         raise _Unsupported("unary operator other than '-'")
     if isinstance(node, ast.BinOp):
         op = _ALLOWED_BINOPS.get(type(node.op))
         if op is None:
             raise _Unsupported(f"operator {type(node.op).__name__}")
-        return BinOp(op, _convert(node.left), _convert(node.right))
+        return BinOp(op, _convert(node.left, depth + 1), _convert(node.right, depth + 1))
     raise _Unsupported(type(node).__name__)
 
 
@@ -167,7 +175,7 @@ def _parse_statement(line: str) -> Assignment | str | None:
     Python.  Results are frozen, so callers share them."""
     try:
         tree = ast.parse(line, mode="exec")
-    except SyntaxError:
+    except (SyntaxError, RecursionError):  # too deep for ast is unparseable too
         return None
     if len(tree.body) != 1:
         return "multiple statements on one line"

@@ -291,6 +291,7 @@ class RemoteCompletionProvider:
 
 
 TOKEN_HASH_MEMO_SIZE = 4096  # distinct tokens whose hash is kept
+EMBED_DIMENSION = 256  # buckets of the hashed bag of tokens
 
 
 class HashEmbedding:
@@ -298,16 +299,13 @@ class HashEmbedding:
 
     Lowercase, split on non-alphanumeric runs, hash each token with a fixed
     64-bit hash (blake2b, 8-byte digest, big-endian), accumulate token counts
-    into bucket ``hash % dimension``, L2-normalize.  Empty token list yields
-    the all-zero vector.  Depends only on the multiset of tokens.  Each
-    distinct token is hashed once while it stays among the last
+    into bucket ``hash % EMBED_DIMENSION``, L2-normalize.  Empty token list
+    yields the all-zero vector.  Depends only on the multiset of tokens.
+    Each distinct token is hashed once while it stays among the last
     ``TOKEN_HASH_MEMO_SIZE`` distinct tokens.
     """
 
     provider_id = "hash-embedding"
-
-    def __init__(self, dimension: int = 256):
-        self.dimension = dimension
 
     @staticmethod
     @functools.lru_cache(maxsize=TOKEN_HASH_MEMO_SIZE)
@@ -315,10 +313,10 @@ class HashEmbedding:
         return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
 
     def embed(self, text: str) -> np.ndarray:
-        vector = np.zeros(self.dimension, dtype=np.float64)
+        vector = np.zeros(EMBED_DIMENSION, dtype=np.float64)
         for token in re.split(r"[^a-z0-9]+", text.lower()):
             if token:
-                vector[self._token_hash(token) % self.dimension] += 1.0
+                vector[self._token_hash(token) % EMBED_DIMENSION] += 1.0
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector /= norm

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .augmentation import MalformedRecord, read_jsonl
 from .providers import ProviderError, Services
 from .selection import EmptyPool, SelectionConfig, Weights
 
@@ -74,9 +74,6 @@ class TrialHistory:
         if self.trials and trial.seq <= self.trials[-1].seq:
             raise ValueError("trial seq must be strictly increasing")
         self.trials.append(trial)
-
-    def __len__(self) -> int:
-        return len(self.trials)
 
 
 @dataclass(frozen=True)
@@ -191,15 +188,15 @@ class _Parzen1D:
         return out
 
 
-def tpe_suggest(
-    history: TrialHistory, space: SearchSpace, params: TpeParams = TpeParams()
-) -> np.ndarray:
+def tpe_suggest(history: TrialHistory, space: SearchSpace) -> np.ndarray:
     """Suggest the next point; deterministic given (seed, history).
 
-    Uniform random below ``n_startup`` trials and on degenerate histories
-    (all objectives equal).  Suggestions always lie inside the space; a
-    history with a trial outside it raises ValueError naming that trial.
+    Uniform random below ``TpeParams().n_startup`` trials and on degenerate
+    histories (all objectives equal).  Suggestions always lie inside the
+    space; a history with a trial outside it raises ValueError naming that
+    trial.
     """
+    params = TpeParams()
     rng = np.random.default_rng([abs(history.rng_seed) % 2**32, len(history.trials)])
     trials = history.trials
     for trial in trials:
@@ -244,54 +241,27 @@ def optimize(
     space: SearchSpace,
     budget: int,
     seed: int = 0,
-    params: TpeParams = TpeParams(),
-    history: TrialHistory | None = None,
     log_path: str | Path | None = None,
 ) -> TrialHistory:
-    """Run ``budget`` new trials, appending to ``history`` when resuming.
+    """Run a new search of ``budget`` trials from ``seed``.
 
-    Each trial is persisted to ``log_path`` as soon as it completes, so an
-    aborted run leaves a resumable partial history behind.
+    ``log_path``, when given, is overwritten with an ``{"rng_seed": seed}``
+    header and then one line per trial, flushed as the trial completes, so a
+    run that raises leaves the trials before it in the log.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if history is None:
-        history = TrialHistory(rng_seed=seed)
-    log_fh = None
-    if log_path is not None:
-        path = Path(log_path)
-        fresh = not path.exists() or path.stat().st_size == 0
-        log_fh = open(path, "a", encoding="utf-8")
-        if fresh:
-            log_fh.write(json.dumps({"rng_seed": history.rng_seed}) + "\n")
-            log_fh.flush()
-    try:
+    history = TrialHistory(rng_seed=seed)
+    with open(os.devnull if log_path is None else log_path, "w", encoding="utf-8") as log_fh:
+        log_fh.write(json.dumps({"rng_seed": seed}) + "\n")
         for _ in range(budget):
-            point = tpe_suggest(history, space, params)
+            point = tpe_suggest(history, space)
             value = float(objective(point))
             trial = Trial(seq=len(history.trials), point=tuple(float(v) for v in point), objective=value)
             history.append(trial)
-            if log_fh is not None:
-                record = {**asdict(trial), "timestamp": datetime.now(timezone.utc).isoformat()}
-                log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                log_fh.flush()
-    finally:
-        if log_fh is not None:
-            log_fh.close()
-    return history
-
-
-def load_history(path: str | Path) -> TrialHistory:
-    """Rebuild a TrialHistory from a trial log."""
-    history = TrialHistory()
-    for line_no, record in read_jsonl(path):
-        if "rng_seed" in record and "seq" not in record:
-            history.rng_seed = record["rng_seed"]
-            continue
-        try:
-            history.append(Trial(record["seq"], tuple(record["point"]), record["objective"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRecord(line_no, f"not a trial: {exc!r}") from None
+            record = {**asdict(trial), "timestamp": datetime.now(timezone.utc).isoformat()}
+            log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+            log_fh.flush()
     return history
 
 
@@ -325,7 +295,8 @@ def tune_weights(
     *,
     log_path: str | Path | None = None,
 ) -> Trial:
-    """TPE-search the weight box for pipeline accuracy; return the best trial.
+    """Run one new TPE search of the weight box for pipeline accuracy, logged
+    to ``log_path`` as :func:`optimize` does; return the best trial.
 
     ``services`` memoizes each training item's metric rows on its first
     trial (``selection.candidate_metrics``), so later trials only re-weight them.

@@ -69,6 +69,7 @@ DUCK_MODIFIED_A = (
     "temp5 = temp4 - 1\n"
     "ans = temp5"
 )
+DEEP_LINE = "ans = " + "+".join(["1"] * 1200)  # nested deeper than the interpreter parses
 
 
 class StubEmbedding:

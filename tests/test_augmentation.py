@@ -47,6 +47,7 @@ from conftest import (
     BOLTS_Q,
     BOLTS_REPHRASED_Q,
     BOLTS_VARIANT_A,
+    DEEP_LINE,
     DUCK_A,
     DUCK_Q,
     augmentation_fixtures,
@@ -453,6 +454,16 @@ class TestAugmentPool:
         )
         assert len(result.pool) == 13
         assert [e.id for e in result.pool] == [f"S{i:02d}" for i in range(1, 14)]
+
+    def test_a_generated_line_nested_too_deeply_is_a_rejected_attempt(self):
+        fixtures = [
+            Fixture("pattern", r"(?s)# Instruction: Rephrase the question\Z", "new question"),
+            Fixture("pattern", r"(?s)# Python code, return ans\n\Z", DEEP_LINE),
+        ]
+        config = AugmentationConfig(max_retries=0)
+        result = augment_pool(thirteen_seeds(), config, make_services(fixtures), stages=(1,))
+        assert len(result.pool) == 13
+        assert [a.accepted for a in result.attempts] == [False] * 13
 
     def test_gate_soundness_every_nonseed_has_consistent_report(self):
         result = augment_pool(

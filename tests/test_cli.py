@@ -21,6 +21,7 @@ from potselect.selection import load_weights
 from conftest import (
     augmentation_fixtures,
     CONCEPT_FIXTURE,
+    DEEP_LINE,
     FailingEmbedding,
     ROUGH_FIXTURE,
     StubEmbedding,
@@ -211,8 +212,9 @@ class TestSelectCommand:
             (_SEED.replace('{"stage": "seed"}', '"seed"'), _WEIGHTS, "record 1"),
             (_SEED, "[0.25, 0.25, 0.25, 0.25]", "one JSON object of weights"),
             ('{"meta": {}}', _WEIGHTS, "candidate pool is empty"),
+            (_SEED.replace("ans = 1", DEEP_LINE), _WEIGHTS, "nested deeper"),
         ],
-        ids=["pool-list", "provenance-string", "weights-list", "pool-empty"],
+        ids=["pool-list", "provenance-string", "weights-list", "pool-empty", "answer-too-deep"],
     )
     def test_wrong_shaped_input_is_data_error(self, tmp_path, capsys, pool, weights, message):
         dataset = json.dumps({"question": "q", "answer": "#### 2"})

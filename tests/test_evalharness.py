@@ -6,21 +6,32 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from potselect.augmentation import Example
+from potselect.augmentation import Example, extract_answer_block
 from potselect.cli import main
 from potselect.evalharness import (
     EvalReport,
     ItemResult,
     MalformedRecord,
     MissingMarker,
+    QAItem,
     build_prompt,
     evaluate,
     load_gsm8k,
     load_svamp,
     save_report,
 )
-from potselect.providers import DimensionMismatch, MalformedResponse, ProviderError, ScriptedProvider
+from potselect.interpreter import Program
+from potselect.providers import (
+    DimensionMismatch,
+    HashEmbedding,
+    MalformedResponse,
+    ProviderError,
+    ScriptedProvider,
+    Services,
+)
 from potselect.selection import SelectionConfig
 
 from conftest import (
@@ -28,6 +39,7 @@ from conftest import (
     BOLTS_Q,
     BOLTS_REPHRASED_Q,
     CONCEPT_FIXTURE,
+    DEEP_LINE,
     FailingEmbedding,
     HOUSE_A,
     HOUSE_Q,
@@ -97,6 +109,29 @@ class TestLoadGsm8k:
         with pytest.raises(MalformedRecord):
             load_gsm8k(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"question": ["q"], "answer": "#### 1"},
+            {"question": "q", "answer": ["#### 1"]},
+            {"id": {"a": 1}, "question": "q", "answer": "#### 1"},
+            {"id": True, "question": "q", "answer": "#### 1"},
+        ],
+        ids=["question-list", "answer-list", "id-object", "id-bool"],
+    )
+    def test_wrong_shaped_fields_rejected(self, tmp_path, record):
+        path = self._write(tmp_path, [{"question": "q", "answer": "#### 1"}, record])
+        with pytest.raises(MalformedRecord) as info:
+            load_gsm8k(path)
+        assert info.value.line_no == 2
+
+    def test_integer_and_null_ids_accepted(self, tmp_path):
+        records = [
+            {"id": 7, "question": "q", "answer": "#### 1"},
+            {"id": None, "question": "q", "answer": "#### 1"},
+        ]
+        assert [item.id for item in load_gsm8k(self._write(tmp_path, records))] == ["7", "item-2"]
+
 
 class TestLoadSvamp:
     def test_record_combines_body_and_question(self, tmp_path):
@@ -140,6 +175,23 @@ class TestLoadSvamp:
         with pytest.raises(MalformedRecord):
             load_svamp(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"Body": ["b"], "Question": "Q", "Answer": 1},
+            {"Body": "B", "Question": 5, "Answer": 1},
+            {"Body": "B", "Question": "Q", "Answer": True},
+            {"ID": [1], "Body": "B", "Question": "Q", "Answer": 1},
+        ],
+        ids=["body-list", "question-number", "answer-bool", "id-list"],
+    )
+    def test_wrong_shaped_fields_rejected(self, tmp_path, record):
+        path = tmp_path / "svamp.json"
+        path.write_text(json.dumps([{"Body": "B", "Question": "Q", "Answer": 1}, record]))
+        with pytest.raises(MalformedRecord) as info:
+            load_svamp(path)
+        assert info.value.line_no == 2
+
 
 class TestBuildPrompt:
     def test_single_example_matches_golden_prompt(self):
@@ -170,6 +222,22 @@ class TestBuildPrompt:
         a = build_prompt([bolts], "q")
         b = build_prompt([bolts], "q")
         assert a == b
+
+
+class _Constant:
+    """A completion provider that answers every prompt with ``text``."""
+
+    provider_id = "constant"
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def complete(self, request) -> str:
+        return self.text
+
+
+def _answering(text: str) -> Services:
+    return Services(completion=_Constant(text), embedding=HashEmbedding())
 
 
 def _dataset(tmp_path, records=None):
@@ -206,6 +274,11 @@ class TestEvaluate:
         by_id = {r.item_id: r for r in report.items}
         assert by_id["E5"].verdict == "incorrect"
         assert by_id["E5"].cause.startswith("parse")
+
+    def test_a_line_nested_too_deeply_is_a_parse_cause(self, tmp_path):
+        services = _answering(f"Sure.\n{DEEP_LINE}\n")
+        report = evaluate(_dataset(tmp_path), eval_pool(), SelectionConfig(), services)
+        assert [r.cause for r in report.items] == ["parse: no answer block in completion"] * 5
 
     def test_wrong_value_recorded_with_cause(self, tmp_path):
         dataset = _dataset(tmp_path)
@@ -369,3 +442,35 @@ class TestSaveReport:
             save_report(report, path, meta={"command": "eval"})
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _chains():
+    """Lines of up to 3 000 unary minuses, then a ``+``/``-`` chain of up to 9 000 terms."""
+    term = st.builds(lambda minus, n: "-" * minus + str(n), st.integers(0, 2), st.integers(0, 9))
+    return st.builds(
+        lambda name, minus, op, terms, repeats: f"{name} = {'-' * minus}{op.join(terms * repeats)}",
+        st.sampled_from(["ans", "x"]),
+        st.integers(0, 3000),
+        st.sampled_from(["+", "-"]),
+        st.lists(term, min_size=1, max_size=3),
+        st.integers(1, 3000),
+    )
+
+
+_COMPLETIONS = st.lists(st.one_of(_chains(), st.text(max_size=40)), max_size=4).map("\n".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COMPLETIONS)
+def test_extract_answer_block_never_raises_on_completion_text(text):
+    assert isinstance(extract_answer_block(text), (Program, type(None)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_COMPLETIONS)
+def test_evaluate_records_a_cause_for_any_completion_text(text):
+    # integer chains never reach the gold value 0.5, so every item fails with a cause
+    services = _answering(text)
+    dataset = [QAItem(id="Q", question="Evaluation question number 1?", gold_value=0.5)]
+    report = evaluate(dataset, eval_pool(), SelectionConfig(), services)
+    assert report.items[0].cause

@@ -366,6 +366,53 @@ def render_expr_text(expr) -> str:
     return interpreter._render_expr(expr)
 
 
+def _plus_chain(terms: int, term: str = "1") -> str:
+    return "ans = " + "+".join([term] * terms)
+
+
+def _minus_chain(minuses: int, operand: str = "1") -> str:
+    return "ans = " + "-" * minuses + operand
+
+
+class TestNesting:
+    """Operator nesting is bounded by ``MAX_NESTING``, not by the call stack."""
+
+    deepest = interpreter.MAX_NESTING
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [(_plus_chain(deepest + 1, "x"), 2.0 * (deepest + 1)), (_minus_chain(deepest, "x"), 2.0)],
+        ids=["plus", "minus"],
+    )
+    def test_deepest_accepted_line_executes_renders_and_references(self, line, value):
+        program = parse("x = 2\n" + line)
+        assert execute(program) == value
+        assert interpreter.references(program.statements[-1].expression) == {"x"}
+        assert parse(render(program)).statements == program.statements
+
+    @pytest.mark.parametrize(
+        "line", [_plus_chain(deepest + 2), _minus_chain(deepest + 1), _plus_chain(1200)]
+    )
+    def test_one_level_deeper_is_unsupported(self, line):
+        with pytest.raises(UnsupportedConstructError, match="nested deeper than 200"):
+            interpreter.parse_line(line, 4)
+
+    @pytest.mark.parametrize("line", [_plus_chain(5000), _minus_chain(5000)], ids=["plus", "minus"])
+    def test_a_line_too_deep_for_ast_is_a_syntax_error(self, line):
+        with pytest.raises(ProgramSyntaxError) as info:
+            interpreter.parse_line(line, 4)
+        assert info.value.line_no == 4
+
+    def test_the_bound_holds_at_any_call_depth(self):
+        uncached = interpreter._parse_statement.__wrapped__
+        line = _plus_chain(self.deepest + 2)
+
+        def nested(frames):
+            return nested(frames - 1) if frames else uncached(line)
+
+        assert nested(500) == uncached(line) == "expression nested deeper than 200"
+
+
 @st.composite
 def _expressions(draw, names, depth):
     choices = ["num"]

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from potselect.augmentation import MalformedRecord
+from potselect.augmentation import read_jsonl
 from potselect.selection import SelectionConfig, Weights
 from potselect.tuning import (
     SearchSpace,
@@ -18,7 +18,6 @@ from potselect.tuning import (
     _Parzen1D,
     accuracy_objective,
     best_trial,
-    load_history,
     optimize,
     tpe_suggest,
     tune_weights,
@@ -49,6 +48,14 @@ def _train_set(tmp_path):
         for record in eval_dataset_records():
             fh.write(json.dumps(record) + "\n")
     return load_gsm8k(path)
+
+
+def _log(path):
+    """A trial log's header seed and its (seq, point, objective) per trial."""
+    (_, header), *trials = read_jsonl(path)
+    return header["rng_seed"], [
+        (record["seq"], tuple(record["point"]), record["objective"]) for _, record in trials
+    ]
 
 
 def _history(points_objectives, seed=0) -> TrialHistory:
@@ -152,8 +159,7 @@ class TestTpeSuggest:
 
     def test_startup_phase_is_uniform_random(self):
         trials = [((0.5,) * 4, float(i)) for i in range(5)]
-        params = TpeParams(n_startup=10)
-        point = tpe_suggest(_history(trials, seed=3), SearchSpace(), params)
+        point = tpe_suggest(_history(trials, seed=3), SearchSpace())
         assert SearchSpace().contains(point)
 
     def test_params_validated(self):
@@ -240,12 +246,6 @@ class TestOptimize:
         best = best_trial(history)
         assert np.all(np.abs(np.asarray(best.point) - 0.3) <= 0.1)
 
-    def test_resume_adds_exactly_budget_trials_with_continuing_seq(self):
-        history = optimize(_quadratic, SearchSpace(), budget=5, seed=3)
-        resumed = optimize(_quadratic, SearchSpace(), budget=3, history=history)
-        assert len(resumed) == 8
-        assert [t.seq for t in resumed.trials] == list(range(8))
-
     def test_deterministic_across_runs(self):
         a = optimize(_quadratic, SearchSpace(), budget=15, seed=4)
         b = optimize(_quadratic, SearchSpace(), budget=15, seed=4)
@@ -254,21 +254,18 @@ class TestOptimize:
     def test_trial_log_reconstructs_history_exactly(self, tmp_path):
         log_path = tmp_path / "trials.jsonl"
         history = optimize(_quadratic, SearchSpace(), budget=12, seed=7, log_path=log_path)
-        loaded = load_history(log_path)
-        assert loaded.rng_seed == history.rng_seed
-        assert loaded.trials == history.trials
+        rng_seed, trials = _log(log_path)
+        assert rng_seed == history.rng_seed == 7
+        assert trials == [(t.seq, t.point, t.objective) for t in history.trials]
 
-    @pytest.mark.parametrize(
-        "line",
-        ["[1, 2]", '{"seq": 0}', '{"seq": 0, "point": 5, "objective": 1.0}'],
-        ids=["list", "no-point", "point-number"],
-    )
-    def test_wrong_shaped_trial_line_is_malformed(self, tmp_path, line):
+    def test_an_existing_log_is_overwritten_by_the_new_search(self, tmp_path):
         log_path = tmp_path / "trials.jsonl"
-        log_path.write_text('{"rng_seed": 0}\n' + line + "\n")
-        with pytest.raises(MalformedRecord) as info:
-            load_history(log_path)
-        assert info.value.line_no == 2
+        optimize(_quadratic, SearchSpace(), budget=5, seed=3, log_path=log_path)
+        history = optimize(_quadratic, SearchSpace(), budget=3, seed=8, log_path=log_path)
+        rng_seed, trials = _log(log_path)
+        assert rng_seed == 8
+        assert [seq for seq, _, _ in trials] == [0, 1, 2]
+        assert trials == [(t.seq, t.point, t.objective) for t in history.trials]
 
     def test_objective_failure_persists_partial_history(self, tmp_path):
         log_path = tmp_path / "trials.jsonl"
@@ -282,17 +279,13 @@ class TestOptimize:
 
         with pytest.raises(RuntimeError):
             optimize(flaky, SearchSpace(), budget=10, seed=1, log_path=log_path)
-        partial = load_history(log_path)
-        assert len(partial) == 4
-        resumed = optimize(_quadratic, SearchSpace(), budget=6, history=partial, log_path=log_path)
-        assert len(resumed) == 10
-        assert len(load_history(log_path)) == 10
+        assert [seq for seq, _, _ in _log(log_path)[1]] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("bad", [(0.5, 1.5, 0.5, 0.5), (-0.1, 0.5, 0.5, 0.5), (0.5,) * 3])
     def test_resumed_trial_outside_the_space_is_rejected(self, bad):
         trials = [((0.2,) * 4, 0.0), ((0.4,) * 4, 1.0), (bad, 0.5), ((1.5,) * 4, 0.0)]
         with pytest.raises(ValueError, match=r"^trial 2 point .* outside the space"):
-            optimize(_quadratic, SearchSpace(), budget=1, history=_history(trials))
+            tpe_suggest(_history(trials), SearchSpace())
 
     def test_best_trial_prefers_earliest_on_ties(self):
         history = _history([((0.1,) * 4, 1.0), ((0.2,) * 4, 1.0)])
@@ -332,9 +325,9 @@ class TestTuneWeights:
         log_path = tmp_path / "t.jsonl"
         searched = optimize(_quadratic, SearchSpace(), budget=1, seed=11, log_path=log_path)
         weights = Weights.from_array(best_trial(searched).point)
-        history = load_history(log_path)
-        assert len(history) == 1
-        assert weights.as_array() == pytest.approx(np.asarray(history.trials[0].point))
+        _, trials = _log(log_path)
+        assert len(trials) == 1
+        assert weights.as_array() == pytest.approx(np.asarray(trials[0][1]))
 
     def test_synthetic_objective_recovers_target_box(self):
         searched = optimize(_quadratic, SearchSpace(), budget=60, seed=2)
@@ -373,7 +366,7 @@ class TestTuneWeights:
         log_path = tmp_path / "t.jsonl"
         with pytest.raises(ProviderError, match="item E1: endpoint down"):
             tune_weights(pool, dataset, 3, 0, services, log_path=log_path)
-        assert [t.seq for t in load_history(log_path).trials] == [0]
+        assert [seq for seq, _, _ in _log(log_path)[1]] == [0]
 
     def test_metrics_computed_once_per_item_and_trials_unchanged(self, tmp_path):
         # an item is answered correctly only when the bolts example is picked first,
@@ -406,8 +399,7 @@ class TestTuneWeights:
 
         reference = optimize(recomputing, SearchSpace(), budget, seed=seed)
         assert sum(oracle_calls) == budget * len(dataset) * (3 * len(pool) + 1)
-        trials = load_history(log_path).trials
-        assert [t.point for t in trials] == [t.point for t in reference.trials]
-        assert [t.objective for t in trials] == [t.objective for t in reference.trials]
-        assert len({t.objective for t in trials}) > 1
+        _, trials = _log(log_path)
+        assert trials == [(t.seq, t.point, t.objective) for t in reference.trials]
+        assert len({objective for _, _, objective in trials}) > 1
         assert best == best_trial(reference)
