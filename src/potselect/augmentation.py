@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -119,7 +119,7 @@ class Example:
             "parent_id": self.parent_id,
         }
         if self.consistency is not None:
-            record["consistency"] = asdict(self.consistency)
+            record["consistency"] = dict(vars(self.consistency))
         return record
 
     @classmethod

@@ -132,7 +132,7 @@ def _check(key: str, default, kwargs: dict, value) -> None:
         if value not in kwargs.get("choices", [value]):
             raise argparse.ArgumentTypeError(f"{value!r} is not one of {kwargs['choices']}")
         parse(value)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, OverflowError) as exc:  # an int beyond float range
         raise UsageError(f"config key {key!r}: {exc}") from None
 
 
@@ -207,7 +207,10 @@ def cmd_augment(cfg: dict) -> int:
     )
     result = augmentation.augment_pool(pool, config, services, stages=stages)
     augmentation.save_pool(result.pool, out, meta={"command": "augment", "config": cfg})
-    augmentation.write_jsonl(f"{out}.attempts.jsonl", map(asdict, result.attempts))
+    augmentation.write_jsonl(
+        f"{out}.attempts.jsonl",
+        ({**vars(a), "report": a.report and vars(a.report)} for a in result.attempts),
+    )
     counts = result.accepted_per_stage()
     print(
         f"pool: {len(pool)} seeds -> {len(result.pool)} examples "
@@ -263,7 +266,7 @@ def cmd_tune(cfg: dict) -> int:
             selection_config_template=_selection_config(cfg),
             log_path=log_path,
         )
-        calls = getattr(services.completion, "calls", 0)
+        calls = services.completion.calls
     selection.save_weights(selection.Weights.from_array(best.point), out)
     print(
         f"best objective {best.objective:.6f} at trial {best.seq}; weights -> {out} "
@@ -280,7 +283,7 @@ def cmd_eval(cfg: dict) -> int:
     services = _services(cfg)
     report = evalharness.evaluate(dataset, pool, _selection_config(cfg), services)
     evalharness.save_report(report, out, meta={"command": "eval", "config": cfg})
-    calls = getattr(services.completion, "calls", 0)
+    calls = services.completion.calls
     print(
         f"items={report.n_items} correct={report.n_correct} "
         f"accuracy={report.accuracy:.4f} mean_examples={report.mean_examples_used:.4f} "

@@ -130,11 +130,12 @@ class _Unsupported(Exception):
 # (convert, references, render, execute) well inside Python's recursion limit, and
 # is fixed rather than read off the stack because _parse_statement memoizes outcomes
 MAX_NESTING = 200
+_NESTED_TOO_DEEP = f"expression nested deeper than {MAX_NESTING}"
 
 
 def _convert(node: ast.expr, depth: int = 0) -> Expr:
     if depth > MAX_NESTING:
-        raise _Unsupported(f"expression nested deeper than {MAX_NESTING}")
+        raise _Unsupported(_NESTED_TOO_DEEP)
     if isinstance(node, ast.Constant):
         # bool is an int subclass; reject it along with strings etc.
         if type(node.value) in (int, float):
@@ -172,11 +173,18 @@ PARSE_MEMO_SIZE = 4096  # distinct lines whose parse outcome is kept
 def _parse_statement(line: str) -> Assignment | str | None:
     """What a non-blank, non-comment line holds, memoized by its text: the
     assignment, the unsupported construct it uses, or None when it is not
-    Python.  Results are frozen, so callers share them."""
+    Python.  Results are frozen, so callers share them.
+
+    A line too deep for ``ast.parse``, whose limit shrinks as the caller's
+    stack grows, has the same outcome as one ``_convert`` finds nested deeper
+    than ``MAX_NESTING``, so the memo holds one outcome at any call depth.
+    """
     try:
         tree = ast.parse(line, mode="exec")
-    except (SyntaxError, RecursionError):  # too deep for ast is unparseable too
+    except SyntaxError:
         return None
+    except RecursionError:
+        return _NESTED_TOO_DEEP
     if len(tree.body) != 1:
         return "multiple statements on one line"
     stmt = tree.body[0]

@@ -137,10 +137,10 @@ class ScriptedProvider:
     """
 
     provider_id = "scripted"
+    model_id = "scripted"
 
-    def __init__(self, fixtures: list[Fixture] | None = None, model_id: str = "scripted"):
+    def __init__(self, fixtures: list[Fixture] | None = None):
         self.fixtures = list(fixtures or [])
-        self.model_id = model_id
         self.calls = 0
         self._consumed = [False] * len(self.fixtures)
         self._patterns = [_compile_fixture(i, f) for i, f in enumerate(self.fixtures)]
@@ -148,8 +148,8 @@ class ScriptedProvider:
         self._served: dict[str, list] = {}
 
     @classmethod
-    def from_file(cls, path: str | Path, model_id: str = "scripted") -> "ScriptedProvider":
-        return cls(load_fixtures(path), model_id=model_id)
+    def from_file(cls, path: str | Path) -> "ScriptedProvider":
+        return cls(load_fixtures(path))
 
     def complete(self, request: CompletionRequest) -> str:
         self.calls += 1
@@ -207,7 +207,8 @@ def _compile_fixture(index: int, fixture: Fixture) -> re.Pattern | None:
 
 Transport = Callable[[str, dict, dict], object]
 
-BACKOFF_CAP = 8.0  # seconds: the longest wait between two attempts
+MAX_ATTEMPTS = 3  # transport calls per request
+BACKOFF_BASE = 0.5  # seconds before the second attempt; each later wait doubles
 
 
 def _http_transport(endpoint: str, payload: dict, headers: dict) -> object:
@@ -230,6 +231,7 @@ class RemoteCompletionProvider:
     ``POTSELECT_ENDPOINT`` / ``POTSELECT_API_TOKEN`` / ``POTSELECT_MODEL``
     environment variables.  ``transport(endpoint, payload, headers)``
     returns the response's ``text`` value; ``calls`` counts requests.
+    A request makes at most ``MAX_ATTEMPTS`` transport calls.
     """
 
     provider_id = "remote"
@@ -239,8 +241,6 @@ class RemoteCompletionProvider:
         endpoint: str | None = None,
         token: str | None = None,
         model_id: str | None = None,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
         transport: Transport | None = None,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
@@ -248,13 +248,11 @@ class RemoteCompletionProvider:
         self.model_id = model_id or os.environ.get(MODEL_ENV, "default")
         if not self.endpoint:
             raise ValueError(f"no endpoint configured (set {ENDPOINT_ENV})")
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self.calls = 0
         self._transport = transport or _http_transport
 
     def complete(self, request: CompletionRequest) -> str:
-        """Retry connection errors, timeouts and 5xx with capped exponential backoff.
+        """Retry connection errors, timeouts and 5xx, waiting 0.5 s and then 1 s.
 
         Any other request failure is fatal at once; both end as ProviderUnavailable.
         A ``text`` value that is not a string raises MalformedResponse.
@@ -271,23 +269,23 @@ class RemoteCompletionProvider:
             "stop": list(request.stop_sequences),
         }
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
-        delay = self.backoff_base
+        delay = BACKOFF_BASE
         last: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 text = self._transport(self.endpoint, payload, headers)
             except retryable as exc:
                 last = exc
-                if attempt + 1 < self.max_attempts:
+                if attempt + 1 < MAX_ATTEMPTS:
                     time.sleep(delay)
-                    delay = min(delay * 2, BACKOFF_CAP)
+                    delay *= 2
             except requests.RequestException as exc:
                 raise ProviderUnavailable(f"non-retryable failure: {exc}") from exc
             else:
                 if not isinstance(text, str):
                     raise MalformedResponse(f"'text' is {type(text).__name__}, not a string")
                 return text
-        raise ProviderUnavailable(f"gave up after {self.max_attempts} attempts: {last}") from last
+        raise ProviderUnavailable(f"gave up after {MAX_ATTEMPTS} attempts: {last}") from last
 
 
 TOKEN_HASH_MEMO_SIZE = 4096  # distinct tokens whose hash is kept
@@ -379,7 +377,7 @@ class Services:
     completion: object
     embedding: object
     cache: CacheStore | None = None
-    _embed_memo: dict[str, Embedded] = field(default_factory=dict, repr=False)
+    _embed_memo: dict[str, Embedded] = field(default_factory=dict, init=False, repr=False)
     # id(pool) -> (pool, selection's per-pool entry, which holds each
     # question's (n, 4) metric rows); holding the pool keeps its id from reuse
     _metrics_memo: dict[int, tuple[object, object]] = field(

@@ -74,7 +74,7 @@ def load_weights(path: str | Path) -> Weights:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         return Weights(**{f.name: float(data[f.name]) for f in fields(Weights)})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         message = f"weights file {path}: not one JSON object of weights: {exc!r}"
         raise ValueError(message) from None
 

@@ -1,11 +1,12 @@
 """Metric-weight learning by Tree-structured Parzen Estimator search.
 
 Maximizes an objective (by default: selection-pipeline accuracy over a
-training subset) inside a box search space.  Trials before ``n_startup``
-are uniform random; afterwards the history is split at the gamma-quantile
-of the objective into good/bad sets, per-dimension Parzen densities
-(bound-truncated Gaussian kernels plus a uniform prior component) are
-fitted to each, and the candidate maximizing the good/bad density ratio is
+training subset) inside a box search space.  The schedule is the fixed
+one of ``TpeParams``: the first 10 trials are uniform random; afterwards
+the history is split at the 0.25-quantile of the objective into good/bad
+sets, per-dimension Parzen densities (bound-truncated Gaussian kernels plus
+a uniform prior component) are fitted to each, and of 24 candidates drawn
+from the good densities the one maximizing the good/bad density ratio is
 suggested.
 
 The kernels are scipy's truncnorm density and inverse-cdf sampler
@@ -70,23 +71,16 @@ class TrialHistory:
     trials: list[Trial] = field(default_factory=list)
     rng_seed: int = 0
 
-    def append(self, trial: Trial) -> None:
-        if self.trials and trial.seq <= self.trials[-1].seq:
-            raise ValueError("trial seq must be strictly increasing")
-        self.trials.append(trial)
 
-
-@dataclass(frozen=True)
 class TpeParams:
-    n_startup: int = 10
-    gamma: float = 0.25
-    n_candidates: int = 24
+    """The fixed TPE schedule: uniform draws for the first ``n_startup`` trials,
+    then a good set of the top ``ceil(gamma * n)`` trials and ``n_candidates``
+    samples from its density.  Every fit therefore has at least 3 good and 7
+    bad kernels."""
 
-    def __post_init__(self) -> None:
-        if self.n_startup < 1 or self.n_candidates < 1:
-            raise ValueError("n_startup and n_candidates must be >= 1")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
+    n_startup = 10
+    gamma = 0.25
+    n_candidates = 24
 
 
 _LOG_SQRT_2PI = 0.9189385332046727  # log(sqrt(2 pi)), rounded as scipy's truncnorm has it
@@ -116,7 +110,9 @@ class _Parzen1D:
     Kernel bandwidths follow the neighbor-spacing rule, floored at 1% of the
     interval and capped at the interval width.  All components share weight
     1/(k+1), so the pdf is strictly positive on [low, high].  Every kernel
-    centre must lie in [low, high].
+    centre must lie in [low, high].  ``tpe_suggest`` fits at least 3 kernels
+    (see ``TpeParams``); the rule is the same for any k, and k = 0 leaves
+    only the uniform component.
     """
 
     def __init__(self, values: Sequence[float], low: float, high: float):
@@ -124,34 +120,25 @@ class _Parzen1D:
         self.high = high
         mus = np.sort(np.asarray(values, dtype=np.float64))
         width = high - low
-        k = mus.size
-        if k >= 2:
-            left = np.diff(np.concatenate(([low], mus)))
-            right = np.diff(np.concatenate((mus, [high])))
-            # count-scaled floor keeps duplicate/clustered points from
-            # collapsing to near-delta kernels and stalling the search
-            floor = max(width * 1e-2, width / (1 + k))
-            sigmas = np.clip(np.maximum(left, right), floor, width)
-        elif k == 1:
-            sigmas = np.array([width])
-        else:
-            sigmas = np.empty(0)
+        left = np.diff(np.concatenate(([low], mus)))
+        right = np.diff(np.concatenate((mus, [high])))
+        # count-scaled floor keeps duplicate/clustered points from
+        # collapsing to near-delta kernels and stalling the search
+        floor = max(width * 1e-2, width / (1 + mus.size))
         self.mus = mus
-        self.sigmas = sigmas
+        self.sigmas = np.clip(np.maximum(left, right), floor, width)
         # each kernel's bounds in its own standard units, and its mass between them
-        self.a = (low - mus) / sigmas
-        self.b = (high - mus) / sigmas
+        self.a = (low - mus) / self.sigmas
+        self.b = (high - mus) / self.sigmas
         self.log_mass = _log_gauss_mass(self.a, self.b)
 
     def pdf(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         k = self.mus.size
-        total = np.full(xs.shape, 1.0 / (self.high - self.low))
-        if k:
-            z = (xs[..., None] - self.mus) / self.sigmas
-            density = np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - self.log_mass) / self.sigmas
-            kernels = np.where((self.a <= z) & (z <= self.b), density, 0.0)
-            total = total + kernels.sum(axis=-1)
+        z = (xs[..., None] - self.mus) / self.sigmas
+        density = np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - self.log_mass) / self.sigmas
+        kernels = np.where((self.a <= z) & (z <= self.b), density, 0.0)
+        total = 1.0 / (self.high - self.low) + kernels.sum(axis=-1)
         return total / (k + 1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -160,11 +147,10 @@ class _Parzen1D:
         out = np.empty(size)
         uniform_mask = components == k
         out[uniform_mask] = rng.uniform(self.low, self.high, size=int(uniform_mask.sum()))
-        if k:
-            idx = components[~uniform_mask]
-            if idx.size:
-                z = self._ppf(rng.uniform(size=idx.size), idx)
-                out[~uniform_mask] = z * self.sigmas[idx] + self.mus[idx]
+        idx = components[~uniform_mask]
+        if idx.size:
+            z = self._ppf(rng.uniform(size=idx.size), idx)
+            out[~uniform_mask] = z * self.sigmas[idx] + self.mus[idx]
         return out
 
     def _ppf(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -191,35 +177,34 @@ class _Parzen1D:
 def tpe_suggest(history: TrialHistory, space: SearchSpace) -> np.ndarray:
     """Suggest the next point; deterministic given (seed, history).
 
-    Uniform random below ``TpeParams().n_startup`` trials and on degenerate
+    Uniform random below ``TpeParams.n_startup`` trials and on degenerate
     histories (all objectives equal).  Suggestions always lie inside the
     space; a history with a trial outside it raises ValueError naming that
     trial.
     """
-    params = TpeParams()
     rng = np.random.default_rng([abs(history.rng_seed) % 2**32, len(history.trials)])
     trials = history.trials
     for trial in trials:
         if len(trial.point) != space.ndim or not space.contains(trial.point):
             raise ValueError(f"trial {trial.seq} point {trial.point} lies outside the space")
-    if len(trials) < params.n_startup:
+    if len(trials) < TpeParams.n_startup:
         return space.uniform(rng)
     objectives = np.array([t.objective for t in trials])
     if np.ptp(objectives) == 0.0:
         return space.uniform(rng)
 
-    n_good = max(1, int(np.ceil(params.gamma * len(trials))))
+    n_good = int(np.ceil(TpeParams.gamma * len(trials)))
     order = np.argsort(-objectives, kind="stable")
     points = np.array([t.point for t in trials], dtype=np.float64)
     good = points[order[:n_good]]
     bad = points[order[n_good:]]
 
-    candidates = np.empty((params.n_candidates, space.ndim))
-    log_ratio = np.zeros(params.n_candidates)
+    candidates = np.empty((TpeParams.n_candidates, space.ndim))
+    log_ratio = np.zeros(TpeParams.n_candidates)
     for d, (low, high) in enumerate(space.bounds):
         good_density = _Parzen1D(good[:, d], low, high)
         bad_density = _Parzen1D(bad[:, d], low, high)
-        xs = good_density.sample(rng, params.n_candidates)
+        xs = good_density.sample(rng, TpeParams.n_candidates)
         candidates[:, d] = xs
         log_ratio += np.log(good_density.pdf(xs)) - np.log(bad_density.pdf(xs))
     return candidates[int(np.argmax(log_ratio))]
@@ -258,7 +243,7 @@ def optimize(
             point = tpe_suggest(history, space)
             value = float(objective(point))
             trial = Trial(seq=len(history.trials), point=tuple(float(v) for v in point), objective=value)
-            history.append(trial)
+            history.trials.append(trial)
             record = {**asdict(trial), "timestamp": datetime.now(timezone.utc).isoformat()}
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
             log_fh.flush()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +253,11 @@ def random_weights(rng: np.random.Generator):
 @pytest.fixture
 def eval_environment(tmp_path):
     """On-disk pool/dataset/fixture files for CLI-level eval runs."""
+    return write_eval_environment(tmp_path)
+
+
+def write_eval_environment(tmp_path: Path) -> dict:
+    """Write ``eval_environment``'s files into ``tmp_path``; return their paths."""
     pool_path = tmp_path / "pool.jsonl"
     with open(pool_path, "w", encoding="utf-8") as fh:
         for example in eval_pool():

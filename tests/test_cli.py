@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import requests
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import potselect
 from potselect.cli import _effective_config, build_parser, main
@@ -29,6 +33,7 @@ from conftest import (
     eval_pool,
     fake_post,
     thirteen_seeds,
+    write_eval_environment,
 )
 
 
@@ -813,3 +818,102 @@ def test_importing_the_cli_loads_neither_scipy_nor_requests():
 def test_every_public_name_resolves():
     assert [name for name in potselect.__all__ if not hasattr(potselect, name)] == []
     assert len(set(potselect.__all__)) == len(potselect.__all__)
+
+
+# Generative inputs: whatever a config or weights file holds, ``cli.main`` ends
+# with a documented exit code.  Each example runs in a fresh directory holding
+# eval_environment's files, and path-valued keys name only entries of it.
+_BEYOND_FLOAT = st.sampled_from([10**400, -(10**400)])
+
+
+def _json(integers):
+    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=6)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=4,
+    )
+
+
+_ANY_JSON = _json(st.integers() | _BEYOND_FLOAT)
+_SMALL_JSON = _json(st.integers(-2, 3))
+_NON_STRING = _SMALL_JSON.filter(lambda value: not isinstance(value, str))
+_FILES = ("pool.jsonl", "dataset.jsonl", "fixtures.json", "weights.json", "missing", ".")
+_INLINE_WEIGHTS = st.lists(st.floats() | st.integers(-1, 2), max_size=5).map(
+    lambda values: ",".join(map(str, values))
+)
+_VALID = {
+    "provider": st.sampled_from(["scripted", "remote"]),
+    "dataset_kind": st.sampled_from(["gsm8k", "svamp"]),
+    "stages": st.sampled_from(["1", "1,2", "3", "0", ""]),
+    "seed": st.integers() | _BEYOND_FLOAT,
+    "weights": _INLINE_WEIGHTS,
+    "synthetic_objective": st.booleans(),
+    **dict.fromkeys(["budget", "iterations", "max_retries", "max_chosen"], st.integers(1, 3)),
+    **dict.fromkeys(["epsilon", "delta", "tau"], st.floats() | st.integers() | _BEYOND_FLOAT),
+}
+_PATHS = ("fixtures", "cache_dir", "dataset", "pool", "out", "weights")
+_COUNTS = ("budget", "iterations", "max_retries")  # a large count would run for ever
+
+
+def _config_value(key: str):
+    valid = _VALID.get(key, st.nothing())
+    if key in _PATHS:
+        return valid | st.sampled_from(_FILES) | _NON_STRING
+    return valid | (_SMALL_JSON if key in _COUNTS else _ANY_JSON)
+
+
+# a few drawn keys over a config that runs every command, so that most draws get
+# past the config checks and into the command
+_BASE_CONFIG = {
+    "pool": "pool.jsonl", "dataset": "dataset.jsonl", "fixtures": "fixtures.json",
+    "out": "out.jsonl", "cache_dir": "cache",
+}
+_CONFIGS = st.lists(
+    st.sampled_from([*_NO_FLAG_CONFIG, "no_such_key"]), max_size=3, unique=True
+).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _config_value(key) for key in keys}).map(
+        lambda drawn: {**_BASE_CONFIG, **drawn}
+    )
+)
+_CONFIG_FILES = (_CONFIGS | _ANY_JSON).map(json.dumps).map(str.encode) | st.binary(max_size=24)
+
+_WEIGHT_NAMES = ("relevance", "concept", "complexity", "similarity")
+_WEIGHT = st.floats(0, 2) | st.integers(0, 2) | st.floats(0)  # the last reaches 1e308 and inf
+_WEIGHTS_FILES = (
+    st.fixed_dictionaries({name: _WEIGHT for name in _WEIGHT_NAMES})
+    | st.fixed_dictionaries({name: _WEIGHT | _ANY_JSON for name in _WEIGHT_NAMES})
+    | st.dictionaries(st.sampled_from([*_WEIGHT_NAMES, "other"]), _ANY_JSON, max_size=5)
+    | _ANY_JSON
+).map(json.dumps).map(str.encode) | st.binary(max_size=24)
+
+
+@contextlib.contextmanager
+def _fresh_environment():
+    """A new directory holding eval_environment's files, as the working directory."""
+    with tempfile.TemporaryDirectory() as root, contextlib.chdir(root):
+        yield write_eval_environment(Path(root))
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.sampled_from(["augment", "select", "tune", "eval", "cache-stats"]), _CONFIG_FILES)
+@example("cache-stats", json.dumps({**_BASE_CONFIG, "epsilon": 10**400}).encode())
+def test_any_config_file_ends_with_a_documented_exit_code(monkeypatch, command, content):
+    monkeypatch.delenv("POTSELECT_ENDPOINT", raising=False)  # "remote" then has no endpoint
+    with _fresh_environment():
+        Path("config.json").write_bytes(content)
+        assert main([command, "--config", "config.json"]) in (0, 1, 2, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["select", "eval"]), _WEIGHTS_FILES)
+@example("select", json.dumps(dict.fromkeys(_WEIGHT_NAMES, 10**400)).encode())
+def test_any_weights_file_ends_with_a_documented_exit_code(command, content):
+    with _fresh_environment() as env:
+        Path("weights.json").write_bytes(content)
+        files = ("--pool", env["pool"], "--dataset", env["dataset"], "--fixtures", env["fixtures"])
+        argv = [command, *files, "--weights", "weights.json", "--out", "out.jsonl"]
+        assert main(argv) in (0, 1, 2, 3)

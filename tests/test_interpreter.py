@@ -398,8 +398,8 @@ class TestNesting:
             interpreter.parse_line(line, 4)
 
     @pytest.mark.parametrize("line", [_plus_chain(5000), _minus_chain(5000)], ids=["plus", "minus"])
-    def test_a_line_too_deep_for_ast_is_a_syntax_error(self, line):
-        with pytest.raises(ProgramSyntaxError) as info:
+    def test_a_line_too_deep_for_ast_is_nested_too_deep(self, line):
+        with pytest.raises(UnsupportedConstructError, match="nested deeper than 200") as info:
             interpreter.parse_line(line, 4)
         assert info.value.line_no == 4
 
@@ -407,10 +407,17 @@ class TestNesting:
         uncached = interpreter._parse_statement.__wrapped__
         line = _plus_chain(self.deepest + 2)
 
-        def nested(frames):
-            return nested(frames - 1) if frames else uncached(line)
+        def nested(frames, parse, line):
+            return nested(frames - 1, parse, line) if frames else parse(line)
 
-        assert nested(500) == uncached(line) == "expression nested deeper than 200"
+        assert nested(500, uncached, line) == uncached(line) == "expression nested deeper than 200"
+        # ast.parse takes this line at the top of the stack but not 500 frames
+        # down; the memo keeps the deep call's outcome for the shallow one
+        deep = _plus_chain(2000)
+        interpreter._parse_statement.cache_clear()
+        for frames in (500, 0):
+            with pytest.raises(UnsupportedConstructError, match="nested deeper than 200"):
+                nested(frames, interpreter.parse_line, deep)
 
 
 @st.composite

@@ -412,11 +412,17 @@ class _FlakyTransport:
 
 
 class TestRemoteProvider:
+    @pytest.fixture(autouse=True)
+    def sleeps(self, monkeypatch):
+        """The waits between attempts, recorded instead of slept."""
+        waits = []
+        monkeypatch.setattr("time.sleep", waits.append)
+        return waits
+
     def test_unreachable_endpoint_exhausts_retry_budget(self):
         transport = _FlakyTransport(fail_times=99)
         provider = RemoteCompletionProvider(
-            endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0,
-            transport=transport,
+            endpoint="http://example.invalid", transport=transport
         )
         with pytest.raises(ProviderUnavailable):
             provider.complete(CompletionRequest(prompt="p"))
@@ -430,8 +436,7 @@ class TestRemoteProvider:
             raise requests.Timeout("slow")
 
         provider = RemoteCompletionProvider(
-            endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0,
-            transport=transport,
+            endpoint="http://example.invalid", transport=transport
         )
         with pytest.raises(ProviderUnavailable, match="gave up after 3 attempts"):
             provider.complete(CompletionRequest(prompt="p"))
@@ -440,19 +445,30 @@ class TestRemoteProvider:
     def test_recovers_after_transient_failures(self):
         transport = _FlakyTransport(fail_times=2, response="answer")
         provider = RemoteCompletionProvider(
-            endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0,
-            transport=transport,
+            endpoint="http://example.invalid", transport=transport
         )
         assert provider.complete(CompletionRequest(prompt="p")) == "answer"
         assert transport.calls == 3
+
+    def test_retries_wait_half_a_second_then_one(self, sleeps):
+        exhausted = _FlakyTransport(fail_times=99)
+        provider = RemoteCompletionProvider(endpoint="http://example.invalid", transport=exhausted)
+        with pytest.raises(ProviderUnavailable, match="gave up after 3 attempts"):
+            provider.complete(CompletionRequest(prompt="p"))
+        assert (sleeps, exhausted.calls) == ([0.5, 1.0], 3)
+
+        sleeps.clear()
+        transient = _FlakyTransport(fail_times=1, response="answer")
+        provider = RemoteCompletionProvider(endpoint="http://example.invalid", transport=transient)
+        assert provider.complete(CompletionRequest(prompt="p")) == "answer"
+        assert (sleeps, transient.calls) == ([0.5], 2)
 
     def test_non_retryable_failure_raises_immediately(self):
         def transport(endpoint, payload, headers):
             raise requests.HTTPError("400 bad request")
 
         provider = RemoteCompletionProvider(
-            endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0,
-            transport=transport,
+            endpoint="http://example.invalid", transport=transport
         )
         with pytest.raises(ProviderUnavailable):
             provider.complete(CompletionRequest(prompt="p"))
@@ -497,7 +513,7 @@ class TestRemoteProvider:
         from potselect.providers import MalformedResponse
 
         posts = fake_post(monkeypatch, 200, body)
-        provider = RemoteCompletionProvider(endpoint="http://example.invalid", backoff_base=0.0)
+        provider = RemoteCompletionProvider(endpoint="http://example.invalid")
         with pytest.raises(MalformedResponse):
             provider.complete(CompletionRequest(prompt="p"))
         assert len(posts) == 1
@@ -514,18 +530,14 @@ class TestRemoteProvider:
 
     def test_server_error_is_retried_then_unavailable(self, monkeypatch):
         posts = fake_post(monkeypatch, 503, b"busy")
-        provider = RemoteCompletionProvider(
-            endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0
-        )
+        provider = RemoteCompletionProvider(endpoint="http://example.invalid")
         with pytest.raises(ProviderUnavailable):
             provider.complete(CompletionRequest(prompt="p"))
         assert len(posts) == 3
 
     def test_client_error_is_unavailable_after_one_post(self, monkeypatch):
         posts = fake_post(monkeypatch, 400, b'{"error": "bad input"}')
-        provider = RemoteCompletionProvider(
-            endpoint="http://example.invalid", max_attempts=3, backoff_base=0.0
-        )
+        provider = RemoteCompletionProvider(endpoint="http://example.invalid")
         with pytest.raises(ProviderUnavailable):
             provider.complete(CompletionRequest(prompt="p"))
         assert len(posts) == 1
@@ -553,7 +565,7 @@ class TestConceptExtract:
 
 class TestServices:
     def test_complete_text_uses_provider_model_id(self):
-        provider = ScriptedProvider([Fixture("exact", "p", "r")], model_id="scripted")
+        provider = ScriptedProvider([Fixture("exact", "p", "r")])
         services = Services(completion=provider, embedding=HashEmbedding())
         assert services.complete_text("p") == "r"
 
@@ -561,12 +573,14 @@ class TestServices:
         sent = []
 
         class Recording(ScriptedProvider):
+            model_id = "m"
+
             def complete(self, request):
                 sent.append(request)
                 return super().complete(request)
 
         services = Services(
-            completion=Recording([Fixture("exact", "p", "r")], model_id="m"),
+            completion=Recording([Fixture("exact", "p", "r")]),
             embedding=HashEmbedding(),
         )
         request = services.request("p", ("s",))

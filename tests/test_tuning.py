@@ -8,11 +8,11 @@ import re
 import numpy as np
 import pytest
 
+from potselect import tuning
 from potselect.augmentation import read_jsonl
 from potselect.selection import SelectionConfig, Weights
 from potselect.tuning import (
     SearchSpace,
-    TpeParams,
     Trial,
     TrialHistory,
     _Parzen1D,
@@ -61,7 +61,7 @@ def _log(path):
 def _history(points_objectives, seed=0) -> TrialHistory:
     history = TrialHistory(rng_seed=seed)
     for i, (point, objective) in enumerate(points_objectives):
-        history.append(Trial(seq=i, point=tuple(point), objective=objective))
+        history.trials.append(Trial(seq=i, point=tuple(point), objective=objective))
     return history
 
 
@@ -82,11 +82,6 @@ class TestSearchSpace:
 
 
 class TestTrialHistory:
-    def test_seq_strictly_increasing(self):
-        history = _history([((0.1,) * 4, 1.0)])
-        with pytest.raises(ValueError):
-            history.append(Trial(seq=0, point=(0.2,) * 4, objective=0.5))
-
     def test_objective_must_be_finite(self):
         with pytest.raises(ValueError):
             Trial(seq=0, point=(0.1,) * 4, objective=float("nan"))
@@ -147,10 +142,10 @@ class TestTpeSuggest:
             history = TrialHistory(rng_seed=seed)
             seq = 0
             for x in cluster:
-                history.append(Trial(seq, (float(x),), objective=1.0 + 0.01 * float(x)))
+                history.trials.append(Trial(seq, (float(x),), objective=1.0 + 0.01 * float(x)))
                 seq += 1
             for x in spread:
-                history.append(Trial(seq, (float(x),), objective=0.001 * float(x)))
+                history.trials.append(Trial(seq, (float(x),), objective=0.001 * float(x)))
                 seq += 1
             suggestion = tpe_suggest(history, space)
             if cluster.min() <= suggestion[0] <= cluster.max():
@@ -161,12 +156,6 @@ class TestTpeSuggest:
         trials = [((0.5,) * 4, float(i)) for i in range(5)]
         point = tpe_suggest(_history(trials, seed=3), SearchSpace())
         assert SearchSpace().contains(point)
-
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            TpeParams(gamma=0.0)
-        with pytest.raises(ValueError):
-            TpeParams(n_candidates=0)
 
 
 def _truncnorm_pdf(parzen: _Parzen1D, xs: np.ndarray) -> np.ndarray:
@@ -238,6 +227,19 @@ class TestParzenKernels:
             samples = parzen.sample(ours, 64)
             assert np.array_equal(samples, _truncnorm_sample(parzen, theirs, 64)), i
             assert ours.bit_generator.state == theirs.bit_generator.state, i
+
+    def test_every_fit_of_a_search_has_at_least_three_kernels(self, monkeypatch):
+        sizes = []
+
+        class Recording(_Parzen1D):
+            def __init__(self, values, low, high):
+                super().__init__(values, low, high)
+                sizes.append(self.mus.size)
+
+        monkeypatch.setattr(tuning, "_Parzen1D", Recording)
+        optimize(_quadratic, SearchSpace(), budget=60)
+        assert len(sizes) == 2 * 4 * (60 - 10)  # good and bad, per dimension, per fitted trial
+        assert min(sizes) >= 3
 
 
 class TestOptimize:
