@@ -512,8 +512,9 @@ def augment_pool(
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of a JSONL file.
 
-    Line numbers count every line from 1.  Invalid JSON or a line that is
-    not a JSON object raises MalformedRecord.
+    Line numbers count every line from 1.  Invalid JSON, JSON nested too
+    deeply to decode, or a line that is not a JSON object raises
+    MalformedRecord.
     """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -521,7 +522,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise MalformedRecord(line_no, f"invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise MalformedRecord(line_no, "record is not an object")

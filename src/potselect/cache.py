@@ -4,11 +4,13 @@
 key under a directory.  Each entry declares byte lengths for the canonical
 request and the verbatim response so round-trips are bit-exact.  Writes go
 through a temp file and an atomic rename, so concurrent writers of the same
-key are benign and distinct keys never interfere.
+key are benign and distinct keys never interfere.  A reader that finds an
+entry gone, or already quarantined, by another process counts a miss.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import re
@@ -51,14 +53,15 @@ class CacheStore:
         """
         key = request.key()
         path = self.directory / key
-        if not path.exists():
-            return None
         try:
             entry = _read_entry(path)
             if entry.key != key:
                 raise CacheCorrupt(f"stored key {entry.key!r} != expected {key!r}")
+        except FileNotFoundError:
+            return None
         except CacheCorrupt:
-            os.replace(path, path.with_name(key + ".corrupt"))
+            with contextlib.suppress(FileNotFoundError):  # another process moved it first
+                os.replace(path, path.with_name(key + ".corrupt"))
             return None
         return entry.response
 

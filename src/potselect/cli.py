@@ -140,7 +140,10 @@ def _effective_config(args: argparse.Namespace) -> dict:
     """Flag > config file > default for every option, in ``_OPTIONS`` order."""
     from_file: dict = {}
     if args.config:
-        from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except RecursionError as exc:  # nesting too deep to decode is invalid JSON
+            raise ValueError(f"config file {args.config}: invalid JSON: {exc}") from None
         if not isinstance(from_file, dict):
             raise UsageError(f"config file {args.config} must hold one JSON object")
         rows = {key: (default, kwargs) for key, default, _, kwargs in _OPTIONS}

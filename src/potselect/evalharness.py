@@ -97,6 +97,8 @@ def load_svamp(path: str | Path) -> list[QAItem]:
             records = list(enumerate(json.loads(text), start=1))
         except json.JSONDecodeError as exc:
             raise MalformedRecord(exc.lineno, f"invalid JSON: {exc}") from None
+        except RecursionError as exc:
+            raise MalformedRecord(1, f"invalid JSON: {exc}") from None
     else:
         records = list(read_jsonl(path))
     items: list[QAItem] = []

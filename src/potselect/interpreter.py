@@ -173,18 +173,13 @@ PARSE_MEMO_SIZE = 4096  # distinct lines whose parse outcome is kept
 def _parse_statement(line: str) -> Assignment | str | None:
     """What a non-blank, non-comment line holds, memoized by its text: the
     assignment, the unsupported construct it uses, or None when it is not
-    Python.  Results are frozen, so callers share them.
-
-    A line too deep for ``ast.parse``, whose limit shrinks as the caller's
-    stack grows, has the same outcome as one ``_convert`` finds nested deeper
-    than ``MAX_NESTING``, so the memo holds one outcome at any call depth.
+    Python.  Results are frozen, so callers share them.  A ``RecursionError``
+    propagates, so the memo keeps no outcome that depends on the call depth.
     """
     try:
         tree = ast.parse(line, mode="exec")
     except SyntaxError:
         return None
-    except RecursionError:
-        return _NESTED_TOO_DEEP
     if len(tree.body) != 1:
         return "multiple statements on one line"
     stmt = tree.body[0]
@@ -204,11 +199,17 @@ def parse_line(line: str, line_no: int = 1) -> Assignment | None:
     No forward-reference checking here — callers own the running scope.
     Each distinct line goes through :mod:`ast` once while it stays among the
     last ``PARSE_MEMO_SIZE`` distinct lines; an error names ``line_no``.
+    A line too deep for ``ast.parse``, whose limit shrinks as the caller's
+    stack grows, is nested deeper than ``MAX_NESTING`` like one ``_convert``
+    rejects; that outcome is not memoized, since it depends on the caller.
     """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    outcome = _parse_statement(line)
+    try:
+        outcome = _parse_statement(line)
+    except RecursionError:
+        outcome = _NESTED_TOO_DEEP
     if outcome is None:
         raise ProgramSyntaxError(line_no, line)
     if isinstance(outcome, str):

@@ -92,7 +92,10 @@ class Fixture:
 def load_fixtures(path: str | Path) -> list[Fixture]:
     """The fixtures of a file holding a JSON array of objects; another shape, or
     a missing or non-string field, raises ``ValueError`` naming the fixture's index."""
-    records = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        records = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ValueError(f"fixture file {path}: invalid JSON: {exc}") from None
     if not isinstance(records, list):
         raise ValueError(f"fixture file {path} must hold a JSON array")
     fixtures = []
@@ -367,20 +370,20 @@ class Services:
     memo keeps each text's vector beside its norm.
 
     The metrics memo, kept by ``selection.candidate_metrics``, does change
-    what is requested.  Once per pool it holds each candidate's question and
-    answer embedding, its concept-list request and its normalized
-    complexity; once per (pool, question) it holds the question's metric
-    rows, so a repeated question makes no further metric completions.  Like
-    the response cache, it assumes a prompt's response does not change.
+    what is requested.  Once per pool it holds each example's candidate:
+    its question and answer embedding, its concept-list request and its
+    normalized complexity; once per (pool, question) it holds the question's
+    metric rows, so a repeated question makes no further metric completions.
+    Like the response cache, it assumes a prompt's response does not change.
     """
 
     completion: object
     embedding: object
     cache: CacheStore | None = None
     _embed_memo: dict[str, Embedded] = field(default_factory=dict, init=False, repr=False)
-    # id(pool) -> (pool, selection's per-pool entry, which holds each
-    # question's (n, 4) metric rows); holding the pool keeps its id from reuse
-    _metrics_memo: dict[int, tuple[object, object]] = field(
+    # id(pool) -> (pool, selection's candidate per example, question -> its
+    # (n, 4) metric rows); holding the pool keeps its id from reuse
+    _metrics_memo: dict[int, tuple[object, list, dict[str, np.ndarray]]] = field(
         default_factory=dict, init=False, repr=False
     )
 

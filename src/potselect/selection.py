@@ -20,7 +20,8 @@ import numpy as np
 from . import interpreter, prompts
 from .augmentation import Example, ExamplePool, write_jsonl
 from .providers import CompletionRequest, Embedded, Services, concept_request, embedded_cosine
-from .providers import concept_extract, cosine  # noqa: F401  # traced here by benchmarks/spans.py
+# unused here: kept only as benchmarks/spans.py trace points, until the benchmark-only change
+from .providers import concept_extract, cosine  # noqa: F401
 
 
 class EmptyPool(ValueError):
@@ -71,10 +72,11 @@ class Weights:
 
 def load_weights(path: str | Path) -> Weights:
     """Read a weights file: one JSON object, which may span several lines."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
+    text = Path(path).read_text(encoding="utf-8")
+    try:  # invalid JSON, or JSON nested too deeply to decode, is not one object either
+        data = json.loads(text)
         return Weights(**{f.name: float(data[f.name]) for f in fields(Weights)})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         message = f"weights file {path}: not one JSON object of weights: {exc!r}"
         raise ValueError(message) from None
 
@@ -108,54 +110,72 @@ class PoolStats:
         return cls(min_complexity=min(counts), max_complexity=max(counts))
 
 
-def _rough_request(test_question: str, services: Services) -> CompletionRequest:
-    return services.request(prompts.zero_shot_prompt(test_question), stop_sequences=("Question:",))
-
-
 def rough_answer(test_question: str, services: Services) -> str:
-    """Zero-shot provisional answer for the test question (similarity metric only)."""
-    return services.complete(_rough_request(test_question, services))
+    """Zero-shot rough answer.  Selection sends ``_Probe.rough`` itself; this is kept
+    only as a ``benchmarks/spans.py`` trace point, until the benchmark-only change."""
+    return services.complete(_probe(test_question, services).rough)
 
 
 def _normalized(raw: int, pool_stats: PoolStats) -> float:
     """Min-max normalized complexity; a degenerate pool pins it at 0.5."""
-    if pool_stats.max_complexity == pool_stats.min_complexity:
-        return 0.5
-    return (raw - pool_stats.min_complexity) / (
-        pool_stats.max_complexity - pool_stats.min_complexity
+    low, high = pool_stats.min_complexity, pool_stats.max_complexity
+    return 0.5 if high == low else (raw - low) / (high - low)
+
+
+@dataclass(frozen=True)
+class _Candidate:
+    """What scoring needs of one pool example, whatever the test question."""
+
+    question: Embedded
+    answer: Embedded
+    concepts: CompletionRequest  # the question's concept-list request
+    complexity: float  # normalized over the pool
+
+
+def _candidate(
+    question: str, answer_text: str, complexity: float, services: Services
+) -> _Candidate:
+    embed = services.embed_with_norm
+    concepts = concept_request(question, services)
+    return _Candidate(embed(question), embed(answer_text), concepts, complexity)
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """What scoring needs of the test question, whatever the candidate."""
+
+    question: Embedded
+    concepts: CompletionRequest  # its concept-list request
+    rough: CompletionRequest  # its zero-shot rough-answer request
+
+
+def _probe(test_question: str, services: Services) -> _Probe:
+    rough = services.request(prompts.zero_shot_prompt(test_question), stop_sequences=("Question:",))
+    return _Probe(
+        services.embed_with_norm(test_question), concept_request(test_question, services), rough
     )
 
 
-def _metric_row(
-    concepts: CompletionRequest,
-    question_vector: Embedded,
-    test_concepts: CompletionRequest,
-    test_vector: Embedded,
-    rough: CompletionRequest,
-    answer_vector: Embedded,
-    complexity: float,
-    services: Services,
-) -> tuple[float, float, float, float]:
-    """The per-pair half of one candidate's metrics, from its embedded parts
-    and its three prebuilt metric requests.
+def _metric_row(candidate: _Candidate, probe: _Probe, services: Services) -> tuple[float, ...]:
+    """One candidate's four metrics against one test question.
 
     Sends the pair's three metric requests, in this order: the candidate's
     concepts, the test question's concepts, the rough answer.
     A metric out of range raises ``MetricVector``'s ``ValueError``.
     """
     complete, embed = services.complete, services.embed_with_norm
-    relevance = embedded_cosine(question_vector, test_vector)
-    concept = embedded_cosine(embed(complete(concepts)), embed(complete(test_concepts)))
-    similarity = embedded_cosine(answer_vector, embed(complete(rough)))
+    relevance = embedded_cosine(candidate.question, probe.question)
+    concept = embedded_cosine(embed(complete(candidate.concepts)), embed(complete(probe.concepts)))
+    similarity = embedded_cosine(candidate.answer, embed(complete(probe.rough)))
     # MetricVector's range check, inline; only a failing row builds one, to raise
     if not (
         -1.0 <= relevance <= 1.0
         and -1.0 <= concept <= 1.0
         and -1.0 <= similarity <= 1.0
-        and 0.0 <= complexity <= 1.0
+        and 0.0 <= candidate.complexity <= 1.0
     ):
-        MetricVector(relevance, concept, complexity, similarity)
-    return relevance, concept, complexity, similarity
+        MetricVector(relevance, concept, candidate.complexity, similarity)
+    return relevance, concept, candidate.complexity, similarity
 
 
 def calculate_metrics(
@@ -171,17 +191,9 @@ def calculate_metrics(
     complexities equal) pins it at 0.5.  Concept/rough-answer completions
     dedupe through the response cache when one is configured.
     """
-    row = _metric_row(
-        concept_request(question, services),
-        services.embed_with_norm(question),
-        concept_request(test_question, services),
-        services.embed_with_norm(test_question),
-        _rough_request(test_question, services),
-        services.embed_with_norm(answer_text),
-        _normalized(interpreter.complexity(answer_text), pool_stats),
-        services,
-    )
-    return MetricVector(*row)
+    complexity = _normalized(interpreter.complexity(answer_text), pool_stats)
+    candidate = _candidate(question, answer_text, complexity, services)
+    return MetricVector(*_metric_row(candidate, _probe(test_question, services), services))
 
 
 def score(metrics: MetricVector, weights: Weights) -> float:
@@ -241,51 +253,37 @@ class SelectionResult:
         return [example.id for example, _ in self.chosen]
 
 
-@dataclass(frozen=True)
-class _PoolEntry:
-    """What scoring needs of a pool that no test question changes."""
-
-    questions: list[Embedded]  # each candidate's question, embedded
-    answers: list[Embedded]  # each candidate's answer, embedded
-    concepts: list[CompletionRequest]  # each candidate's concept-list request
-    complexity: list[float]  # each candidate's, normalized over the pool
-    rows: dict[str, np.ndarray] = field(default_factory=dict)  # question -> metric rows
-
-
-def _pool_entry(pool: ExamplePool, services: Services) -> _PoolEntry:
-    """The pool's memoized entry in ``services``, built on first use."""
+def _pool_entry(pool: ExamplePool, services: Services) -> tuple[list[_Candidate], dict]:
+    """The pool's candidates and its metric rows by question, memoized in ``services``."""
     memo = services._metrics_memo.get(id(pool))
-    if memo is not None:
-        return memo[1]
-    counts = [interpreter.complexity(e.answer_text) for e in pool]
-    stats = PoolStats(min_complexity=min(counts), max_complexity=max(counts))
-    entry = _PoolEntry(
-        questions=[services.embed_with_norm(e.question) for e in pool],
-        answers=[services.embed_with_norm(e.answer_text) for e in pool],
-        concepts=[concept_request(e.question, services) for e in pool],
-        complexity=[_normalized(count, stats) for count in counts],
-    )
-    services._metrics_memo[id(pool)] = (pool, entry)
-    return entry
+    if memo is None:
+        counts = [interpreter.complexity(e.answer_text) for e in pool]
+        stats = PoolStats(min_complexity=min(counts), max_complexity=max(counts))
+        candidates = [
+            _candidate(e.question, e.answer_text, _normalized(count, stats), services)
+            for e, count in zip(pool, counts)
+        ]
+        memo = services._metrics_memo[id(pool)] = (pool, candidates, {})
+    return memo[1], memo[2]
 
 
 def candidate_metrics(pool: ExamplePool, test_question: str, services: Services) -> np.ndarray:
     """One read-only metric row per candidate, in pool order: the weight-independent half.
 
     The work is split by what it depends on, and memoized in ``services``:
-    - once per pool: each candidate's question and answer embedding, with
-      its norm, its concept-list request, and its complexity, min-max
-      normalized over the whole pool;
-    - once per question: the test question's embedding and norm, and its
-      concept-list and rough-answer requests;
-    - once per pair: the three metric completions, each sending one of the
-      prebuilt requests as is (the candidate's concepts, the test question's
-      concepts, the rough answer), their embed-memo lookups and three dot
-      products.
+    - once per pool, a ``_Candidate`` for each example: its question and
+      answer embedding, each with its norm, its concept-list request, and
+      its complexity, min-max normalized over the whole pool;
+    - once per question, a ``_Probe``: the test question's embedding and
+      norm, and its concept-list and rough-answer requests;
+    - once per pair, ``_metric_row``: the three metric completions, each
+      sending one of the prebuilt requests as is (the candidate's concepts,
+      the test question's concepts, the rough answer), their embed-memo
+      lookups and three dot products.
     The test question's two requests are sent again for every candidate, so
     each pair makes the same provider calls as ``calculate_metrics``; they
     move to once per question only when the benchmark no longer pins eval's
-    call count (ROADMAP item 1a).
+    call count (ROADMAP item 1).
 
     None of the four metrics depends on the weights, so the rows are kept
     per pool and question: scoring a question again, under any weights,
@@ -293,26 +291,13 @@ def candidate_metrics(pool: ExamplePool, test_question: str, services: Services)
     """
     if not pool:
         raise EmptyPool("candidate pool is empty")
-    entry = _pool_entry(pool, services)
-    rows = entry.rows.get(test_question)
+    candidates, memo = _pool_entry(pool, services)
+    rows = memo.get(test_question)
     if rows is None:
-        test_vector = services.embed_with_norm(test_question)
-        test_concepts = concept_request(test_question, services)
-        rough = _rough_request(test_question, services)
-        rows = np.empty((len(entry.complexity), 4))
-        for i in range(len(rows)):
-            rows[i] = _metric_row(
-                entry.concepts[i],
-                entry.questions[i],
-                test_concepts,
-                test_vector,
-                rough,
-                entry.answers[i],
-                entry.complexity[i],
-                services,
-            )
+        probe = _probe(test_question, services)
+        rows = np.array([_metric_row(c, probe, services) for c in candidates])
         rows.flags.writeable = False
-        entry.rows[test_question] = rows
+        memo[test_question] = rows
     return rows
 
 
@@ -334,7 +319,7 @@ def select_examples(
     weights = config.weights.as_array()
     # per-row np.dot, as in score(): a matrix product can differ in the last ulp
     scores = [float(np.dot(row, weights)) for row in metrics]
-    answers = _pool_entry(pool, services).answers
+    answers = [candidate.answer for candidate in _pool_entry(pool, services)[0]]
 
     remaining = list(range(len(examples)))
     chosen: list[int] = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from potselect.cache import CacheCorrupt, CacheStore, _read_entry
@@ -89,6 +91,38 @@ class TestCorruption:
         assert store.get(request) is None
         assert not path.exists()
         assert path.with_name(request.key() + ".corrupt").exists()
+        assert store.stats() == {"entries": 0, "bytes": 0, "quarantined": 1}
+
+
+class TestConcurrentProcesses:
+    """Another process sharing the directory may remove or quarantine an entry
+    between two steps of ``get``; either is a miss, not an error."""
+
+    def test_an_entry_removed_before_it_is_read_is_a_miss(self, store, monkeypatch):
+        request = CompletionRequest(prompt="p")
+        store.put(request, "r", "scripted")
+
+        def removed_first(path):
+            path.unlink()  # the other process
+            return _read_entry(path)
+
+        monkeypatch.setattr("potselect.cache._read_entry", removed_first)
+        assert store.get(request) is None
+        assert store.stats() == {"entries": 0, "bytes": 0, "quarantined": 0}
+
+    def test_an_entry_quarantined_first_by_another_process_is_a_miss(self, store, monkeypatch):
+        request = CompletionRequest(prompt="p")
+        store.put(request, "r", "scripted")
+        path = store.directory / request.key()
+        path.write_bytes(path.read_bytes()[:-1])
+        replace = os.replace
+
+        def quarantined_first(source, target):
+            replace(source, target)  # the other process
+            replace(source, target)
+
+        monkeypatch.setattr("potselect.cache.os.replace", quarantined_first)
+        assert store.get(request) is None
         assert store.stats() == {"entries": 0, "bytes": 0, "quarantined": 1}
 
 

@@ -30,6 +30,7 @@ from conftest import (
     ROUGH_FIXTURE,
     StubEmbedding,
     eval_dataset_records,
+    eval_fixtures,
     eval_pool,
     fake_post,
     thirteen_seeds,
@@ -820,10 +821,13 @@ def test_every_public_name_resolves():
     assert len(set(potselect.__all__)) == len(potselect.__all__)
 
 
-# Generative inputs: whatever a config or weights file holds, ``cli.main`` ends
-# with a documented exit code.  Each example runs in a fresh directory holding
-# eval_environment's files, and path-valued keys name only entries of it.
+# Generative inputs: whatever a config, weights, pool, dataset, fixture or cache
+# file holds, ``cli.main`` ends with a documented exit code.  Each example runs
+# in a fresh directory holding eval_environment's files, and path-valued keys
+# name only entries of it.  Every JSON surface also gets JSON nested too deeply
+# to decode, which is invalid JSON.
 _BEYOND_FLOAT = st.sampled_from([10**400, -(10**400)])
+_DEEP = ("[" * 100_000 + "]" * 100_000).encode()
 
 
 def _json(integers):
@@ -901,6 +905,7 @@ def _fresh_environment():
 )
 @given(st.sampled_from(["augment", "select", "tune", "eval", "cache-stats"]), _CONFIG_FILES)
 @example("cache-stats", json.dumps({**_BASE_CONFIG, "epsilon": 10**400}).encode())
+@example("cache-stats", _DEEP)
 def test_any_config_file_ends_with_a_documented_exit_code(monkeypatch, command, content):
     monkeypatch.delenv("POTSELECT_ENDPOINT", raising=False)  # "remote" then has no endpoint
     with _fresh_environment():
@@ -911,9 +916,115 @@ def test_any_config_file_ends_with_a_documented_exit_code(monkeypatch, command, 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["select", "eval"]), _WEIGHTS_FILES)
 @example("select", json.dumps(dict.fromkeys(_WEIGHT_NAMES, 10**400)).encode())
+@example("select", _DEEP)
 def test_any_weights_file_ends_with_a_documented_exit_code(command, content):
     with _fresh_environment() as env:
         Path("weights.json").write_bytes(content)
-        files = ("--pool", env["pool"], "--dataset", env["dataset"], "--fixtures", env["fixtures"])
-        argv = [command, *files, "--weights", "weights.json", "--out", "out.jsonl"]
+        assert main(_argv(command, env, "--weights", "weights.json")) in (0, 1, 2, 3)
+
+
+def _argv(command: str, env: dict, *extra: str) -> list[str]:
+    """``command`` over eval_environment's files, writing ``out.jsonl``."""
+    files = ["--pool", env["pool"], "--fixtures", env["fixtures"]]
+    if command != "augment":
+        files += ["--dataset", env["dataset"]]
+    return [command, *files, "--out", "out.jsonl", *extra]
+
+
+def _jsonl_files(records: list[dict]):
+    """Lines that are each a valid record, one with fields replaced or dropped, or
+    any JSON; or a few random bytes."""
+    keys = sorted({key for record in records for key in record})
+    edited = st.builds(
+        lambda record, replaced, dropped: {
+            k: v for k, v in {**record, **replaced}.items() if k not in dropped
+        },
+        st.sampled_from(records),
+        st.dictionaries(st.sampled_from([*keys, "meta"]), _ANY_JSON, max_size=2),
+        st.sets(st.sampled_from(keys), max_size=1),
+    )
+    lines = st.lists(st.sampled_from(records) | edited | _ANY_JSON, max_size=4)
+    files = lines.map(lambda drawn: "".join(json.dumps(r) + "\n" for r in drawn).encode())
+    return files | lines.map(json.dumps).map(str.encode) | st.binary(max_size=24)
+
+
+_POOL_FILES = _jsonl_files([example.to_json() for example in eval_pool()])
+_SVAMP_RECORDS = [
+    {"ID": r["id"], "Body": "Some text.", "Question": r["question"], "Answer": 10 * i}
+    for i, r in enumerate(eval_dataset_records(), start=1)
+]
+_DATASET_FILES = _jsonl_files(eval_dataset_records()) | _jsonl_files(_SVAMP_RECORDS)
+_FIXTURE_RECORDS = [
+    {"match": f.kind, "text": f.text, "response": f.response} for f in eval_fixtures()
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["augment", "select", "eval"]), _POOL_FILES)
+@example("select", _DEEP)
+def test_any_pool_file_ends_with_a_documented_exit_code(command, content):
+    with _fresh_environment() as env:
+        Path(env["pool"]).write_bytes(content)
+        assert main(_argv(command, env)) in (0, 1, 2, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["select", "eval"]), st.sampled_from(["gsm8k", "svamp"]), _DATASET_FILES)
+@example("eval", "gsm8k", _DEEP)
+@example("eval", "svamp", _DEEP)
+@example("select", "svamp", b'{"Body": ' + _DEEP + b"}")
+def test_any_dataset_file_ends_with_a_documented_exit_code(command, kind, content):
+    with _fresh_environment() as env:
+        Path(env["dataset"]).write_bytes(content)
+        assert main(_argv(command, env, "--dataset-kind", kind)) in (0, 1, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["augment", "select", "eval"]), _jsonl_files(_FIXTURE_RECORDS))
+@example("eval", _DEEP)
+def test_any_fixture_file_ends_with_a_documented_exit_code(command, content):
+    with _fresh_environment() as env:
+        Path(env["fixtures"]).write_bytes(content)
+        assert main(_argv(command, env)) in (0, 1, 2, 3)
+
+
+# an entry's bytes: random, or a real entry's with a few bytes spliced in at some offset
+_ENTRY_EDITS = st.binary(max_size=48) | st.tuples(
+    st.integers(0, 10**4), st.integers(0, 8), st.binary(max_size=8)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**4), _ENTRY_EDITS)
+def test_any_cache_entry_is_quarantined_or_served(which, edit):
+    with _fresh_environment() as env:
+        argv = _argv("eval", env, "--cache-dir", "cache")
+        assert main(argv) == 0
+        entries = sorted(Path("cache").iterdir())
+        path = entries[which % len(entries)]
+        if isinstance(edit, bytes):
+            content = edit
+        else:
+            blob, (start, length, spliced) = path.read_bytes(), edit
+            start %= len(blob) + 1
+            content = blob[:start] + spliced + blob[start + length :]
+        path.write_bytes(content)
         assert main(argv) in (0, 1, 2, 3)
+        quarantined = path.with_name(path.name + ".corrupt")
+        if quarantined.exists():
+            assert quarantined.read_bytes() == content
+        else:
+            assert path.read_bytes() == content
+
+
+@pytest.mark.parametrize("surface", ["pool", "dataset", "svamp", "fixtures", "weights", "config"])
+def test_json_nested_too_deeply_is_a_data_error(surface, capsys):
+    with _fresh_environment() as env:
+        if surface in ("weights", "config"):
+            Path("file.json").write_bytes(_DEEP)
+            extra = (f"--{surface}", "file.json")
+        else:
+            Path(env["dataset" if surface == "svamp" else surface]).write_bytes(_DEEP)
+            extra = ("--dataset-kind", "svamp") if surface == "svamp" else ()
+        assert main(_argv("select", env, *extra)) == 3
+        assert "data error: " in capsys.readouterr().err

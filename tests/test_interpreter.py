@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from potselect.interpreter import (
     Assignment,
     DivisionByZeroError,
     ForwardReferenceError,
+    InterpreterError,
     ModificationChain,
     NoAnswerError,
     NonFiniteResultError,
@@ -418,6 +423,26 @@ class TestNesting:
         for frames in (500, 0):
             with pytest.raises(UnsupportedConstructError, match="nested deeper than 200"):
                 nested(frames, interpreter.parse_line, deep)
+
+    def test_a_parse_near_the_stack_limit_leaves_no_outcome_behind(self):
+        # a fresh line per depth, down to the bottom of the stack: the parse may
+        # fail there, but not as RecursionError, and the top-level parse that
+        # follows does not see that failure
+        def nested(frames, line):
+            if frames:
+                return nested(frames - 1, line)
+            with contextlib.suppress(InterpreterError):
+                interpreter.parse_line(line)
+
+        for frames in range(sys.getrecursionlimit()):
+            line = f"v{frames} = 1 + 2"
+            try:
+                nested(frames, line)
+            except RecursionError as exc:
+                # only a call parse_line itself makes may find no frame left
+                names = {frame.name for frame in traceback.extract_tb(exc.__traceback__)}
+                assert "_parse_statement" not in names, frames
+            assert interpreter.parse_line(line).target == f"v{frames}"
 
 
 @st.composite
