@@ -5,14 +5,15 @@ training subset) inside a box search space.  The schedule is the fixed
 one of ``TpeParams``: the first 10 trials are uniform random; afterwards
 the history is split at the 0.25-quantile of the objective into good/bad
 sets, per-dimension Parzen densities (bound-truncated Gaussian kernels plus
-a uniform prior component) are fitted to each, and of 24 candidates drawn
-from the good densities the one maximizing the good/bad density ratio is
-suggested.
+a uniform prior component) are fitted to each, all dimensions as one batch,
+and of 24 candidates drawn from the good densities the one maximizing the
+good/bad density ratio is suggested.
 
 The kernels are scipy's truncnorm density and inverse-cdf sampler
 written out with scipy.special, operation for operation, so results are
-bit-identical to truncnorm's; scipy.special is imported only once a
-density is fitted.
+bit-identical to truncnorm's.  The inverse cdf's logsumexp is a numpy port
+of scipy's; only the left-tail mass of a kernel centred on the upper bound
+calls scipy's own.  scipy.special is imported only once a density is fitted.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,10 +45,11 @@ class SearchSpace:
     def ndim(self) -> int:
         return len(self.bounds)
 
-    def contains(self, point) -> bool:
-        return all(
-            low <= value <= high for value, (low, high) in zip(point, self.bounds, strict=True)
-        )
+    def contains(self, points) -> np.ndarray:
+        """Whether each point (the last axis of ``points``) lies in the box; NaN lies outside."""
+        lows, highs = np.array(self.bounds, dtype=np.float64).T
+        points = np.asarray(points, dtype=np.float64)
+        return ((lows <= points) & (points <= highs)).all(axis=-1)
 
     def uniform(self, rng: np.random.Generator) -> np.ndarray:
         lows = np.array([b[0] for b in self.bounds])
@@ -94,37 +96,60 @@ def _log_gauss_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A kernel centred below the box (a > 0) would take a third formula, which
     ``tpe_suggest`` rules out by rejecting trials outside the space.
     """
-    from scipy.special import log1p, log_ndtr, logsumexp, ndtr
+    from scipy.special import log1p, log_ndtr, ndtr
 
     log_mass = log1p(-ndtr(a) - ndtr(-b))
     left = b <= 0
     if left.any():
+        # Only a kernel centred exactly on the upper bound gets here, so this
+        # complex log(x - y) keeps scipy's logsumexp and its array-API overhead.
+        from scipy.special import logsumexp
+
         terms = [log_ndtr(b[left]), log_ndtr(a[left]) + np.pi * 1j]  # log(x - y)
         log_mass[left] = np.real(logsumexp(terms, axis=0))
     return log_mass
 
 
+def _logaddexp(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp([x, y], axis=0)`` for real x and y, operation for operation.
+
+    np.logaddexp differs in the last ulp.  Scipy takes another path where
+    the result is not finite (both terms -inf, or either +inf); the kernels
+    never get there, as x is the finite log_ndtr of a kernel's bound.
+    """
+    hi = np.maximum(x, y)
+    x_tied, y_tied = x == hi, y == hi
+    m = x_tied.astype(np.float64) + y_tied
+    s = np.exp(np.where(x_tied, -np.inf, x) - hi) + np.exp(np.where(y_tied, -np.inf, y) - hi)
+    s = np.where(s == 0, s, s / m)
+    return np.log1p(s) + np.log(m) + hi
+
+
 class _Parzen1D:
-    """Mixture of bound-truncated Gaussians plus one uniform prior component.
+    """One-dimensional Parzen densities, one per row of ``values`` (shape
+    ``(..., k)``) on that row's interval [``low``, ``high``] (shapes ``(...)``):
+    a mixture of bound-truncated Gaussians plus one uniform prior component.
 
     Kernel bandwidths follow the neighbor-spacing rule, floored at 1% of the
     interval and capped at the interval width.  All components share weight
     1/(k+1), so the pdf is strictly positive on [low, high].  Every kernel
-    centre must lie in [low, high].  ``tpe_suggest`` fits at least 3 kernels
-    (see ``TpeParams``); the rule is the same for any k, and k = 0 leaves
-    only the uniform component.
+    centre must lie in its interval.  ``tpe_suggest`` fits at least 3 kernels
+    per row (see ``TpeParams``); the rule is the same for any k, and k = 0
+    leaves only the uniform component.  Each row computes exactly what a fit
+    of that row alone computes.
     """
 
-    def __init__(self, values: Sequence[float], low: float, high: float):
-        self.low = low
-        self.high = high
-        mus = np.sort(np.asarray(values, dtype=np.float64))
+    def __init__(self, values: np.ndarray, low: np.ndarray | float, high: np.ndarray | float):
+        self.low = np.asarray(low, dtype=np.float64)
+        self.high = np.asarray(high, dtype=np.float64)
+        mus = np.sort(np.asarray(values, dtype=np.float64), axis=-1)
+        low, high = self.low[..., None], self.high[..., None]
         width = high - low
-        left = np.diff(np.concatenate(([low], mus)))
-        right = np.diff(np.concatenate((mus, [high])))
+        left = np.diff(mus, axis=-1, prepend=low)
+        right = np.diff(mus, axis=-1, append=high)
         # count-scaled floor keeps duplicate/clustered points from
         # collapsing to near-delta kernels and stalling the search
-        floor = max(width * 1e-2, width / (1 + mus.size))
+        floor = np.maximum(width * 1e-2, width / (1 + mus.shape[-1]))
         self.mus = mus
         self.sigmas = np.clip(np.maximum(left, right), floor, width)
         # each kernel's bounds in its own standard units, and its mass between them
@@ -133,44 +158,55 @@ class _Parzen1D:
         self.log_mass = _log_gauss_mass(self.a, self.b)
 
     def pdf(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        k = self.mus.size
-        z = (xs[..., None] - self.mus) / self.sigmas
-        density = np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - self.log_mass) / self.sigmas
-        kernels = np.where((self.a <= z) & (z <= self.b), density, 0.0)
-        total = 1.0 / (self.high - self.low) + kernels.sum(axis=-1)
-        return total / (k + 1)
+        """Each row's density at that row's points ``xs`` (shape ``(..., n)``)."""
+        mus, sigmas, a, b, log_mass = (
+            v[..., None, :] for v in (self.mus, self.sigmas, self.a, self.b, self.log_mass)
+        )
+        z = (np.asarray(xs, dtype=np.float64)[..., None] - mus) / sigmas
+        density = np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - log_mass) / sigmas
+        kernels = np.where((a <= z) & (z <= b), density, 0.0)
+        total = 1.0 / (self.high - self.low)[..., None] + kernels.sum(axis=-1)
+        return total / (self.mus.shape[-1] + 1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        k = self.mus.size
-        components = rng.integers(0, k + 1, size=size)
-        out = np.empty(size)
-        uniform_mask = components == k
-        out[uniform_mask] = rng.uniform(self.low, self.high, size=int(uniform_mask.sum()))
-        idx = components[~uniform_mask]
-        if idx.size:
-            z = self._ppf(rng.uniform(size=idx.size), idx)
-            out[~uniform_mask] = z * self.sigmas[idx] + self.mus[idx]
-        return out
+        """``size`` draws per row, shape ``(..., size)``.
+
+        Row by row, the draws are a one-row fit's: the components, the
+        uniform component's points, then the kernels' quantiles.  One inverse
+        cdf then turns every row's quantiles into points.
+        """
+        k = self.mus.shape[-1]
+        rows = self.low.size
+        out = np.empty((rows, size))
+        components = np.empty((rows, size), dtype=np.int64)
+        quantiles = []
+        for row, (low, high) in enumerate(zip(self.low.flat, self.high.flat)):
+            components[row] = rng.integers(0, k + 1, size=size)
+            uniform_mask = components[row] == k
+            n_uniform = int(uniform_mask.sum())
+            out[row, uniform_mask] = rng.uniform(low, high, size=n_uniform)
+            quantiles.append(rng.uniform(size=size - n_uniform))
+        drawn = components < k
+        idx = (np.arange(rows)[:, None] * k + components)[drawn]  # flat kernel index
+        z = self._ppf(np.concatenate(quantiles), idx)
+        out[drawn] = z * self.sigmas.flat[idx] + self.mus.flat[idx]
+        return out.reshape(self.low.shape + (size,))
 
     def _ppf(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Standard-unit quantiles ``q`` of kernels ``idx``: truncnorm's inverse cdf.
+        """Standard-unit quantiles ``q`` of kernels ``idx`` (flat indices): truncnorm's inverse cdf.
 
-        Kernels with a < 0 invert from the left tail, the others from the
-        right; logsumexp stays, as np.logaddexp differs in the last ulp.
+        Kernels with a < 0 invert from the left tail, the others from the right.
         """
-        from scipy.special import log_ndtr, logsumexp, ndtri_exp
+        from scipy.special import log_ndtr, ndtri_exp
 
-        a, b, log_mass = self.a[idx], self.b[idx], self.log_mass[idx]
+        a, b, log_mass = self.a.flat[idx], self.b.flat[idx], self.log_mass.flat[idx]
         out = np.empty_like(q)
         left = a < 0
         right = ~left
-        if left.any():
-            terms = [log_ndtr(a[left]), np.log(q[left]) + log_mass[left]]
-            out[left] = ndtri_exp(logsumexp(terms, axis=0))
-        if right.any():
-            terms = [log_ndtr(-b[right]), np.log1p(-q[right]) + log_mass[right]]
-            out[right] = -ndtri_exp(logsumexp(terms, axis=0))
+        out[left] = ndtri_exp(_logaddexp(log_ndtr(a[left]), np.log(q[left]) + log_mass[left]))
+        out[right] = -ndtri_exp(
+            _logaddexp(log_ndtr(-b[right]), np.log1p(-q[right]) + log_mass[right])
+        )
         return out
 
 
@@ -184,9 +220,15 @@ def tpe_suggest(history: TrialHistory, space: SearchSpace) -> np.ndarray:
     """
     rng = np.random.default_rng([abs(history.rng_seed) % 2**32, len(history.trials)])
     trials = history.trials
-    for trial in trials:
-        if len(trial.point) != space.ndim or not space.contains(trial.point):
-            raise ValueError(f"trial {trial.seq} point {trial.point} lies outside the space")
+    ndim = space.ndim
+    # a point of the wrong length becomes NaNs, which lie outside the space
+    points = np.array(
+        [t.point if len(t.point) == ndim else (np.nan,) * ndim for t in trials], dtype=np.float64
+    ).reshape(len(trials), ndim)
+    inside = space.contains(points)
+    if not inside.all():
+        trial = trials[int(np.argmin(inside))]
+        raise ValueError(f"trial {trial.seq} point {trial.point} lies outside the space")
     if len(trials) < TpeParams.n_startup:
         return space.uniform(rng)
     objectives = np.array([t.objective for t in trials])
@@ -195,19 +237,15 @@ def tpe_suggest(history: TrialHistory, space: SearchSpace) -> np.ndarray:
 
     n_good = int(np.ceil(TpeParams.gamma * len(trials)))
     order = np.argsort(-objectives, kind="stable")
-    points = np.array([t.point for t in trials], dtype=np.float64)
-    good = points[order[:n_good]]
-    bad = points[order[n_good:]]
-
-    candidates = np.empty((TpeParams.n_candidates, space.ndim))
+    lows, highs = np.array(space.bounds, dtype=np.float64).T
+    good_density = _Parzen1D(points[order[:n_good]].T, lows, highs)
+    bad_density = _Parzen1D(points[order[n_good:]].T, lows, highs)
+    candidates = good_density.sample(rng, TpeParams.n_candidates)  # one row per dimension
+    terms = np.log(good_density.pdf(candidates)) - np.log(bad_density.pdf(candidates))
     log_ratio = np.zeros(TpeParams.n_candidates)
-    for d, (low, high) in enumerate(space.bounds):
-        good_density = _Parzen1D(good[:, d], low, high)
-        bad_density = _Parzen1D(bad[:, d], low, high)
-        xs = good_density.sample(rng, TpeParams.n_candidates)
-        candidates[:, d] = xs
-        log_ratio += np.log(good_density.pdf(xs)) - np.log(bad_density.pdf(xs))
-    return candidates[int(np.argmax(log_ratio))]
+    for term in terms:  # dimension by dimension from zeros: a fixed order of additions
+        log_ratio += term
+    return candidates[:, int(np.argmax(log_ratio))]
 
 
 def best_trial(history: TrialHistory) -> Trial:

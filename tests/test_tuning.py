@@ -1,9 +1,16 @@
-"""TPE suggestion behavior, the optimize loop and the accuracy objective."""
+"""TPE suggestion behavior, the optimize loop and the accuracy objective.
+
+Three full searches are pinned by their trial points in
+``tests/golden/tpe_searches.json``.  A change that alters a search on purpose
+regenerates the file with ``PYTHONPATH=src python tests/test_tuning.py`` and
+says why in CHANGES.md.
+"""
 
 from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +70,35 @@ def _history(points_objectives, seed=0) -> TrialHistory:
     for i, (point, objective) in enumerate(points_objectives):
         history.trials.append(Trial(seq=i, point=tuple(point), objective=objective))
     return history
+
+
+SEARCHES = Path(__file__).resolve().parent / "golden" / "tpe_searches.json"
+
+
+def _corner_search() -> TrialHistory:
+    """A 5-D search whose first trial sits on a bound in every dimension and stays
+    the best, so every good fit has kernels centred on a lower or an upper bound."""
+    space = SearchSpace(bounds=((0.0, 1.0), (-2.0, 3.0), (0.0, 0.5), (10.0, 11.0), (-1.0, 0.0)))
+    corner = (0.0, 3.0, 0.5, 10.0, 0.0)
+    history = _history([(corner, 1.0)], seed=6)
+    for _ in range(40):
+        point = tpe_suggest(history, space)
+        objective = -float(np.sum((point - np.asarray(corner)) ** 2))
+        history.trials.append(Trial(len(history.trials), tuple(float(v) for v in point), objective))
+    return history
+
+
+def _pinned_searches() -> dict[str, list[list[float]]]:
+    """Each pinned search's trial points, in trial order."""
+    searches = {
+        "quadratic_4d": optimize(_quadratic, SearchSpace(), budget=60, seed=0),
+        "distance_1d": optimize(
+            lambda point: -abs(float(point[0]) - 1.7), SearchSpace(bounds=((-2.0, 3.0),)),
+            budget=40, seed=3,
+        ),
+        "corner_5d": _corner_search(),
+    }
+    return {name: [list(t.point) for t in h.trials] for name, h in searches.items()}
 
 
 class TestSearchSpace:
@@ -228,18 +264,52 @@ class TestParzenKernels:
             assert np.array_equal(samples, _truncnorm_sample(parzen, theirs, 64)), i
             assert ours.bit_generator.state == theirs.bit_generator.state, i
 
+    def test_a_batch_equals_its_rows_fitted_one_by_one(self):
+        for seed in range(60):
+            rng = np.random.default_rng([seed, 3])
+            d, k = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            low = rng.uniform(-3.0, 1.0, size=d)
+            high = low + rng.choice([1e-3, 0.5, 1.0, 7.0], size=d)
+            values = rng.uniform(low[:, None], high[:, None], size=(d, k))
+            values[:, 0] = np.choose(rng.integers(0, 3, size=d), [values[:, 0], low, high])
+            batch = _Parzen1D(values, low, high)
+            rows = [_Parzen1D(values[i], low[i], high[i]) for i in range(d)]
+            inside = rng.uniform(low[:, None], high[:, None], size=(d, 16))
+            xs = np.concatenate((low[:, None], high[:, None], values, inside), axis=1)
+            assert np.array_equal(batch.pdf(xs), [row.pdf(x) for row, x in zip(rows, xs)]), seed
+            ours, theirs = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
+            samples = batch.sample(ours, 64)
+            assert np.array_equal(samples, [row.sample(theirs, 64) for row in rows]), seed
+            assert ours.bit_generator.state == theirs.bit_generator.state, seed
+
     def test_every_fit_of_a_search_has_at_least_three_kernels(self, monkeypatch):
-        sizes = []
+        shapes = []
 
         class Recording(_Parzen1D):
             def __init__(self, values, low, high):
                 super().__init__(values, low, high)
-                sizes.append(self.mus.size)
+                shapes.append(self.mus.shape)
 
         monkeypatch.setattr(tuning, "_Parzen1D", Recording)
         optimize(_quadratic, SearchSpace(), budget=60)
-        assert len(sizes) == 2 * 4 * (60 - 10)  # good and bad, per dimension, per fitted trial
-        assert min(sizes) >= 3
+        assert len(shapes) == 2 * (60 - 10)  # one good and one bad fit per fitted trial
+        assert all(dims == 4 and k >= 3 for dims, k in shapes)
+
+
+class TestLogAddExp:
+    def test_equals_scipy_logsumexp_bit_for_bit(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(0)
+        n = 5000
+        x, y = rng.choice([-1.0, 1.0], size=(2, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, n))
+        y[rng.random(n) < 0.1] = -np.inf  # a quantile q == 0
+        ties = rng.random(n) < 0.1
+        y[ties] = x[ties]
+        x[(rng.random(n) < 0.02) & np.isfinite(y)] = -np.inf
+        ours, theirs = tuning._logaddexp(x, y), logsumexp([x, y], axis=0)
+        assert np.isfinite(ours).all()
+        assert ours.tobytes() == theirs.tobytes()  # every bit, the sign included
 
 
 class TestOptimize:
@@ -283,11 +353,19 @@ class TestOptimize:
             optimize(flaky, SearchSpace(), budget=10, seed=1, log_path=log_path)
         assert [seq for seq, _, _ in _log(log_path)[1]] == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("bad", [(0.5, 1.5, 0.5, 0.5), (-0.1, 0.5, 0.5, 0.5), (0.5,) * 3])
+    @pytest.mark.parametrize(
+        "bad", [(0.5, 1.5, 0.5, 0.5), (-0.1, 0.5, 0.5, 0.5), (0.5,) * 3, (0.5, np.nan, 0.5, 0.5)]
+    )
     def test_resumed_trial_outside_the_space_is_rejected(self, bad):
-        trials = [((0.2,) * 4, 0.0), ((0.4,) * 4, 1.0), (bad, 0.5), ((1.5,) * 4, 0.0)]
+        trials = [
+            ((0.2,) * 4, 0.0), ((0.4,) * 4, 1.0), (bad, 0.5), ((1.5,) * 4, 0.0), ((0.5,) * 5, 0.0),
+        ]
         with pytest.raises(ValueError, match=r"^trial 2 point .* outside the space"):
             tpe_suggest(_history(trials), SearchSpace())
+
+    def test_searches_keep_their_pinned_trial_points(self):
+        pinned = json.loads(SEARCHES.read_text(encoding="utf-8"))
+        assert _pinned_searches() == pinned
 
     def test_best_trial_prefers_earliest_on_ties(self):
         history = _history([((0.1,) * 4, 1.0), ((0.2,) * 4, 1.0)])
@@ -405,3 +483,8 @@ class TestTuneWeights:
         assert trials == [(t.seq, t.point, t.objective) for t in reference.trials]
         assert len({objective for _, _, objective in trials}) > 1
         assert best == best_trial(reference)
+
+
+if __name__ == "__main__":
+    SEARCHES.write_text(json.dumps(_pinned_searches(), indent=1) + "\n", encoding="utf-8")
+    print(f"pinned searches -> {SEARCHES}")
