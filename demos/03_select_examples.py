@@ -7,7 +7,7 @@ weighted score, stops on a score plateau or at the target size, and prunes
 a chosen answer that is conspicuously redundant.
 """
 
-from potselect import Example, ExamplePool, SelectionConfig, Weights, select_examples
+from potselect import Example, ExamplePool, SelectionConfig, Weights, interpreter, select_examples
 from potselect.providers import Fixture, HashEmbedding, ScriptedProvider, Services
 from potselect.selection import PoolStats, calculate_metrics
 
@@ -60,7 +60,8 @@ fixtures = [
 services = Services(completion=ScriptedProvider(fixtures), embedding=HashEmbedding())
 
 print("== per-candidate metric vectors ==")
-stats = PoolStats.from_examples(list(pool))
+counts = [interpreter.complexity(example.answer_text) for example in pool]
+stats = PoolStats(min_complexity=min(counts), max_complexity=max(counts))
 for example in pool:
     m = calculate_metrics(example.question, example.answer_text, test_question, stats, services)
     print(

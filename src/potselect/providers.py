@@ -352,6 +352,40 @@ def embedded_cosine(a: Embedded, b: Embedded) -> float:
     return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
 
 
+def stacked(column: list[Embedded]) -> Embedded:
+    """The vectors of ``column`` as the rows of one C-contiguous matrix, with their
+    norms as an array; vectors of two shapes raise ``DimensionMismatch``."""
+    vectors = [vector for vector, _ in column]
+    try:
+        matrix = np.array(vectors)
+    except ValueError:
+        odd = next(v.shape for v in vectors if v.shape != vectors[0].shape)
+        raise DimensionMismatch(f"dimensions differ: {vectors[0].shape} vs {odd}") from None
+    return matrix, np.array([norm for _, norm in column])
+
+
+def embedded_cosines(a: Embedded, b: Embedded) -> np.ndarray:
+    """``embedded_cosine`` of each row of ``a`` with the same row of ``b``, bit for bit.
+
+    ``a`` is a matrix with its norm array, as ``stacked`` returns; ``b`` is one
+    too, or one vector and its norm, which every row is then compared with.
+    ``np.vecdot`` takes each row's product with the ``ddot`` that ``ndarray.dot``
+    runs for one pair of vectors, so every value is the one pair's; a matrix
+    product (``@``, ``matmul``, ``einsum``) can differ in the last ulp.
+    The zero-norm rule and the clamp are ``embedded_cosine``'s: NaN passes.
+    """
+    u, nu = a
+    v, nv = b
+    if u.shape[1:] != v.shape[-1:]:
+        raise DimensionMismatch(f"dimensions differ: {u.shape[1:]} vs {v.shape[-1:]}")
+    zero = (nu == 0.0) | (nv == 0.0)
+    values = np.vecdot(u, v) / np.where(zero, 1.0, nu * nv)
+    values[zero] = 0.0
+    values[values < -1.0] = -1.0
+    values[values > 1.0] = 1.0
+    return values
+
+
 @dataclass
 class Services:
     """Completion + embedding providers and an optional response cache.
@@ -370,10 +404,11 @@ class Services:
     memo keeps each text's vector beside its norm.
 
     The metrics memo, kept by ``selection.candidate_metrics``, does change
-    what is requested.  Once per pool it holds each example's candidate:
-    its question and answer embedding, its concept-list request and its
-    normalized complexity; once per (pool, question) it holds the question's
-    metric rows, so a repeated question makes no further metric completions.
+    what is requested.  Once per pool it holds the pool's candidates: their
+    question and answer embeddings as two matrices beside their norms, their
+    concept-list requests and their normalized complexity; once per (pool,
+    question) it holds the question's metric rows, so a repeated question
+    makes no further metric completions.
     Like the response cache, it assumes a prompt's response does not change.
     """
 
@@ -381,9 +416,9 @@ class Services:
     embedding: object
     cache: CacheStore | None = None
     _embed_memo: dict[str, Embedded] = field(default_factory=dict, init=False, repr=False)
-    # id(pool) -> (pool, selection's candidate per example, question -> its
-    # (n, 4) metric rows); holding the pool keeps its id from reuse
-    _metrics_memo: dict[int, tuple[object, list, dict[str, np.ndarray]]] = field(
+    # id(pool) -> (pool, selection's candidates, question -> its (n, 4)
+    # metric rows); holding the pool keeps its id from reuse
+    _metrics_memo: dict[int, tuple[object, object, dict[str, np.ndarray]]] = field(
         default_factory=dict, init=False, repr=False
     )
 

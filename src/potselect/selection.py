@@ -20,6 +20,7 @@ import numpy as np
 from . import interpreter, prompts
 from .augmentation import Example, ExamplePool, write_jsonl
 from .providers import CompletionRequest, Embedded, Services, concept_request, embedded_cosine
+from .providers import embedded_cosines, stacked
 # unused here: kept only as benchmarks/spans.py trace points, until the benchmark-only change
 from .providers import concept_extract, cosine  # noqa: F401
 
@@ -104,11 +105,6 @@ class PoolStats:
     min_complexity: int
     max_complexity: int
 
-    @classmethod
-    def from_examples(cls, examples) -> "PoolStats":
-        counts = [interpreter.complexity(e.answer_text) for e in examples]
-        return cls(min_complexity=min(counts), max_complexity=max(counts))
-
 
 def rough_answer(test_question: str, services: Services) -> str:
     """Zero-shot rough answer.  Selection sends ``_Probe.rough`` itself; this is kept
@@ -123,21 +119,26 @@ def _normalized(raw: int, pool_stats: PoolStats) -> float:
 
 
 @dataclass(frozen=True)
-class _Candidate:
-    """What scoring needs of one pool example, whatever the test question."""
+class _Candidates:
+    """What scoring needs of a pool's examples whatever the test question, in pool order."""
 
-    question: Embedded
-    answer: Embedded
-    concepts: CompletionRequest  # the question's concept-list request
-    complexity: float  # normalized over the pool
+    questions: Embedded  # the question embeddings, one matrix row each, and their norms
+    answers: Embedded  # the answer embeddings, likewise
+    concepts: list[CompletionRequest]  # each question's concept-list request
+    complexity: np.ndarray  # each answer's complexity, normalized over the pool
 
 
-def _candidate(
-    question: str, answer_text: str, complexity: float, services: Services
-) -> _Candidate:
+def _candidates(
+    examples: list[tuple[str, str]], complexity: list[float], services: Services
+) -> _Candidates:
+    """The candidates of ``(question, answer_text)`` pairs with their normalized complexity."""
     embed = services.embed_with_norm
-    concepts = concept_request(question, services)
-    return _Candidate(embed(question), embed(answer_text), concepts, complexity)
+    return _Candidates(
+        stacked([embed(question) for question, _ in examples]),
+        stacked([embed(answer_text) for _, answer_text in examples]),
+        [concept_request(question, services) for question, _ in examples],
+        np.array(complexity, dtype=np.float64),
+    )
 
 
 @dataclass(frozen=True)
@@ -156,26 +157,42 @@ def _probe(test_question: str, services: Services) -> _Probe:
     )
 
 
-def _metric_row(candidate: _Candidate, probe: _Probe, services: Services) -> tuple[float, ...]:
-    """One candidate's four metrics against one test question.
+def _column(embedded: list[Embedded]) -> Embedded:
+    """The responses' embeddings to compare row by row: one memo entry if it is all
+    of them, to broadcast, or else their rows stacked."""
+    first = embedded[0]
+    return first if all(e is first for e in embedded) else stacked(embedded)
 
-    Sends the pair's three metric requests, in this order: the candidate's
-    concepts, the test question's concepts, the rough answer.
-    A metric out of range raises ``MetricVector``'s ``ValueError``.
+
+def _metric_rows(candidates: _Candidates, probe: _Probe, services: Services) -> np.ndarray:
+    """Each candidate's four metrics against one test question, one row each.
+
+    Relevance comes first, so a test question embedded to another dimension
+    raises ``DimensionMismatch`` before any request is sent.  Then, candidate
+    by candidate, the loop sends the pair's three metric requests in this
+    order: the candidate's concepts, the test question's concepts, the rough
+    answer; and looks each response up in the embed memo.  The concept and
+    similarity columns are then one ``embedded_cosines`` each.
+    A metric out of range raises ``MetricVector``'s ``ValueError`` for the
+    first such row in pool order, after the question's every request was sent.
     """
     complete, embed = services.complete, services.embed_with_norm
-    relevance = embedded_cosine(candidate.question, probe.question)
-    concept = embedded_cosine(embed(complete(candidate.concepts)), embed(complete(probe.concepts)))
-    similarity = embedded_cosine(candidate.answer, embed(complete(probe.rough)))
-    # MetricVector's range check, inline; only a failing row builds one, to raise
-    if not (
-        -1.0 <= relevance <= 1.0
-        and -1.0 <= concept <= 1.0
-        and -1.0 <= similarity <= 1.0
-        and 0.0 <= candidate.complexity <= 1.0
-    ):
-        MetricVector(relevance, concept, candidate.complexity, similarity)
-    return relevance, concept, candidate.complexity, similarity
+    relevance = embedded_cosines(candidates.questions, probe.question)
+    theirs, ours, rough = [], [], []
+    for request in candidates.concepts:
+        theirs.append(embed(complete(request)))
+        ours.append(embed(complete(probe.concepts)))
+        rough.append(embed(complete(probe.rough)))
+    concept = embedded_cosines(stacked(theirs), _column(ours))
+    similarity = embedded_cosines(candidates.answers, _column(rough))
+    # a new C-contiguous array, so np.vecdot scores each row with one ddot
+    rows = np.column_stack((relevance, concept, candidates.complexity, similarity))
+    # MetricVector's range check, by column; only a failing row builds one, to raise
+    cosines, complexity = rows[:, [0, 1, 3]], rows[:, 2]
+    in_range = (np.abs(cosines) <= 1.0).all(axis=1) & (0.0 <= complexity) & (complexity <= 1.0)
+    if not in_range.all():
+        MetricVector(*rows[np.argmin(in_range)].tolist())
+    return rows
 
 
 def calculate_metrics(
@@ -192,8 +209,9 @@ def calculate_metrics(
     dedupe through the response cache when one is configured.
     """
     complexity = _normalized(interpreter.complexity(answer_text), pool_stats)
-    candidate = _candidate(question, answer_text, complexity, services)
-    return MetricVector(*_metric_row(candidate, _probe(test_question, services), services))
+    candidates = _candidates([(question, answer_text)], [complexity], services)
+    rows = _metric_rows(candidates, _probe(test_question, services), services)
+    return MetricVector(*rows[0].tolist())
 
 
 def score(metrics: MetricVector, weights: Weights) -> float:
@@ -253,33 +271,21 @@ class SelectionResult:
         return [example.id for example, _ in self.chosen]
 
 
-def _pool_entry(pool: ExamplePool, services: Services) -> tuple[list[_Candidate], dict]:
-    """The pool's candidates and its metric rows by question, memoized in ``services``."""
-    memo = services._metrics_memo.get(id(pool))
-    if memo is None:
-        counts = [interpreter.complexity(e.answer_text) for e in pool]
-        stats = PoolStats(min_complexity=min(counts), max_complexity=max(counts))
-        candidates = [
-            _candidate(e.question, e.answer_text, _normalized(count, stats), services)
-            for e, count in zip(pool, counts)
-        ]
-        memo = services._metrics_memo[id(pool)] = (pool, candidates, {})
-    return memo[1], memo[2]
-
-
 def candidate_metrics(pool: ExamplePool, test_question: str, services: Services) -> np.ndarray:
     """One read-only metric row per candidate, in pool order: the weight-independent half.
 
     The work is split by what it depends on, and memoized in ``services``:
-    - once per pool, a ``_Candidate`` for each example: its question and
-      answer embedding, each with its norm, its concept-list request, and
-      its complexity, min-max normalized over the whole pool;
+    - once per pool, the ``_Candidates``: the examples' question and answer
+      embeddings, each stacked into one C-contiguous matrix beside its norm
+      array, their concept-list requests, and their complexity column,
+      min-max normalized over the whole pool;
     - once per question, a ``_Probe``: the test question's embedding and
       norm, and its concept-list and rough-answer requests;
-    - once per pair, ``_metric_row``: the three metric completions, each
-      sending one of the prebuilt requests as is (the candidate's concepts,
-      the test question's concepts, the rough answer), their embed-memo
-      lookups and three dot products.
+    - once per question, ``_metric_rows``: a loop over the candidates that
+      only sends each pair's three prebuilt metric requests (the candidate's
+      concepts, the test question's concepts, the rough answer) and looks
+      their responses up in the embed memo, then three ``np.vecdot`` cosine
+      columns, each row bit-identical to ``embedded_cosine`` of its pair.
     The test question's two requests are sent again for every candidate, so
     each pair makes the same provider calls as ``calculate_metrics``; they
     move to once per question only when the benchmark no longer pins eval's
@@ -291,11 +297,17 @@ def candidate_metrics(pool: ExamplePool, test_question: str, services: Services)
     """
     if not pool:
         raise EmptyPool("candidate pool is empty")
-    candidates, memo = _pool_entry(pool, services)
+    entry = services._metrics_memo.get(id(pool))
+    if entry is None:
+        counts = [interpreter.complexity(e.answer_text) for e in pool]
+        stats = PoolStats(min_complexity=min(counts), max_complexity=max(counts))
+        complexity = [_normalized(count, stats) for count in counts]
+        candidates = _candidates([(e.question, e.answer_text) for e in pool], complexity, services)
+        entry = services._metrics_memo[id(pool)] = (pool, candidates, {})
+    _, candidates, memo = entry
     rows = memo.get(test_question)
     if rows is None:
-        probe = _probe(test_question, services)
-        rows = np.array([_metric_row(c, probe, services) for c in candidates])
+        rows = _metric_rows(candidates, _probe(test_question, services), services)
         rows.flags.writeable = False
         memo[test_question] = rows
     return rows
@@ -316,10 +328,9 @@ def select_examples(
     """
     metrics = candidate_metrics(pool, test_question, services)
     examples = list(pool)
-    weights = config.weights.as_array()
-    # per-row np.dot, as in score(): a matrix product can differ in the last ulp
-    scores = [float(np.dot(row, weights)) for row in metrics]
-    answers = [candidate.answer for candidate in _pool_entry(pool, services)[0]]
+    # np.vecdot takes each row's product as score()'s np.dot does; @ can differ in the last ulp
+    scores = np.vecdot(metrics, config.weights.as_array()).tolist()
+    embed = services.embed_with_norm
 
     remaining = list(range(len(examples)))
     chosen: list[int] = []
@@ -343,7 +354,8 @@ def select_examples(
             stop = "epsilon"
         else:
             previous = scores[best]
-            index, redundancy = _prune_index([answers[i] for i in chosen], config.delta)
+            answers = [embed(examples[i].answer_text) for i in chosen]
+            index, redundancy = _prune_index(answers, config.delta)
             if redundancy is not None:
                 redundancy_by_id = {
                     examples[chosen[k]].id: float(redundancy[k]) for k in range(len(chosen))

@@ -531,7 +531,10 @@ class TestEmbeddingFailures:
         [
             (FailingEmbedding(ProviderError("embedding endpoint unavailable")), "unavailable"),
             # one question embeds to 3 components, everything else to 2
-            (StubEmbedding({eval_dataset_records()[0]["question"]: [1.0, 0.0, 0.0]}), "differ"),
+            (
+                StubEmbedding({eval_dataset_records()[0]["question"]: [1.0, 0.0, 0.0]}),
+                "dimensions differ: (2,) vs (3,)",
+            ),
         ],
         ids=["provider-error", "wrong-dimension"],
     )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potselect.augmentation import Example, extract_answer_block
+from potselect.augmentation import Example, ExamplePool, extract_answer_block
 from potselect.cli import main
 from potselect.evalharness import (
     EvalReport,
@@ -49,6 +49,7 @@ from conftest import (
     eval_pool,
     fake_post,
     make_services,
+    small_example,
 )
 
 
@@ -370,6 +371,28 @@ class TestEvaluate:
         again = evaluate(dataset, pool, config, services)
         assert again.items == report.items
         assert services.completion.calls == len(dataset)
+
+    def test_a_later_candidates_nan_fails_its_row_after_every_metric_request(self, tmp_path):
+        third = small_example(2, "A third pool question")
+        fourth = small_example(3, "A fourth pool question", extra_lines=2)
+        pool = ExamplePool((*eval_pool(), third, fourth))
+        nan_texts = {third.answer_text, fourth.question}  # row 2's similarity, row 3's relevance
+
+        class LaterNan(HashEmbedding):
+            def embed(self, text):
+                return np.full(256, np.nan) if text in nan_texts else super().embed(text)
+
+        dataset = _dataset(tmp_path)
+        services = make_services(eval_fixtures(), embedding=LaterNan())
+        report = evaluate(dataset, pool, SelectionConfig(), services)
+        # MetricVector's message for the first failing row in pool order
+        assert {r.cause for r in report.items} == {
+            "selection: similarity must lie in [-1, 1], got nan"
+        }
+        # the one departure from scoring pair by pair: the row is checked once the
+        # question's every metric request was sent, not only those of rows 0 to 2
+        assert services.completion.calls == len(dataset) * 3 * len(pool)
+        assert not services._metrics_memo[id(pool)][2]  # and no rows were stored
 
     def test_nan_embedding_is_a_selection_cause_and_a_data_error_for_select(
         self, eval_environment, monkeypatch, capsys

@@ -26,8 +26,10 @@ from potselect.providers import (
     Services,
     cosine,
     embedded_cosine,
+    embedded_cosines,
     load_fixtures,
     save_fixtures,
+    stacked,
 )
 
 from conftest import StubEmbedding, fake_post
@@ -396,6 +398,78 @@ class TestCosine:
     def test_shape_mismatch_raises_for_list_inputs(self):
         with pytest.raises(DimensionMismatch):
             cosine([1.0, 2.0], [[1.0, 2.0]])
+
+
+def _embedded(vector: np.ndarray):
+    return vector, math.sqrt(vector.dot(vector))
+
+
+class TestEmbeddedCosines:
+    """Selection's scores, and so the golden output hashes, rest on ``np.vecdot`` over
+    C-contiguous rows taking each row's product exactly as ``ndarray.dot`` takes one
+    pair's.  If numpy ever routes ``vecdot`` differently, these fail first."""
+
+    @staticmethod
+    def _rows(rng, n: int, dim: int) -> np.ndarray:
+        return rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-5, 5, size=(n, 1))
+
+    def test_vecdot_equals_per_row_dot_bytewise(self):
+        rng = np.random.default_rng(7)
+        cases = [(self._rows(rng, 6, dim), self._rows(rng, 6, dim)) for dim in range(1, 1025)]
+        words = ["eggs", "sold", "total", "market", "a", "b", "7", "12"]
+        emb = HashEmbedding()
+        texts = [" ".join(rng.choice(words, int(rng.integers(0, 12)))) for _ in range(600)]
+        hashed = np.array([emb.embed(text) for text in texts])  # sparse, some all zero
+        cases.append((hashed[:300], hashed[300:]))
+        # four-wide score rows and weights, as select_examples scores them
+        cases.append((rng.uniform(-1.0, 1.0, (3000, 4)), rng.uniform(0.0, 2.0, (3000, 4))))
+        for u, v in cases:
+            assert u.flags.c_contiguous and v.flags.c_contiguous
+            per_row = np.array([a.dot(b) for a, b in zip(u, v)])
+            assert np.vecdot(u, v).tobytes() == per_row.tobytes()
+            broadcast = np.array([a.dot(v[0]) for a in u])
+            assert np.vecdot(u, v[0]).tobytes() == broadcast.tobytes()
+
+    def test_equal_embedded_cosine_exactly(self):
+        rng = np.random.default_rng(8)
+        clamped = 0
+        for dim in (1, 2, 3, 5, 16, 255, 256, 1024):
+            u, v = self._rows(rng, 60, dim), self._rows(rng, 60, dim)
+            v[:20] = -0.5 * u[:20]  # antiparallel
+            v[20:30] = 3.0 * u[20:30]
+            u[30], v[31] = 0.0, 0.0  # zero norms
+            u[32, 0], v[33] = np.nan, np.nan
+            left, right = [_embedded(r) for r in u], [_embedded(r) for r in v]
+            for one in (right[0], right[31], right[33]):  # a broadcast vector, zero and NaN too
+                expected = np.array([embedded_cosine(a, one) for a in left])
+                assert embedded_cosines(stacked(left), one).tobytes() == expected.tobytes()
+            expected = np.array([embedded_cosine(a, b) for a, b in zip(left, right)])
+            got = embedded_cosines(stacked(left), stacked(right))
+            assert got.tobytes() == expected.tobytes()
+            assert np.isnan(got[[32, 33]]).all() and (got[[30, 31]] == 0.0).all()
+            with np.errstate(invalid="ignore", divide="ignore"):
+                raw = np.array([a.dot(b) / (na * nb) for (a, na), (b, nb) in zip(left, right)])
+            clamped += int(np.sum(np.abs(raw) > 1.0))
+        assert clamped > 0  # the clamp fired
+
+    def test_stacked_is_c_contiguous_and_rejects_two_shapes(self):
+        rng = np.random.default_rng(9)
+        column = [_embedded(r) for r in rng.standard_normal((3, 4))]
+        matrix, norms = stacked(column)
+        assert matrix.flags.c_contiguous and matrix.shape == (3, 4)
+        assert norms.tolist() == [norm for _, norm in column]
+        with pytest.raises(DimensionMismatch, match=r"\Adimensions differ: \(2,\) vs \(3,\)\Z"):
+            stacked([_embedded(np.ones(2)), _embedded(np.ones(2)), _embedded(np.ones(3))])
+
+    def test_dimension_mismatch_keeps_embedded_cosines_message(self):
+        rows = stacked([_embedded(np.ones(2))] * 3)
+        message = r"\Adimensions differ: \(2,\) vs \(3,\)\Z"
+        with pytest.raises(DimensionMismatch, match=message):
+            embedded_cosine(_embedded(np.ones(2)), _embedded(np.ones(3)))
+        with pytest.raises(DimensionMismatch, match=message):
+            embedded_cosines(rows, _embedded(np.ones(3)))
+        with pytest.raises(DimensionMismatch, match=message):
+            embedded_cosines(rows, stacked([_embedded(np.ones(3))] * 3))
 
 
 class _FlakyTransport:

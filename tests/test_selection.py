@@ -11,7 +11,7 @@ import pytest
 from potselect import interpreter
 from potselect.augmentation import Example, ExamplePool, write_jsonl
 from potselect.prompts import concept_prompt, zero_shot_prompt
-from potselect.providers import HashEmbedding, ScriptedProvider, Services
+from potselect.providers import DimensionMismatch, HashEmbedding, ScriptedProvider, Services
 from potselect.selection import (
     EmptyPool,
     IterationRecord,
@@ -44,6 +44,11 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 def _metric_services():
     return make_services([CONCEPT_FIXTURE, ROUGH_FIXTURE])
+
+
+def _pool_stats(pool) -> PoolStats:
+    counts = [interpreter.complexity(e.answer_text) for e in pool]
+    return PoolStats(min_complexity=min(counts), max_complexity=max(counts))
 
 
 def _example(i: int, question: str, extra_lines: int = 0) -> Example:
@@ -160,6 +165,16 @@ class TestCalculateMetrics:
 
 
 class TestCandidateMetrics:
+    def test_a_test_question_of_another_dimension_raises_before_any_request(self):
+        pool = ExamplePool((_example(0, "first question"), _example(1, "second question", 2)))
+        services = Services(
+            completion=ScriptedProvider([CONCEPT_FIXTURE, ROUGH_FIXTURE]),
+            embedding=StubEmbedding({"the test question": [1.0, 0.0, 0.0]}),  # others: 2 zeros
+        )
+        with pytest.raises(DimensionMismatch, match=r"\Adimensions differ: \(2,\) vs \(3,\)\Z"):
+            candidate_metrics(pool, "the test question", services)
+        assert services.completion.calls == 0
+
     def test_pool_work_is_done_once_and_rows_equal_calculate_metrics(self, monkeypatch):
         rng = np.random.default_rng(29)
         pool, first = random_pool(rng, n_max=8)
@@ -179,7 +194,7 @@ class TestCandidateMetrics:
         assert len(counted) == len(pool)
 
         oracle_services = _metric_services()
-        stats = PoolStats.from_examples(list(pool))
+        stats = _pool_stats(pool)
         expected = np.array([
             calculate_metrics(e.question, e.answer_text, second, stats, oracle_services).as_array()
             for e in pool
@@ -220,7 +235,7 @@ class TestCandidateMetrics:
         ]
 
         oracle = Services(completion=Recording(), embedding=HashEmbedding())
-        stats = PoolStats.from_examples(list(pool))
+        stats = _pool_stats(pool)
         for question in questions:
             for example in pool:
                 calculate_metrics(example.question, example.answer_text, question, stats, oracle)
@@ -402,7 +417,7 @@ class TestInvariants:
             weights = random_weights(rng)
             services = _metric_services()
             config = SelectionConfig(weights=weights, epsilon=0.0)
-            stats = PoolStats.from_examples(list(pool))
+            stats = _pool_stats(pool)
             expected = {
                 e.id: score(
                     calculate_metrics(e.question, e.answer_text, q_t, stats, services), weights
