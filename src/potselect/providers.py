@@ -86,12 +86,13 @@ class Fixture:
 
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "pattern"):
-            raise ValueError(f"fixture kind must be exact|pattern, got {self.kind!r}")
+            raise ValueError(f"match kind must be exact|pattern, got {self.kind!r}")
 
 
 def load_fixtures(path: str | Path) -> list[Fixture]:
-    """The fixtures of a file holding a JSON array of objects; another shape, or
-    a missing or non-string field, raises ``ValueError`` naming the fixture's index."""
+    """The fixtures of a file holding a JSON array of objects; another shape, a
+    missing or non-string field, or an unknown match kind raises ``ValueError``
+    naming the fixture's index."""
     try:
         records = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError as exc:
@@ -108,7 +109,10 @@ def load_fixtures(path: str | Path) -> list[Fixture]:
         values = (r["match"], r["text"], r["response"])
         if not all(isinstance(v, str) for v in values):
             raise ValueError(f"fixture {i}: match, text and response must be strings")
-        fixtures.append(Fixture(*values))
+        try:
+            fixtures.append(Fixture(*values))
+        except ValueError as exc:  # an unknown match kind
+            raise ValueError(f"fixture {i}: {exc}") from None
     return fixtures
 
 
@@ -120,20 +124,17 @@ def save_fixtures(fixtures: list[Fixture], path: str | Path) -> None:
 class ScriptedProvider:
     """Replays fixture responses: exact prompt match or regex search.
 
-    Repeated identical prompts step through matching fixtures in declared
-    order; once all matches are consumed, the last one keeps answering.
-    Pattern responses may use backreferences (``\\1``) into the match.
+    A prompt is answered by the first fixture, in declared order, that
+    matches it, however often it is sent: one prompt has one response, as
+    in the response cache.  Pattern responses may use backreferences
+    (``\\1``) into the match.
 
     Each distinct prompt is matched against the fixtures once, when it is
-    first seen, and each matching response is expanded from that match with
-    the template parsed when the fixture was compiled; ``calls`` still
+    first seen, and the first match's response is expanded from that match
+    with the template parsed when the fixture was compiled; ``calls`` still
     counts every request.  The memo is keyed by the prompt text itself, so
     a prompt object sent again is found by its cached hash, and the memo
-    keeps every distinct prompt alive for the provider's lifetime.  Each
-    entry holds the matching fixture indices, their responses and a
-    cursor at the first match that may still be unconsumed: fixtures are
-    only ever marked consumed, so the cursor only moves forward, and once
-    it reaches the last match that match keeps answering.
+    keeps every distinct prompt alive for the provider's lifetime.
     A pattern that does not compile, or a response with a bad group
     reference, raises ``ValueError`` on construction, naming the fixture's
     index.
@@ -145,10 +146,8 @@ class ScriptedProvider:
     def __init__(self, fixtures: list[Fixture] | None = None):
         self.fixtures = list(fixtures or [])
         self.calls = 0
-        self._consumed = [False] * len(self.fixtures)
         self._patterns = [_compile_fixture(i, f) for i, f in enumerate(self.fixtures)]
-        # prompt -> [matching fixture indices, their responses, cursor into both]
-        self._served: dict[str, list] = {}
+        self._served: dict[str, str | None] = {}  # prompt -> response, None if unmatched
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedProvider":
@@ -157,31 +156,25 @@ class ScriptedProvider:
     def complete(self, request: CompletionRequest) -> str:
         self.calls += 1
         prompt = request.prompt
-        served = self._served.get(prompt)
-        if served is None:
-            served = self._served[prompt] = self._match(prompt)
-        indices, responses, cursor = served
-        if not indices:
+        try:
+            response = self._served[prompt]
+        except KeyError:
+            response = self._served[prompt] = self._match(prompt)
+        if response is None:
             head = prompt[:120].replace("\n", "\\n")
             raise NoFixture(f"no fixture matches prompt starting {head!r}")
-        consumed, last = self._consumed, len(indices) - 1
-        while cursor < last and consumed[indices[cursor]]:
-            cursor += 1
-        served[2] = cursor
-        consumed[indices[cursor]] = True
-        return responses[cursor]
+        return response
 
-    def _match(self, prompt: str) -> list:
-        """``[indices, responses, 0]``: the fixtures matching ``prompt`` in declared
-        order and their responses, a pattern's expanded from the match just found."""
-        matches: list[tuple[int, str]] = []
-        for i, (fixture, pattern) in enumerate(zip(self.fixtures, self._patterns)):
+    def _match(self, prompt: str) -> str | None:
+        """The response of the first fixture matching ``prompt``, a pattern's
+        expanded from the match just found; None when no fixture matches."""
+        for fixture, pattern in zip(self.fixtures, self._patterns):
             if pattern is None:
                 if fixture.text == prompt:
-                    matches.append((i, fixture.response))
+                    return fixture.response
             elif match := pattern.search(prompt):
-                matches.append((i, _expand(match, fixture.response)))
-        return [[i for i, _ in matches], [response for _, response in matches], 0]
+                return _expand(match, fixture.response)
+        return None
 
 
 def _expand(match: re.Match, template: str) -> str:
@@ -396,12 +389,11 @@ class Services:
     times builds its request once and passes it to ``complete`` each time.
     Not shareable across threads: the embed memo grows on every new text,
     the metrics memo on every new pool and (pool, question) pair, and
-    ``ScriptedProvider`` marks each fixture it serves as consumed and
-    memoizes, per distinct prompt, the expanded responses of its matching
-    fixtures.  The embed and fixture memos do not change what a call
-    returns or counts: the provider still steps through fixtures on
-    repeated prompts, and its ``calls`` counts every request.  The embed
-    memo keeps each text's vector beside its norm.
+    ``ScriptedProvider`` memoizes each distinct prompt's response.  The
+    embed and fixture memos do not change what a call returns or counts:
+    a prompt has one response, from the provider as from the cache, and
+    the provider's ``calls`` counts every request.  The embed memo keeps
+    each text's vector beside its norm.
 
     The metrics memo, kept by ``selection.candidate_metrics``, does change
     what is requested.  Once per pool it holds the pool's candidates: their
@@ -409,7 +401,7 @@ class Services:
     concept-list requests and their normalized complexity; once per (pool,
     question) it holds the question's metric rows, so a repeated question
     makes no further metric completions.
-    Like the response cache, it assumes a prompt's response does not change.
+    Like the response cache, it relies on a prompt having one response.
     """
 
     completion: object

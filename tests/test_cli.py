@@ -18,11 +18,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import potselect
+from potselect.augmentation import Example
 from potselect.cli import _effective_config, build_parser, main
-from potselect.providers import ProviderError, ScriptedProvider, save_fixtures
+from potselect.prompts import few_shot_prompt, rephrase_prompt
+from potselect.providers import Fixture, ProviderError, ScriptedProvider, save_fixtures
 from potselect.selection import load_weights
 
 from conftest import (
+    BOLTS_A,
+    BOLTS_Q,
+    BOLTS_REPHRASED_Q,
     augmentation_fixtures,
     CONCEPT_FIXTURE,
     DEEP_LINE,
@@ -371,6 +376,41 @@ class TestEvalCommand:
         assert calls[1] == 0
 
 
+def test_augment_output_does_not_depend_on_the_cache(tmp_path, monkeypatch):
+    """A wrong and then a right fixture for one stage-1 infer prompt: the prompt's
+    one response is the wrong one, with no cache, a cold cache and a warm one."""
+    pool_path, fixtures_path = tmp_path / "seed.jsonl", tmp_path / "fixtures.json"
+    _write_seed_pool(pool_path, [Example(id="bolts", question=BOLTS_Q, answer_text=BOLTS_A)])
+    infer = few_shot_prompt([(BOLTS_Q, BOLTS_A)], BOLTS_REPHRASED_Q)
+    fixtures = [
+        Fixture("exact", rephrase_prompt(BOLTS_Q, BOLTS_A), BOLTS_REPHRASED_Q),
+        Fixture("exact", infer, "ans = 999"),
+        Fixture("exact", infer, BOLTS_A),
+    ]
+    save_fixtures(fixtures, fixtures_path)
+    calls = []
+    complete = ScriptedProvider.complete
+
+    def counting(self, request):
+        calls.append(request.prompt)
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", counting)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    runs = []
+    for run, extra in enumerate([[], cache, cache]):  # no cache, cold, warm
+        calls.clear()
+        out = tmp_path / f"pool{run}.jsonl"
+        argv = ["augment", "--pool", str(pool_path), "--fixtures", str(fixtures_path)]
+        assert main([*argv, "--stages", "1", "--out", str(out), *extra]) == 0
+        pool = [l for l in out.read_bytes().split(b"\n") if b'"meta"' not in l]
+        runs.append((pool, Path(f"{out}.attempts.jsonl").read_bytes(), len(calls)))
+    assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+    attempts = [json.loads(l) for l in runs[0][1].splitlines()]
+    assert [a["accepted"] for a in attempts] == [False] * 4
+    assert runs[2][2] == 0
+
+
 @pytest.mark.parametrize("command", ["select", "eval"])
 def test_repeated_question_without_cache_is_scored_once(eval_environment, monkeypatch, command):
     prompts = []
@@ -564,7 +604,8 @@ def _after_the_good_fixtures(record):
 
 class TestBadFixtureFile:
     """A pattern that does not compile, a bad group reference, a missing or
-    non-string field, or a file that is not an array of objects is bad data (exit 3)."""
+    non-string field, an unknown match kind, or a file that is not an array of
+    objects is bad data (exit 3)."""
 
     @pytest.mark.parametrize("command", ["augment", "select", "tune", "eval"])
     @pytest.mark.parametrize(
@@ -588,10 +629,14 @@ class TestBadFixtureFile:
                 _after_the_good_fixtures({"match": "exact", "text": "a"}),
                 "fixture {n}: missing field response",
             ),
+            (
+                _after_the_good_fixtures({"match": "regex", "text": "a", "response": "r"}),
+                "fixture {n}: match kind must be exact|pattern, got 'regex'",
+            ),
         ],
         ids=[
             "pattern", "group-reference", "non-string-response", "not-an-object", "not-an-array",
-            "missing-field",
+            "missing-field", "unknown-kind",
         ],
     )
     def test_is_a_data_error_on_loading(self, eval_environment, capsys, command, content, message):

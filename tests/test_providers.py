@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from potselect.cache import CacheStore
 from potselect.providers import (
     CompletionRequest,
     DimensionMismatch,
@@ -45,6 +47,32 @@ class SpyFixture:
     def response(self):
         self.reads += 1
         return self._response
+
+
+# Repeated and overlapping fixtures: texts that are exact prompts, patterns
+# matching several of them, and the same text declared more than once.
+_FIXTURE_TEXTS = ("a", "ab", "ba", "b", "a(b)", "(a)b?", r"\Ab", "b|ab")
+
+
+@st.composite
+def _fixtures_and_prompts(draw):
+    fixture = st.builds(
+        Fixture,
+        st.sampled_from(["exact", "pattern"]),
+        st.sampled_from(_FIXTURE_TEXTS),
+        st.sampled_from(["r", "s", r"<\g<0>>"]),
+    )
+    fixtures = draw(st.lists(fixture, max_size=6))
+    texts = [f.text for f in fixtures] + ["ab", "zz"]
+    return fixtures, draw(st.lists(st.sampled_from(texts), max_size=12))
+
+
+def _answer(complete, prompt):
+    """``complete(prompt)``, or ``NoFixture`` when no fixture matches."""
+    try:
+        return complete(prompt)
+    except NoFixture:
+        return NoFixture
 
 
 class TestCompletionRequest:
@@ -93,10 +121,8 @@ class TestScriptedProvider:
             [Fixture("exact", "P", "first"), Fixture("exact", "P", "second")]
         )
         request = CompletionRequest(prompt="P")
-        assert provider.complete(request) == "first"
-        assert provider.complete(request) == "second"
-        # exhausted: the last matching fixture keeps answering
-        assert provider.complete(request) == "second"
+        # one prompt has one response: the first matching fixture's, every time
+        assert [provider.complete(request) for _ in range(3)] == ["first"] * 3
 
     def test_pattern_match_with_backreference_expansion(self):
         provider = ScriptedProvider(
@@ -127,7 +153,7 @@ class TestScriptedProvider:
         )
         request = CompletionRequest(prompt="n7")
         answers = [provider.complete(request) for _ in range(4)]
-        assert answers == ["first 7", "second n", "second n", "second n"]
+        assert answers == ["first 7"] * 4
 
     def test_exact_and_pattern_fixtures_follow_declared_order(self):
         provider = ScriptedProvider(
@@ -139,7 +165,7 @@ class TestScriptedProvider:
         )
         request = CompletionRequest(prompt="P1")
         answers = [provider.complete(request) for _ in range(4)]
-        assert answers == ["pattern 1", "exact", "anchored", "anchored"]
+        assert answers == ["pattern 1"] * 4
 
     def test_one_pattern_expands_each_prompt_from_its_own_match(self):
         provider = ScriptedProvider([Fixture("pattern", r"count (\d+) (\w+)", r"\2: \1")])
@@ -169,7 +195,7 @@ class TestScriptedProvider:
         )
         a, b = CompletionRequest(prompt="A"), CompletionRequest(prompt="B")
         answers = [provider.complete(r) for r in (a, b, a, b)]
-        assert answers == ["first A", "second B", "second A", "second B"]
+        assert answers == ["first A", "first B", "first A", "first B"]
 
     def test_a_prompt_with_a_lone_surrogate_is_served_and_memoized(self):
         fixture = SpyFixture("pattern", "\ud800(x)", r"got \1")
@@ -187,10 +213,22 @@ class TestScriptedProvider:
         provider = ScriptedProvider([first, second])
         built = [first.reads, second.reads]  # construction checks the templates
         answers = [provider.complete(CompletionRequest(prompt="a")) for _ in range(3)]
-        assert answers == ["aa", "aaa", "aaa"]
-        assert [first.reads, second.reads] == [built[0] + 1, built[1] + 1]
-        assert provider.complete(CompletionRequest(prompt="ba")) == "aaa"  # both consumed
-        assert [first.reads, second.reads] == [built[0] + 2, built[1] + 2]
+        assert answers == ["aa"] * 3
+        assert [first.reads, second.reads] == [built[0] + 1, built[1]]
+        assert provider.complete(CompletionRequest(prompt="ba")) == "aa"
+        assert [first.reads, second.reads] == [built[0] + 2, built[1]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_fixtures_and_prompts())
+    def test_a_repeated_prompt_gets_one_response(self, case):
+        fixtures, prompts = case
+        provider = ScriptedProvider(fixtures)
+
+        def complete(prompt):
+            return provider.complete(CompletionRequest(prompt))
+
+        answers = {(p, _answer(complete, p)) for p in prompts}
+        assert len(answers) == len(set(prompts))
 
     @pytest.mark.parametrize(
         "text, response, message",
@@ -661,6 +699,16 @@ class TestServices:
         assert request == CompletionRequest(prompt="p", model_id="m", stop_sequences=("s",))
         assert services.complete(request) == services.complete_text("p", stop_sequences=("s",))
         assert sent == [request, request]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_fixtures_and_prompts())
+    def test_a_cache_never_changes_a_response(self, case):
+        fixtures, prompts = case
+        plain = Services(ScriptedProvider(fixtures), HashEmbedding())
+        with tempfile.TemporaryDirectory() as directory:
+            cached = Services(ScriptedProvider(fixtures), HashEmbedding(), CacheStore(directory))
+            for prompt in prompts:
+                assert _answer(plain.complete_text, prompt) == _answer(cached.complete_text, prompt)
 
     def test_embed_memoizes(self):
         class CountingEmbedding:
