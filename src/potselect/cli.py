@@ -210,10 +210,7 @@ def cmd_augment(cfg: dict) -> int:
     )
     result = augmentation.augment_pool(pool, config, services, stages=stages)
     augmentation.save_pool(result.pool, out, meta={"command": "augment", "config": cfg})
-    augmentation.write_jsonl(
-        f"{out}.attempts.jsonl",
-        ({**vars(a), "report": a.report and vars(a.report)} for a in result.attempts),
-    )
+    augmentation.write_jsonl(f"{out}.attempts.jsonl", (asdict(a) for a in result.attempts))
     counts = result.accepted_per_stage()
     print(
         f"pool: {len(pool)} seeds -> {len(result.pool)} examples "

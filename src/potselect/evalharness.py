@@ -157,6 +157,38 @@ class EvalReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "items"}
 
 
+def _grade(
+    item: QAItem, pool: ExamplePool, config: SelectionConfig, services: Services
+) -> ItemResult:
+    """Select, prompt, execute and grade one item; a failed item returns with its cause."""
+    selected_ids: tuple[str, ...] = ()
+    completion = None
+
+    def graded(cause: str | None, value: float | None = None) -> ItemResult:
+        # with the selection and the completion as far as they were recorded
+        verdict = "correct" if cause is None else "incorrect"
+        return ItemResult(item.id, selected_ids, completion, value, item.gold_value, verdict, cause)
+
+    try:
+        selection = select_examples(pool, item.question, config, services)
+        selected_ids = tuple(selection.chosen_ids)
+        prompt = build_prompt([example for example, _ in selection.chosen], item.question)
+        completion = services.complete_text(prompt, stop_sequences=("Question:",))
+        program = extract_answer_block(completion)
+        if program is None:
+            return graded("parse: no answer block in completion")
+        # the one source of an InterpreterError in this block: selection parses
+        # nothing, and extract_answer_block maps its own
+        value = interpreter.execute(program)
+    except interpreter.InterpreterError as exc:
+        return graded(f"execute: {exc}")
+    except ProviderError as exc:
+        return graded(f"{PROVIDER_CAUSE}{exc}")
+    except ValueError as exc:
+        return graded(f"selection: {exc}")
+    return graded(None if abs(value - item.gold_value) <= EPS_EVAL else "wrong value", value)
+
+
 def evaluate(
     dataset: list[QAItem],
     pool: ExamplePool,
@@ -164,50 +196,9 @@ def evaluate(
     services: Services,
 ) -> EvalReport:
     """Select, prompt, execute and grade every item; failures never abort the run."""
-    results: list[ItemResult] = []
-    n_correct = 0
-    for item in dataset:
-        selected_ids: tuple[str, ...] = ()
-        completion = None
-        value = None
-        cause = None
-        correct = False
-        try:
-            selection = select_examples(pool, item.question, selection_config, services)
-            chosen = [example for example, _ in selection.chosen]
-            selected_ids = tuple(example.id for example in chosen)
-            prompt = build_prompt(chosen, item.question)
-            completion = services.complete_text(prompt, stop_sequences=("Question:",))
-            program = extract_answer_block(completion)
-            if program is None:
-                cause = "parse: no answer block in completion"
-            else:
-                try:
-                    value = interpreter.execute(program)
-                except interpreter.InterpreterError as exc:
-                    cause = f"execute: {exc}"
-                else:
-                    correct = abs(value - item.gold_value) <= EPS_EVAL
-                    if not correct:
-                        cause = "wrong value"
-        except ProviderError as exc:
-            cause = f"{PROVIDER_CAUSE}{exc}"
-        except ValueError as exc:
-            cause = f"selection: {exc}"
-        if correct:
-            n_correct += 1
-        results.append(
-            ItemResult(
-                item_id=item.id,
-                selected_ids=selected_ids,
-                completion=completion,
-                value=value,
-                gold_value=item.gold_value,
-                verdict="correct" if correct else "incorrect",
-                cause=cause,
-            )
-        )
+    results = [_grade(item, pool, selection_config, services) for item in dataset]
     n_items = len(dataset)
+    n_correct = sum(r.verdict == "correct" for r in results)
     return EvalReport(
         n_items=n_items,
         n_correct=n_correct,

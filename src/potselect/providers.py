@@ -116,11 +116,6 @@ def load_fixtures(path: str | Path) -> list[Fixture]:
     return fixtures
 
 
-def save_fixtures(fixtures: list[Fixture], path: str | Path) -> None:
-    records = [{"match": f.kind, "text": f.text, "response": f.response} for f in fixtures]
-    Path(path).write_text(json.dumps(records, indent=2, ensure_ascii=False), encoding="utf-8")
-
-
 class ScriptedProvider:
     """Replays fixture responses: exact prompt match or regex search.
 
@@ -384,24 +379,23 @@ class Services:
     """Completion + embedding providers and an optional response cache.
 
     ``request`` builds a completion request and ``complete`` sends one: it
-    is the one place where a completion meets the cache.  ``complete_text``
-    is the two in one call.  A caller that sends the same prompt many
-    times builds its request once and passes it to ``complete`` each time.
-    Not shareable across threads: the embed memo grows on every new text,
-    the metrics memo on every new pool and (pool, question) pair, and
-    ``ScriptedProvider`` memoizes each distinct prompt's response.  The
-    embed and fixture memos do not change what a call returns or counts:
-    a prompt has one response, from the provider as from the cache, and
-    the provider's ``calls`` counts every request.  The embed memo keeps
-    each text's vector beside its norm.
+    is the one place where a completion meets the cache.  A caller that
+    sends the same prompt many times builds its request once and passes it
+    to ``complete`` each time.  Not shareable across threads: the embed memo
+    grows on every new text, the metrics memo on every new pool and (pool,
+    question) pair, and ``ScriptedProvider`` memoizes each distinct prompt's
+    response.  The embed and fixture memos do not change what a call returns
+    or counts: a prompt has one response, from the provider as from the
+    cache, and the provider's ``calls`` counts every request.
 
     The metrics memo, kept by ``selection.candidate_metrics``, does change
-    what is requested.  Once per pool it holds the pool's candidates: their
-    question and answer embeddings as two matrices beside their norms, their
-    concept-list requests and their normalized complexity; once per (pool,
-    question) it holds the question's metric rows, so a repeated question
-    makes no further metric completions.
-    Like the response cache, it relies on a prompt having one response.
+    what is requested.  Once per pool it holds the pool's candidates, and
+    once per (pool, question) the question's metric rows, so a repeated
+    question makes no further metric completions.  Like the response cache,
+    it relies on a prompt having one response, as does scoring, which
+    embeds the test question's concept-list and rough-answer responses once.
+    Those two requests are re-sent per candidate only because the benchmark
+    pins eval's provider-call count (ROADMAP item 1).
     """
 
     completion: object

@@ -72,11 +72,14 @@ class Weights:
 
 
 def load_weights(path: str | Path) -> Weights:
-    """Read a weights file: one JSON object, which may span several lines."""
+    """Read a weights file: one JSON object of four numbers, which may span several lines."""
     text = Path(path).read_text(encoding="utf-8")
     try:  # invalid JSON, or JSON nested too deeply to decode, is not one object either
         data = json.loads(text)
-        return Weights(**{f.name: float(data[f.name]) for f in fields(Weights)})
+        values = [data[f.name] for f in fields(Weights)]
+        if not all(type(v) in (int, float) for v in values):  # bool is an int subclass
+            raise TypeError(f"weights must be JSON numbers, got {values!r}")
+        return Weights.from_array(values)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         message = f"weights file {path}: not one JSON object of weights: {exc!r}"
         raise ValueError(message) from None
@@ -157,13 +160,6 @@ def _probe(test_question: str, services: Services) -> _Probe:
     )
 
 
-def _column(embedded: list[Embedded]) -> Embedded:
-    """The responses' embeddings to compare row by row: one memo entry if it is all
-    of them, to broadcast, or else their rows stacked."""
-    first = embedded[0]
-    return first if all(e is first for e in embedded) else stacked(embedded)
-
-
 def _metric_rows(candidates: _Candidates, probe: _Probe, services: Services) -> np.ndarray:
     """Each candidate's four metrics against one test question, one row each.
 
@@ -171,20 +167,21 @@ def _metric_rows(candidates: _Candidates, probe: _Probe, services: Services) -> 
     raises ``DimensionMismatch`` before any request is sent.  Then, candidate
     by candidate, the loop sends the pair's three metric requests in this
     order: the candidate's concepts, the test question's concepts, the rough
-    answer; and looks each response up in the embed memo.  The concept and
-    similarity columns are then one ``embedded_cosines`` each.
+    answer.  A prompt has one response, so the test question's two responses
+    are one embedding each; their requests are re-sent per candidate only
+    because the benchmark pins eval's provider-call count (ROADMAP item 1).
     A metric out of range raises ``MetricVector``'s ``ValueError`` for the
     first such row in pool order, after the question's every request was sent.
     """
     complete, embed = services.complete, services.embed_with_norm
     relevance = embedded_cosines(candidates.questions, probe.question)
-    theirs, ours, rough = [], [], []
+    theirs = []
     for request in candidates.concepts:
         theirs.append(embed(complete(request)))
-        ours.append(embed(complete(probe.concepts)))
-        rough.append(embed(complete(probe.rough)))
-    concept = embedded_cosines(stacked(theirs), _column(ours))
-    similarity = embedded_cosines(candidates.answers, _column(rough))
+        ours = embed(complete(probe.concepts))
+        rough = embed(complete(probe.rough))
+    concept = embedded_cosines(stacked(theirs), ours)
+    similarity = embedded_cosines(candidates.answers, rough)
     # a new C-contiguous array, so np.vecdot scores each row with one ddot
     rows = np.column_stack((relevance, concept, candidates.complexity, similarity))
     # MetricVector's range check, by column; only a failing row builds one, to raise
@@ -283,13 +280,13 @@ def candidate_metrics(pool: ExamplePool, test_question: str, services: Services)
       norm, and its concept-list and rough-answer requests;
     - once per question, ``_metric_rows``: a loop over the candidates that
       only sends each pair's three prebuilt metric requests (the candidate's
-      concepts, the test question's concepts, the rough answer) and looks
-      their responses up in the embed memo, then three ``np.vecdot`` cosine
-      columns, each row bit-identical to ``embedded_cosine`` of its pair.
-    The test question's two requests are sent again for every candidate, so
-    each pair makes the same provider calls as ``calculate_metrics``; they
-    move to once per question only when the benchmark no longer pins eval's
-    call count (ROADMAP item 1).
+      concepts, the test question's concepts, the rough answer) and embeds
+      the responses, then three ``np.vecdot`` cosine columns, each row
+      bit-identical to ``embedded_cosine`` of its pair.
+    The test question's two responses are one embedding each.  Their requests
+    are re-sent for every candidate, so each pair makes the same provider
+    calls as ``calculate_metrics``; that is only because the benchmark pins
+    eval's call count (ROADMAP item 1).
 
     None of the four metrics depends on the weights, so the rows are kept
     per pool and question: scoring a question again, under any weights,
@@ -336,14 +333,9 @@ def select_examples(
     chosen: list[int] = []
     previous = math.inf
     trace: list[IterationRecord] = []
-    iteration = 0
     while remaining and len(chosen) < config.max_chosen:
-        iteration += 1
         candidate_scores = {examples[i].id: scores[i] for i in remaining}
-        best = remaining[0]
-        for i in remaining[1:]:
-            if scores[i] > scores[best]:
-                best = i
+        best = max(remaining, key=scores.__getitem__)  # the first of equal scores: lowest index
         remaining.remove(best)
         chosen.append(best)
 
@@ -365,7 +357,7 @@ def select_examples(
                 del chosen[index]
         trace.append(
             IterationRecord(
-                iteration=iteration,
+                iteration=len(trace) + 1,
                 candidate_scores=candidate_scores,
                 picked_id=examples[best].id,
                 picked_score=scores[best],

@@ -96,6 +96,12 @@ class FailingEmbedding:
         raise self.error
 
 
+def save_fixtures(fixtures: list[Fixture], path: str | Path) -> None:
+    """Write ``fixtures`` as the fixture file that ``load_fixtures`` reads."""
+    records = [{"match": f.kind, "text": f.text, "response": f.response} for f in fixtures]
+    Path(path).write_text(json.dumps(records, indent=2, ensure_ascii=False), encoding="utf-8")
+
+
 def make_services(fixtures=None, cache=None, embedding=None) -> Services:
     return Services(
         completion=ScriptedProvider(list(fixtures or [])),
@@ -267,10 +273,7 @@ def write_eval_environment(tmp_path: Path) -> dict:
         for record in eval_dataset_records():
             fh.write(json.dumps(record) + "\n")
     fixtures_path = tmp_path / "fixtures.json"
-    records = [
-        {"match": f.kind, "text": f.text, "response": f.response} for f in eval_fixtures()
-    ]
-    fixtures_path.write_text(json.dumps(records), encoding="utf-8")
+    save_fixtures(eval_fixtures(), fixtures_path)
     return {
         "pool": str(pool_path),
         "dataset": str(dataset_path),

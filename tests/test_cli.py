@@ -21,7 +21,7 @@ import potselect
 from potselect.augmentation import Example
 from potselect.cli import _effective_config, build_parser, main
 from potselect.prompts import few_shot_prompt, rephrase_prompt
-from potselect.providers import Fixture, ProviderError, ScriptedProvider, save_fixtures
+from potselect.providers import Fixture, ProviderError, ScriptedProvider
 from potselect.selection import load_weights
 
 from conftest import (
@@ -38,6 +38,7 @@ from conftest import (
     eval_fixtures,
     eval_pool,
     fake_post,
+    save_fixtures,
     thirteen_seeds,
     write_eval_environment,
 )
@@ -222,10 +223,20 @@ class TestSelectCommand:
             ("[1, 2]", _WEIGHTS, "record 1"),
             (_SEED.replace('{"stage": "seed"}', '"seed"'), _WEIGHTS, "record 1"),
             (_SEED, "[0.25, 0.25, 0.25, 0.25]", "one JSON object of weights"),
+            (_SEED, _WEIGHTS.replace("1", "true"), "one JSON object of weights"),
+            (_SEED, _WEIGHTS.replace("1", '"1"'), "one JSON object of weights"),
             ('{"meta": {}}', _WEIGHTS, "candidate pool is empty"),
             (_SEED.replace("ans = 1", DEEP_LINE), _WEIGHTS, "nested deeper"),
         ],
-        ids=["pool-list", "provenance-string", "weights-list", "pool-empty", "answer-too-deep"],
+        ids=[
+            "pool-list",
+            "provenance-string",
+            "weights-list",
+            "weights-bool",
+            "weights-string",
+            "pool-empty",
+            "answer-too-deep",
+        ],
     )
     def test_wrong_shaped_input_is_data_error(self, tmp_path, capsys, pool, weights, message):
         dataset = json.dumps({"question": "q", "answer": "#### 2"})

@@ -32,7 +32,7 @@ from potselect.providers import (
     ScriptedProvider,
     Services,
 )
-from potselect.selection import SelectionConfig
+from potselect.selection import SelectionConfig, select_examples
 
 from conftest import (
     BOLTS_A,
@@ -280,6 +280,25 @@ class TestEvaluate:
         services = _answering(f"Sure.\n{DEEP_LINE}\n")
         report = evaluate(_dataset(tmp_path), eval_pool(), SelectionConfig(), services)
         assert [r.cause for r in report.items] == ["parse: no answer block in completion"] * 5
+
+    @pytest.mark.parametrize(
+        "completion, cause",
+        [
+            ("ans = 1 / 0", "execute: division by zero while computing 'ans'"),
+            ("x = 1", "execute: program never assigns 'ans'"),
+        ],
+        ids=["division-by-zero", "no-ans"],
+    )
+    def test_a_program_that_fails_to_run_is_an_execute_cause(self, tmp_path, completion, cause):
+        dataset = _dataset(tmp_path)
+        services = _answering(completion)
+        report = evaluate(dataset, eval_pool(), SelectionConfig(), services)
+        assert [r.item_id for r in report.items] == [item.id for item in dataset]
+        for item, result in zip(dataset, report.items):
+            chosen = select_examples(eval_pool(), item.question, SelectionConfig(), services)
+            assert result.selected_ids == tuple(chosen.chosen_ids) != ()
+            assert (result.completion, result.value, result.cause) == (completion, None, cause)
+            assert result.verdict == "incorrect"
 
     def test_wrong_value_recorded_with_cause(self, tmp_path):
         dataset = _dataset(tmp_path)

@@ -25,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 from potselect.cli import main
-from potselect.providers import Fixture, save_fixtures
+from potselect.providers import Fixture
 from potselect.tuning import TpeParams
 
 from conftest import (
@@ -33,6 +33,7 @@ from conftest import (
     completion_fixture,
     eval_dataset_records,
     eval_fixtures,
+    save_fixtures,
     thirteen_seeds,
 )
 

@@ -30,11 +30,10 @@ from potselect.providers import (
     embedded_cosine,
     embedded_cosines,
     load_fixtures,
-    save_fixtures,
     stacked,
 )
 
-from conftest import StubEmbedding, fake_post
+from conftest import StubEmbedding, fake_post, save_fixtures
 
 
 class SpyFixture:
