@@ -11,30 +11,20 @@ joins the pool.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from . import interpreter, prompts
 from .interpreter import Assignment, InterpreterError, ModificationChain, Program
 from .providers import Services, cosine
+from .records import MalformedRecord, read_jsonl, write_jsonl
 
 
 class EmptyGeneration(Exception):
     """The provider returned no usable text for a generation step."""
-
-
-class DatasetError(Exception):
-    pass
-
-
-class MalformedRecord(DatasetError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"record {line_no}: {reason}")
-        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -58,10 +48,6 @@ class Provenance:
             out["iteration"] = self.iteration
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Provenance":
-        return cls(stage=data["stage"], iteration=data.get("iteration"))
-
 
 SEED = Provenance("seed")
 
@@ -74,17 +60,6 @@ class ConsistencyReport:
     step_similarity: float | None
     verdict: str  # "consistent" | "inconsistent"
     cause: str | None = None
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ConsistencyReport":
-        return cls(
-            output_match=data["output_match"],
-            candidate_value=data["candidate_value"],
-            reference_value=data["reference_value"],
-            step_similarity=data["step_similarity"],
-            verdict=data["verdict"],
-            cause=data.get("cause"),
-        )
 
 
 @dataclass(frozen=True)
@@ -133,9 +108,9 @@ class Example:
             id=data["id"],
             question=data["question"],
             answer_text=data["answer_text"],
-            provenance=Provenance.from_json(data["provenance"]),
+            provenance=Provenance(**data["provenance"]),
             parent_id=data.get("parent_id"),
-            consistency=ConsistencyReport.from_json(consistency) if consistency else None,
+            consistency=ConsistencyReport(**consistency) if consistency else None,
         )
 
 
@@ -509,28 +484,10 @@ def augment_pool(
     return AugmentationResult(pool=out, attempts=attempts)
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) for each non-blank line of a JSONL file.
-
-    Line numbers count every line from 1.  Invalid JSON, JSON nested too
-    deeply to decode, or a line that is not a JSON object raises
-    MalformedRecord.
-    """
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise MalformedRecord(line_no, "record is not an object")
-            yield line_no, record
-
-
 def load_pool(path: str | Path) -> ExamplePool:
-    """Read a line-delimited pool file, skipping metadata records."""
+    """Read a line-delimited pool file, skipping metadata records; a record that is
+    not an example, one with an unknown provenance or report key included, raises
+    MalformedRecord naming its line."""
     examples = []
     for line_no, record in read_jsonl(path):
         if "meta" in record:
@@ -540,14 +497,6 @@ def load_pool(path: str | Path) -> ExamplePool:
         except (KeyError, TypeError, ValueError, InterpreterError) as exc:
             raise MalformedRecord(line_no, f"not a pool example: {exc!r}") from None
     return ExamplePool(tuple(examples))
-
-
-def write_jsonl(path: str | Path, records: Iterable[dict], meta: dict | None = None) -> None:
-    """One JSON object per line (sorted keys, non-ASCII kept), after an optional meta record."""
-    lines = [] if meta is None else [{"meta": meta}]
-    lines.extend(records)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in lines)
 
 
 def save_pool(pool: ExamplePool, path: str | Path, meta: dict | None = None) -> None:

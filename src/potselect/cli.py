@@ -11,10 +11,8 @@ Exit codes: 0 success, 1 usage, 2 provider failure, 3 unreadable/invalid data.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +27,7 @@ from .providers import (
     ScriptedProvider,
     Services,
 )
+from .records import DatasetError, read_json, write_jsonl
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,10 +139,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
     """Flag > config file > default for every option, in ``_OPTIONS`` order."""
     from_file: dict = {}
     if args.config:
-        try:
-            from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except RecursionError as exc:  # nesting too deep to decode is invalid JSON
-            raise ValueError(f"config file {args.config}: invalid JSON: {exc}") from None
+        from_file = read_json(args.config)
         if not isinstance(from_file, dict):
             raise UsageError(f"config file {args.config} must hold one JSON object")
         rows = {key: (default, kwargs) for key, default, _, kwargs in _OPTIONS}
@@ -210,7 +206,7 @@ def cmd_augment(cfg: dict) -> int:
     )
     result = augmentation.augment_pool(pool, config, services, stages=stages)
     augmentation.save_pool(result.pool, out, meta={"command": "augment", "config": cfg})
-    augmentation.write_jsonl(f"{out}.attempts.jsonl", (asdict(a) for a in result.attempts))
+    write_jsonl(f"{out}.attempts.jsonl", result.attempts)
     counts = result.accepted_per_stage()
     print(
         f"pool: {len(pool)} seeds -> {len(result.pool)} examples "
@@ -226,14 +222,14 @@ def cmd_select(cfg: dict) -> int:
     out = _require(cfg, "out")
     services = _services(cfg)
     config = _selection_config(cfg)
-    records, traces = [], []
+    selections, traces = [], []
     for item in dataset:
         result = selection.select_examples(pool, item.question, config, services)
         scores = [score for _, score in result.chosen]
-        records.append({"item_id": item.id, "chosen": result.chosen_ids, "scores": scores})
-        traces.append({"item_id": item.id, "trace": [asdict(r) for r in result.trace]})
-    augmentation.write_jsonl(out, records, meta={"command": "select", "config": cfg})
-    augmentation.write_jsonl(f"{out}.trace.jsonl", traces)
+        selections.append({"item_id": item.id, "chosen": result.chosen_ids, "scores": scores})
+        traces.append({"item_id": item.id, "trace": result.trace})
+    write_jsonl(out, selections, meta={"command": "select", "config": cfg})
+    write_jsonl(f"{out}.trace.jsonl", traces)
     print(f"selected for {len(dataset)} questions -> {out}")
     return EXIT_OK
 
@@ -321,14 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (
-        OSError,
-        json.JSONDecodeError,
-        evalharness.DatasetError,
-        InterpreterError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (OSError, DatasetError, InterpreterError, KeyError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -9,16 +9,15 @@ program and compares against the gold value.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import interpreter, prompts
-from .augmentation import DatasetError, Example, ExamplePool, MalformedRecord
-from .augmentation import extract_answer_block, read_jsonl, write_jsonl
+from .augmentation import Example, ExamplePool, extract_answer_block
 from .providers import ProviderError, Services
+from .records import DatasetError, MalformedRecord, read_json, read_jsonl, write_jsonl
 from .selection import SelectionConfig, select_examples
 
 EPS_EVAL = 1e-3  # absolute tolerance between an executed answer and the gold value
@@ -91,14 +90,8 @@ def _field(record: dict, name: str):
 
 def load_svamp(path: str | Path) -> list[QAItem]:
     """Parse SVAMP records; the question is body + space + question sentence."""
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("["):
-        try:
-            records = list(enumerate(json.loads(text), start=1))
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(exc.lineno, f"invalid JSON: {exc}") from None
-        except RecursionError as exc:
-            raise MalformedRecord(1, f"invalid JSON: {exc}") from None
+    if Path(path).read_text(encoding="utf-8").lstrip().startswith("["):
+        records = list(enumerate(read_json(path), start=1))
     else:
         records = list(read_jsonl(path))
     items: list[QAItem] = []
@@ -212,5 +205,4 @@ def evaluate(
 
 def save_report(report: EvalReport, path: str | Path, meta: dict | None = None) -> None:
     """Line-delimited per-item records plus a final summary record."""
-    records = [asdict(item) for item in report.items] + [{"summary": report.summary()}]
-    write_jsonl(path, records, meta)
+    write_jsonl(path, [*report.items, {"summary": report.summary()}], meta)

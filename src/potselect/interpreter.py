@@ -178,7 +178,7 @@ def _parse_statement(line: str) -> Assignment | str | None:
     """
     try:
         tree = ast.parse(line, mode="exec")
-    except SyntaxError:
+    except (SyntaxError, ValueError):  # ValueError: text UTF-8 cannot encode, a lone surrogate
         return None
     if len(tree.body) != 1:
         return "multiple statements on one line"

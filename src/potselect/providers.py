@@ -23,6 +23,7 @@ import numpy as np
 
 from .cache import CacheStore
 from .prompts import concept_prompt
+from .records import read_json
 
 ENDPOINT_ENV = "POTSELECT_ENDPOINT"
 TOKEN_ENV = "POTSELECT_API_TOKEN"
@@ -90,13 +91,10 @@ class Fixture:
 
 
 def load_fixtures(path: str | Path) -> list[Fixture]:
-    """The fixtures of a file holding a JSON array of objects; another shape, a
-    missing or non-string field, or an unknown match kind raises ``ValueError``
-    naming the fixture's index."""
-    try:
-        records = json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError as exc:
-        raise ValueError(f"fixture file {path}: invalid JSON: {exc}") from None
+    """The fixtures of a file holding a JSON array of objects; invalid JSON raises
+    ``MalformedRecord``, and another shape, a missing or non-string field, or an
+    unknown match kind ``ValueError`` naming the fixture's index."""
+    records = read_json(path)
     if not isinstance(records, list):
         raise ValueError(f"fixture file {path} must hold a JSON array")
     fixtures = []

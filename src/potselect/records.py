@@ -1,0 +1,71 @@
+"""How a record enters or leaves a JSON file: one reader, one writer.
+
+Every input file is decoded by ``read_json`` or ``read_jsonl``, and every
+line-delimited output is encoded by ``write_jsonl``; the loaders elsewhere
+check only a record's shape.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Iterable, Iterator
+
+
+class DatasetError(Exception):
+    pass
+
+
+class MalformedRecord(DatasetError):
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"record {line_no}: {reason}")
+        self.line_no = line_no
+
+
+def _decode(text: str, path: str | Path, line_no: int = 1) -> object:
+    """``json.loads`` of ``text``, which starts at line ``line_no`` of ``path``.  Invalid
+    JSON, or JSON nested too deeply to decode, raises MalformedRecord naming the file
+    and the line where decoding failed (the first line, for nesting)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(line_no + exc.lineno - 1, f"invalid JSON in {path}: {exc}") from None
+    except RecursionError as exc:
+        raise MalformedRecord(line_no, f"invalid JSON in {path}: {exc}") from None
+
+
+def read_json(path: str | Path) -> object:
+    """The one JSON value a UTF-8 file holds; its shape is the caller's to check."""
+    return _decode(Path(path).read_text(encoding="utf-8"), path)
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSONL file.
+
+    Line numbers count every line from 1.  Invalid JSON, JSON nested too
+    deeply to decode, or a line that is not a JSON object raises
+    MalformedRecord.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            record = _decode(line, path, line_no)
+            if not isinstance(record, dict):
+                raise MalformedRecord(line_no, "record is not an object")
+            yield line_no, record
+
+
+def write_jsonl(path: str | Path, records: Iterable, meta: dict | None = None) -> None:
+    """One JSON object per line (sorted keys, non-ASCII kept), after an optional meta record.
+
+    A dataclass record, at any depth, is written as its fields, uncopied.  A
+    lone surrogate, which UTF-8 cannot encode, can only sit inside a JSON
+    string, so it is written as its JSON escape (``\\ud800``).
+    """
+    lines = [] if meta is None else [{"meta": meta}]
+    lines.extend(records)
+    with open(path, "wb") as fh:
+        for record in lines:
+            text = json.dumps(record, sort_keys=True, ensure_ascii=False, default=vars) + "\n"
+            fh.write(text.encode("utf-8", "backslashreplace"))

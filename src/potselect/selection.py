@@ -10,19 +10,19 @@ the most redundant chosen answer when it stands out by more than ``delta``.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import interpreter, prompts
-from .augmentation import Example, ExamplePool, write_jsonl
+from .augmentation import Example, ExamplePool
 from .providers import CompletionRequest, Embedded, Services, concept_request, embedded_cosine
 from .providers import embedded_cosines, stacked
 # unused here: kept only as benchmarks/spans.py trace points, until the benchmark-only change
 from .providers import concept_extract, cosine  # noqa: F401
+from .records import read_json, write_jsonl
 
 
 class EmptyPool(ValueError):
@@ -72,21 +72,21 @@ class Weights:
 
 
 def load_weights(path: str | Path) -> Weights:
-    """Read a weights file: one JSON object of four numbers, which may span several lines."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:  # invalid JSON, or JSON nested too deeply to decode, is not one object either
-        data = json.loads(text)
+    """Read a weights file: one JSON object of four numbers, which may span several
+    lines.  Invalid JSON raises ``MalformedRecord``, any other shape ``ValueError``."""
+    data = read_json(path)
+    try:
         values = [data[f.name] for f in fields(Weights)]
         if not all(type(v) in (int, float) for v in values):  # bool is an int subclass
             raise TypeError(f"weights must be JSON numbers, got {values!r}")
         return Weights.from_array(values)
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         message = f"weights file {path}: not one JSON object of weights: {exc!r}"
         raise ValueError(message) from None
 
 
 def save_weights(weights: Weights, path: str | Path) -> None:
-    write_jsonl(path, [asdict(weights)])
+    write_jsonl(path, [weights])
 
 
 @dataclass(frozen=True)

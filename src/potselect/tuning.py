@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -282,7 +282,7 @@ def optimize(
             value = float(objective(point))
             trial = Trial(seq=len(history.trials), point=tuple(float(v) for v in point), objective=value)
             history.trials.append(trial)
-            record = {**asdict(trial), "timestamp": datetime.now(timezone.utc).isoformat()}
+            record = {**vars(trial), "timestamp": datetime.now(timezone.utc).isoformat()}
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
             log_fh.flush()
     return history

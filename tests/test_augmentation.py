@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from potselect.augmentation import (
     EmptyGeneration,
     Example,
     ExamplePool,
-    MalformedRecord,
     Provenance,
     augment_pool,
     check_consistency,
@@ -29,7 +29,6 @@ from potselect.augmentation import (
     stage1,
     stage2,
     stage3,
-    write_jsonl,
 )
 from potselect.interpreter import execute, parse
 from potselect.providers import (
@@ -41,6 +40,7 @@ from potselect.providers import (
     Services,
     cosine,
 )
+from potselect.records import MalformedRecord, write_jsonl
 
 from conftest import (
     BOLTS_A,
@@ -137,6 +137,11 @@ class TestExtractAnswerBlock:
     def test_forward_reference_splits_blocks(self):
         completion = "ans = q + 1\nq = 2\nans = q + 1"
         assert extract_answer_block(completion).source_text == "q = 2\nans = q + 1"
+
+    def test_a_line_with_a_lone_surrogate_is_not_python(self):
+        assert extract_answer_block("ans = 1\ud800") is None
+        completion = "ans = 1\ud800\nx = 2\nans = x"
+        assert extract_answer_block(completion).source_text == "x = 2\nans = x"
 
 
 class TestCheckConsistency:
@@ -570,11 +575,18 @@ class TestPoolFiles:
                 '"provenance": {"stage": "stage3", "iteration": ' + iteration + "}}"
                 for iteration in ('"x"', "0", "true")
             ),
+            '{"id": "a", "question": "q", "answer_text": "ans = 1", '
+            '"provenance": {"stage": "seed", "round": 1}}',
+            '{"id": "a.s1", "question": "q", "answer_text": "ans = 1", "parent_id": "a", '
+            '"provenance": {"stage": "stage1"}, "consistency": {"verdict": "consistent", '
+            '"output_match": true, "candidate_value": 1.0, "reference_value": 1.0, '
+            '"step_similarity": 1.0, "score": 1.0}}',
         ],
         ids=[
             "list", "provenance-string", "question-number", "no-question",
             "id-list", "parent-id-list", "id-number",
             "iteration-string", "iteration-zero", "iteration-bool",
+            "provenance-unknown-key", "consistency-unknown-key",
         ],
     )
     def test_wrong_shaped_record_names_its_line(self, tmp_path, record):
@@ -639,4 +651,4 @@ class TestConsistencyReportInvariants:
 
     def test_report_round_trips_through_json(self):
         report = ConsistencyReport(True, 3.0, 3.0, 0.91, "consistent", None)
-        assert ConsistencyReport.from_json(dataclasses.asdict(report)) == report
+        assert ConsistencyReport(**json.loads(json.dumps(vars(report)))) == report

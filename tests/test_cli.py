@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import json
 import os
@@ -420,6 +421,69 @@ def test_augment_output_does_not_depend_on_the_cache(tmp_path, monkeypatch):
     attempts = [json.loads(l) for l in runs[0][1].splitlines()]
     assert [a["accepted"] for a in attempts] == [False] * 4
     assert runs[2][2] == 0
+
+
+def test_a_completion_with_a_lone_surrogate_is_a_rejected_attempt(tmp_path):
+    """A JSON fixture can carry text that UTF-8 cannot encode; it is not Python."""
+    pool_path, fixtures_path = tmp_path / "seed.jsonl", tmp_path / "fixtures.json"
+    _write_seed_pool(pool_path, [Example(id="bolts", question=BOLTS_Q, answer_text=BOLTS_A)])
+    rephrase = rephrase_prompt(BOLTS_Q, BOLTS_A)
+    infer = few_shot_prompt([(BOLTS_Q, BOLTS_A)], BOLTS_REPHRASED_Q)
+    fixtures = [
+        {"match": "exact", "text": rephrase, "response": BOLTS_REPHRASED_Q},
+        {"match": "exact", "text": infer, "response": "ans = 1\ud800"},
+    ]
+    fixtures_path.write_text(json.dumps(fixtures))  # ASCII, so the surrogate is an escape
+    out = tmp_path / "pool.jsonl"
+    argv = ["augment", "--pool", str(pool_path), "--fixtures", str(fixtures_path)]
+    assert main([*argv, "--stages", "1", "--out", str(out)]) == 0
+    attempts = [json.loads(l) for l in Path(f"{out}.attempts.jsonl").read_text().splitlines()]
+    assert [(a["accepted"], a["report"]["cause"]) for a in attempts] == [
+        (False, "completion contains no parseable answer block")
+    ] * 4
+
+
+def test_a_completion_with_a_lone_surrogate_is_written_into_the_report(eval_environment):
+    fixtures = json.loads(Path(eval_environment["fixtures"]).read_text(encoding="utf-8"))
+    fixtures[2]["response"] = "ans = 1\ud800"  # the first question's completion
+    Path(eval_environment["fixtures"]).write_text(json.dumps(fixtures))
+    out = eval_environment["tmp"] / "report.jsonl"
+    argv = ["eval", "--pool", eval_environment["pool"], "--dataset", eval_environment["dataset"]]
+    assert main([*argv, "--fixtures", eval_environment["fixtures"], "--out", str(out)]) == 0
+    records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 1 + len(eval_dataset_records()) + 1
+    assert records[1]["completion"] == "ans = 1\ud800"
+    assert records[1]["cause"] == "parse: no answer block in completion"
+    assert "summary" in records[-1]
+
+
+def _in_a_fresh_interpreter(argv: list[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(Path(potselect.__file__).parents[1]))
+    command = [sys.executable, "-m", "potselect.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, timeout=120).returncode
+
+
+@pytest.mark.parametrize("command", ["augment", "eval"])
+def test_runs_repeat_in_process_and_in_a_fresh_interpreter(augment_files, command):
+    """Warm memos (parsed lines, token hashes) change no output byte."""
+    out = augment_files["tmp"] / "out.jsonl"
+    if command == "augment":
+        files = augment_files
+        argv = ["augment", "--stages", "1,2", "--pool", files["pool"]]
+        outputs = [out, Path(f"{out}.attempts.jsonl")]
+    else:
+        (augment_files["tmp"] / "eval").mkdir()
+        files = write_eval_environment(augment_files["tmp"] / "eval")
+        argv = ["eval", "--pool", files["pool"], "--dataset", files["dataset"]]
+        outputs = [out]
+    argv += ["--fixtures", files["fixtures"], "--out", str(out)]
+    runs = []
+    for run in (main, main, _in_a_fresh_interpreter):
+        assert run(argv) == 0
+        runs.append([path.read_bytes() for path in outputs])
+        for path in outputs:
+            path.unlink()
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("command", ["select", "eval"])
@@ -880,6 +944,42 @@ def test_every_public_name_resolves():
     assert len(set(potselect.__all__)) == len(potselect.__all__)
 
 
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name a module reads, counting names in string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                names |= _names_read(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = []
+    for path in sorted(Path(potselect.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        read = _names_read(tree)
+        lines = source.splitlines()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(f"{path.name}:{node.lineno}: {bound}")
+    assert unused == []
+
+
 # Generative inputs: whatever a config, weights, pool, dataset, fixture or cache
 # file holds, ``cli.main`` ends with a documented exit code.  Each example runs
 # in a fresh directory holding eval_environment's files, and path-valued keys
@@ -1087,3 +1187,19 @@ def test_json_nested_too_deeply_is_a_data_error(surface, capsys):
             extra = ("--dataset-kind", "svamp") if surface == "svamp" else ()
         assert main(_argv("select", env, *extra)) == 3
         assert "data error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "surface", ["pool", "gsm8k", "svamp-array", "svamp-jsonl", "fixtures", "weights", "config"]
+)
+def test_invalid_json_in_any_input_file_names_the_file_and_the_line(surface, capsys):
+    with _fresh_environment() as env:
+        if surface in ("weights", "config"):
+            path, extra = "file.json", (f"--{surface}", "file.json")
+        else:
+            path = env[surface if surface in ("pool", "fixtures") else "dataset"]
+            extra = ("--dataset-kind", "svamp") if surface.startswith("svamp") else ()
+        # the second line breaks off; a JSON array starts on the first
+        Path(path).write_text("[\n{\"a\": }\n]" if surface == "svamp-array" else '\n{"a": }\n')
+        assert main(_argv("select", env, *extra)) == 3
+        assert f"data error: record 2: invalid JSON in {path}: " in capsys.readouterr().err

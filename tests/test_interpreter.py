@@ -95,7 +95,13 @@ class TestParseMemo:
     """Each distinct line reaches ``ast`` once; errors still name the caller's line."""
 
     @pytest.mark.parametrize(
-        "line, error", [("b = = 2", ProgramSyntaxError), ("b = 2 ** 3", UnsupportedConstructError)]
+        "line, error",
+        [
+            ("b = = 2", ProgramSyntaxError),
+            ("b = 2 ** 3", UnsupportedConstructError),
+            # ast.parse raises UnicodeEncodeError, a ValueError, on it: not Python either
+            pytest.param("b = 1\ud800", ProgramSyntaxError, id="lone-surrogate"),
+        ],
     )
     def test_a_repeated_failing_line_reports_its_own_line_number(self, line, error):
         with pytest.raises(error) as first:

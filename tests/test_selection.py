@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from potselect import interpreter
-from potselect.augmentation import Example, ExamplePool, write_jsonl
+from potselect.augmentation import Example, ExamplePool
 from potselect.prompts import concept_prompt, zero_shot_prompt
 from potselect.providers import DimensionMismatch, HashEmbedding, ScriptedProvider, Services
+from potselect.records import write_jsonl
 from potselect.selection import (
     EmptyPool,
     IterationRecord,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from potselect import tuning
-from potselect.augmentation import read_jsonl
+from potselect.records import read_jsonl
 from potselect.selection import SelectionConfig, Weights
 from potselect.tuning import (
     SearchSpace,
