@@ -2,10 +2,17 @@
 
 ``Services.complete`` reads and writes it.  One UTF-8 file per request
 key under a directory.  Each entry declares byte lengths for the canonical
-request and the verbatim response so round-trips are bit-exact.  Writes go
-through a temp file and an atomic rename, so concurrent writers of the same
-key are benign and distinct keys never interfere.  A reader that finds an
-entry gone, or already quarantined, by another process counts a miss.
+request and the verbatim response so round-trips are bit-exact; a lone
+surrogate, which strict UTF-8 cannot encode, is stored as its three
+``surrogatepass`` bytes, so any ``str`` round-trips.  Writes go through a
+temp file and an atomic rename, so concurrent writers of the same key are
+benign and distinct keys never interfere.  A reader that finds an entry
+gone, or already quarantined, by another process counts a miss.
+
+A store verifies an entry on its first read and serves it from memory
+afterwards, as it does a response it has written: a run reads each entry
+file at most once.  An entry corrupted on disk after that is quarantined
+by the next store, in the next run or another process, that reads it.
 """
 
 from __future__ import annotations
@@ -44,13 +51,20 @@ class CacheStore:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # request -> the response this store verified on a read or wrote with put
+        self._known: dict["CompletionRequest", str] = {}
 
     def get(self, request: "CompletionRequest") -> str | None:
         """Return the stored response, or None on miss.
 
-        A corrupt entry is quarantined (renamed ``<key>.corrupt``) and
-        treated as a miss.
+        The first read of an entry verifies it; later calls for the same
+        request are served from memory and touch no file.  A corrupt entry
+        is quarantined (renamed ``<key>.corrupt``) and treated as a miss;
+        a miss or a corrupt entry leaves nothing in memory.
         """
+        known = self._known.get(request)
+        if known is not None:
+            return known
         key = request.key()
         path = self.directory / key
         try:
@@ -63,13 +77,14 @@ class CacheStore:
             with contextlib.suppress(FileNotFoundError):  # another process moved it first
                 os.replace(path, path.with_name(key + ".corrupt"))
             return None
+        self._known[request] = entry.response
         return entry.response
 
     def put(self, request: "CompletionRequest", response: str, provider_id: str) -> None:
-        request_bytes = request.canonical().encode("utf-8")
+        request_bytes = request.canonical().encode("utf-8", "surrogatepass")
         key = hashlib.sha256(request_bytes).hexdigest()  # request.key(), serialized once
         created_at = datetime.now(timezone.utc).isoformat()
-        response_bytes = response.encode("utf-8")
+        response_bytes = response.encode("utf-8", "surrogatepass")
         header = (
             f"key: {key}\n"
             f"provider_id: {provider_id}\n"
@@ -89,6 +104,7 @@ class CacheStore:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
             raise
+        self._known[request] = response
 
     def stats(self) -> dict[str, int]:
         entries = 0
@@ -128,7 +144,7 @@ def _read_entry(path: Path) -> CacheEntry:
     if hashlib.sha256(request_bytes).hexdigest() != key:
         raise CacheCorrupt("request digest does not match stored key")
     try:
-        response = body[request_len:].decode("utf-8")
+        response = body[request_len:].decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as exc:
         raise CacheCorrupt(f"response is not UTF-8: {exc}") from None
     return CacheEntry(key=key, response=response, created_at=created_at, provider_id=provider_id)

@@ -9,6 +9,7 @@ program and compares against the gold value.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -17,7 +18,14 @@ from pathlib import Path
 from . import interpreter, prompts
 from .augmentation import Example, ExamplePool, extract_answer_block
 from .providers import ProviderError, Services
-from .records import DatasetError, MalformedRecord, read_json, read_jsonl, write_jsonl
+from .records import (
+    DatasetError,
+    MalformedRecord,
+    decode_json,
+    decode_jsonl,
+    read_jsonl,
+    write_jsonl,
+)
 from .selection import SelectionConfig, select_examples
 
 EPS_EVAL = 1e-3  # absolute tolerance between an executed answer and the gold value
@@ -89,11 +97,16 @@ def _field(record: dict, name: str):
 
 
 def load_svamp(path: str | Path) -> list[QAItem]:
-    """Parse SVAMP records; the question is body + space + question sentence."""
-    if Path(path).read_text(encoding="utf-8").lstrip().startswith("["):
-        records = list(enumerate(read_json(path), start=1))
-    else:
-        records = list(read_jsonl(path))
+    """Parse SVAMP records; the question is body + space + question sentence.
+
+    The file is read once: a JSON array when its first non-blank character
+    is ``[``, line-delimited JSON otherwise.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    if text.lstrip().startswith("["):
+        records = list(enumerate(decode_json(text, path), start=1))
+    else:  # split at "\n" only, as a file's lines are
+        records = list(decode_jsonl(io.StringIO(text), path))
     items: list[QAItem] = []
     for line_no, record in records:
         if not isinstance(record, dict):

@@ -76,7 +76,9 @@ class CompletionRequest:
         )
 
     def key(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical form's UTF-8 bytes; a lone surrogate is encoded
+        with ``surrogatepass``, so every ``str`` has a key."""
+        return hashlib.sha256(self.canonical().encode("utf-8", "surrogatepass")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -381,10 +383,12 @@ class Services:
     sends the same prompt many times builds its request once and passes it
     to ``complete`` each time.  Not shareable across threads: the embed memo
     grows on every new text, the metrics memo on every new pool and (pool,
-    question) pair, and ``ScriptedProvider`` memoizes each distinct prompt's
-    response.  The embed and fixture memos do not change what a call returns
-    or counts: a prompt has one response, from the provider as from the
-    cache, and the provider's ``calls`` counts every request.
+    question) pair, ``ScriptedProvider`` memoizes each distinct prompt's
+    response, and the cache keeps each response it has read or written in
+    a dict keyed by the request.  The embed, fixture and cache memos do not
+    change what a call returns or counts: a prompt has one response, from
+    the provider as from the cache, the provider's ``calls`` counts every
+    request, and a cache hit served from memory is still a hit.
 
     The metrics memo, kept by ``selection.candidate_metrics``, does change
     what is requested.  Once per pool it holds the pool's candidates, and

@@ -54,15 +54,17 @@ class TestCachedComplete:
 
 
 class TestCorruption:
+    """An entry damaged on disk is quarantined by the next store that reads it,
+    here a fresh one over the same directory, as the next run's is."""
+
     def test_tampered_entry_quarantined_then_refetched(self, store):
-        services = _services(store, "original")
-        request = CompletionRequest(prompt="p")
-        services.complete_text("p")
-        path = store.directory / request.key()
+        _services(store, "original").complete_text("p")
+        path = store.directory / CompletionRequest(prompt="p").key()
         path.write_bytes(path.read_bytes().replace(b"original", b"tampered!"))
 
-        assert services.complete_text("p") == "original"
-        assert services.completion.calls == 2
+        rerun = _services(CacheStore(store.directory), "original")  # the next run
+        assert rerun.complete_text("p") == "original"
+        assert rerun.completion.calls == 1
         assert store.stats()["quarantined"] == 1
         assert store.stats()["entries"] == 1
 
@@ -80,7 +82,7 @@ class TestCorruption:
         _services(store).complete_text("p")
         path = store.directory / request.key()
         path.write_bytes(path.read_bytes()[:-2])
-        assert store.get(request) is None
+        assert CacheStore(store.directory).get(request) is None
         assert store.stats()["quarantined"] == 1
 
     def test_response_that_is_not_utf8_is_quarantined(self, store):
@@ -88,7 +90,7 @@ class TestCorruption:
         store.put(request, "café", "scripted")
         path = store.directory / request.key()
         path.write_bytes(path.read_bytes().replace("é".encode(), b"\xc3\x29"))
-        assert store.get(request) is None
+        assert CacheStore(store.directory).get(request) is None
         assert not path.exists()
         assert path.with_name(request.key() + ".corrupt").exists()
         assert store.stats() == {"entries": 0, "bytes": 0, "quarantined": 1}
@@ -96,7 +98,8 @@ class TestCorruption:
 
 class TestConcurrentProcesses:
     """Another process sharing the directory may remove or quarantine an entry
-    between two steps of ``get``; either is a miss, not an error."""
+    between two steps of ``get``; either is a miss, not an error.  The reader is
+    a fresh store, as another process's is."""
 
     def test_an_entry_removed_before_it_is_read_is_a_miss(self, store, monkeypatch):
         request = CompletionRequest(prompt="p")
@@ -107,7 +110,7 @@ class TestConcurrentProcesses:
             return _read_entry(path)
 
         monkeypatch.setattr("potselect.cache._read_entry", removed_first)
-        assert store.get(request) is None
+        assert CacheStore(store.directory).get(request) is None
         assert store.stats() == {"entries": 0, "bytes": 0, "quarantined": 0}
 
     def test_an_entry_quarantined_first_by_another_process_is_a_miss(self, store, monkeypatch):
@@ -122,8 +125,84 @@ class TestConcurrentProcesses:
             replace(source, target)
 
         monkeypatch.setattr("potselect.cache.os.replace", quarantined_first)
-        assert store.get(request) is None
+        assert CacheStore(store.directory).get(request) is None
         assert store.stats() == {"entries": 0, "bytes": 0, "quarantined": 1}
+
+
+class TestReadOnce:
+    """A store reads and verifies an entry file at most once and then serves it
+    from memory; a miss, a corrupt entry or a failed ``put`` leaves nothing in
+    memory, so the next ``get`` reads the disk again."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The names of the files ``_read_entry`` is asked to read, in order."""
+        names = []
+
+        def counting(path):
+            names.append(path.name)
+            return _read_entry(path)
+
+        monkeypatch.setattr("potselect.cache._read_entry", counting)
+        return names
+
+    def test_after_put_no_get_reads_the_disk(self, store, reads):
+        request = CompletionRequest(prompt="p")
+        store.put(request, "r", "scripted")
+        assert [store.get(request) for _ in range(5)] == ["r"] * 5
+        assert reads == []
+
+    def test_a_fresh_store_reads_an_entry_once(self, store, reads):
+        store.put(CompletionRequest(prompt="p"), "r", "scripted")
+        fresh = CacheStore(store.directory)
+        # equal requests, not one object, find the response in memory
+        assert [fresh.get(CompletionRequest(prompt="p")) for _ in range(5)] == ["r"] * 5
+        assert reads == [CompletionRequest(prompt="p").key()]
+
+    def test_a_missing_entry_is_read_again(self, store, reads):
+        request = CompletionRequest(prompt="p")
+        assert store.get(request) is None
+        assert store.get(request) is None
+        CacheStore(store.directory).put(request, "r", "scripted")  # another process
+        assert store.get(request) == "r"
+        assert store.get(request) == "r"
+        assert reads == [request.key()] * 3
+
+    def test_a_corrupt_entry_is_read_again(self, store, reads):
+        request = CompletionRequest(prompt="p")
+        store.put(request, "r", "scripted")
+        path = store.directory / request.key()
+        path.write_bytes(path.read_bytes()[:-1])
+        fresh = CacheStore(store.directory)
+        assert fresh.get(request) is None  # quarantined
+        assert fresh.get(request) is None  # and now missing
+        store.put(request, "r", "scripted")
+        assert fresh.get(request) == "r"
+        assert fresh.get(request) == "r"
+        assert reads == [request.key()] * 3
+        assert store.stats() == {"entries": 1, "bytes": path.stat().st_size, "quarantined": 1}
+
+    def test_a_failed_put_leaves_nothing_in_memory(self, store, reads, monkeypatch):
+        request = CompletionRequest(prompt="p")
+        replace = os.replace
+
+        def full_disk(source, target):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("potselect.cache.os.replace", full_disk)
+        with pytest.raises(OSError):
+            store.put(request, "r", "scripted")
+        monkeypatch.setattr("potselect.cache.os.replace", replace)
+        assert store.get(request) is None
+        assert reads == [request.key()]
+        assert list(store.directory.iterdir()) == []
+
+    def test_a_put_after_a_get_replaces_what_memory_serves(self, store):
+        request = CompletionRequest(prompt="p")
+        store.put(request, "first", "scripted")
+        assert store.get(request) == "first"
+        store.put(request, "second", "scripted")
+        assert store.get(request) == CacheStore(store.directory).get(request) == "second"
 
 
 class TestRoundTrip:
@@ -136,13 +215,23 @@ class TestRoundTrip:
             "unicode: ∑ αβγ — テスト\r\nwindows line",
             "trailing spaces   \n\ttabs\t",
             "key: sneaky\n\nheader-like body",
+            "ans = 1\ud800 lone surrogates \udfff\udc80",
         ],
     )
     def test_response_round_trips_bit_exact(self, store, response):
         prompt = "p with unicode ∆ and\nnewlines"
         request = CompletionRequest(prompt=prompt)
         assert _services(store, response).complete_text(prompt) == response
-        assert store.get(request) == response
+        assert CacheStore(store.directory).get(request) == response  # read from disk
+
+    def test_a_prompt_with_a_lone_surrogate_round_trips_through_a_fresh_store(self, store):
+        request = CompletionRequest(prompt="q\ud800", stop_sequences=("\udfff",))
+        store.put(request, "r\udc80", "scripted")
+        assert CacheStore(store.directory).get(request) == "r\udc80"
+        assert CacheStore(store.directory).get(CompletionRequest(prompt="q\udc00")) is None
+        assert store.stats() == {
+            "entries": 1, "bytes": (store.directory / request.key()).stat().st_size, "quarantined": 0
+        }
 
     def test_entry_header_fields(self, store):
         request = CompletionRequest(prompt="p")
@@ -163,7 +252,7 @@ class TestRoundTrip:
         request = CompletionRequest(prompt="p")
         store.put(request, "r", "scripted")
         store.put(request, "r", "scripted")
-        assert store.get(request) == "r"
+        assert CacheStore(store.directory).get(request) == "r"
         assert store.stats()["entries"] == 1
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import potselect
 from potselect.augmentation import Example
+from potselect.cache import _read_entry
 from potselect.cli import _effective_config, build_parser, main
 from potselect.prompts import few_shot_prompt, rephrase_prompt
 from potselect.providers import Fixture, ProviderError, ScriptedProvider
@@ -30,6 +32,7 @@ from conftest import (
     BOLTS_Q,
     BOLTS_REPHRASED_Q,
     augmentation_fixtures,
+    completion_fixture,
     CONCEPT_FIXTURE,
     DEEP_LINE,
     FailingEmbedding,
@@ -340,6 +343,52 @@ class TestTuneCommand:
         assert calls[0] > 0
         assert calls[1] == 0
 
+    def _tune(self, env, out, *extra):
+        """Run ``tune`` on ``env``'s files; return its provider_calls."""
+        argv = ["tune", "--pool", env["pool"], "--dataset", env["dataset"]]
+        argv += ["--fixtures", env["fixtures"], "--budget", "12", "--out", str(out), *extra]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        return int(stdout.getvalue().rsplit("provider_calls=", 1)[1].split()[0])
+
+    def test_a_run_reads_each_cache_entry_file_at_most_once(self, eval_environment, monkeypatch):
+        names = []
+
+        def counting(path):
+            names.append(path.name)
+            return _read_entry(path)
+
+        monkeypatch.setattr("potselect.cache._read_entry", counting)
+        cache_dir = eval_environment["tmp"] / "cache"
+        calls = []
+        for run in ("cold", "warm"):
+            names.clear()
+            out = eval_environment["tmp"] / f"{run}.json"
+            calls.append(self._tune(eval_environment, out, "--cache-dir", str(cache_dir)))
+            # each entry is looked up once: the cold run finds it missing and writes it
+            assert sorted(names) == sorted(p.name for p in cache_dir.iterdir())
+        assert calls[0] == len(names) > 0
+        assert calls[1] == 0
+
+    def test_output_does_not_depend_on_the_cache(self, eval_environment):
+        """No cache, a cold cache and a warm one: the same trial points and
+        objectives, timestamps apart, and the same weights file."""
+        tmp = eval_environment["tmp"]
+        cache = ["--cache-dir", str(tmp / "cache")]
+        runs = []
+        for run, extra in enumerate([[], cache, cache]):  # no cache, cold, warm
+            out = tmp / f"w{run}.json"
+            calls = self._tune(eval_environment, out, *extra)
+            trials = [json.loads(l) for l in Path(f"{out}.trials.jsonl").read_text().splitlines()]
+            for trial in trials:
+                trial.pop("timestamp", None)
+            runs.append((trials, out.read_bytes(), calls))
+        assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+        assert len(runs[0][0]) == 1 + 12
+        assert runs[1][2] > 0
+        assert runs[2][2] == 0
+
 
 class TestEvalCommand:
     def test_five_item_fixture_scores_point_six(self, eval_environment, capsys):
@@ -455,6 +504,77 @@ def test_a_completion_with_a_lone_surrogate_is_written_into_the_report(eval_envi
     assert records[1]["completion"] == "ans = 1\ud800"
     assert records[1]["cause"] == "parse: no answer block in completion"
     assert "summary" in records[-1]
+
+
+def _surrogate_inputs(tmp: Path, command: str) -> list[str]:
+    """Input files whose prompts and responses hold lone surrogates, each file
+    ASCII JSON with the surrogates escaped; the command's argv before ``--out``."""
+    if command == "augment":
+        pool = tmp / "seeds.jsonl"
+        _write_seed_pool(pool, [
+            Example(id="one", question="Problem number 1. \ud800", answer_text="ans = 1"),
+            Example(id="two", question="Problem number 2.", answer_text="ans = 2"),
+        ])
+        infer = r"(?s)Question: Problem number {}, rephrased \udfff\.\n# Python code, return ans\n\Z"
+        fixtures = [
+            Fixture(
+                "pattern",
+                r"(?s)\AQuestion: Problem number (\d+)\..*# Instruction: Rephrase the question\Z",
+                "Problem number \\1, rephrased \udfff.",
+            ),
+            Fixture("pattern", infer.format(1), "ans = 1"),
+            Fixture("pattern", infer.format(2), "ans = 2\udc80"),
+        ]
+        argv = ["augment", "--stages", "1", "--pool", str(pool)]
+    else:
+        env = write_eval_environment(tmp)
+        dataset = Path(env["dataset"])
+        record = {"id": "S", "question": "Surrogate question \ud800?", "answer": "#### 7"}
+        dataset.write_text(dataset.read_text() + json.dumps(record) + "\n")
+        fixtures = [*eval_fixtures(), completion_fixture(record["question"], "ans = 7\udfff")]
+        argv = ["eval", "--pool", env["pool"], "--dataset", str(dataset)]
+    records = [{"match": f.kind, "text": f.text, "response": f.response} for f in fixtures]
+    (tmp / "surrogates.json").write_text(json.dumps(records))
+    return [*argv, "--fixtures", str(tmp / "surrogates.json")]
+
+
+@pytest.mark.parametrize("command", ["augment", "eval"])
+def test_a_lone_surrogate_gives_the_same_outputs_with_or_without_a_cache(
+    tmp_path, monkeypatch, command
+):
+    """No cache, a cold cache and a warm one write the same bytes, meta records
+    apart, and the warm run asks the provider nothing."""
+    argv = _surrogate_inputs(tmp_path, command)
+    calls = []
+    complete = ScriptedProvider.complete
+
+    def counting(self, request):
+        calls.append(request.prompt)
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", counting)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    runs = []
+    for run, extra in enumerate([[], cache, cache]):  # no cache, cold, warm
+        calls.clear()
+        out = tmp_path / f"out{run}.jsonl"
+        assert main([*argv, "--out", str(out), *extra]) == 0
+        outputs = [out, Path(f"{out}.attempts.jsonl")] if command == "augment" else [out]
+        files = [[l for l in p.read_bytes().split(b"\n") if b'"meta"' not in l] for p in outputs]
+        runs.append((files, len(calls)))
+    assert runs[0][0] == runs[1][0] == runs[2][0]
+    assert runs[1][1] > 0
+    assert runs[2][1] == 0
+    records = [json.loads(l) for l in runs[0][0][-1] if l]
+    if command == "augment":
+        assert [(a["accepted"], a["report"]["cause"]) for a in records[:2]] == [
+            (True, None),
+            (False, "completion contains no parseable answer block"),
+        ]
+    else:
+        assert records[-2]["item_id"] == "S"
+        assert records[-2]["completion"] == "ans = 7\udfff"
+        assert records[-2]["cause"] == "parse: no answer block in completion"
 
 
 def _in_a_fresh_interpreter(argv: list[str]) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 
 import numpy as np
@@ -166,6 +168,32 @@ class TestLoadSvamp:
     def test_malformed_json_reports_line_after_blank_lines(self, tmp_path, text):
         path = tmp_path / "svamp.jsonl"
         path.write_text(text)
+        with pytest.raises(MalformedRecord) as info:
+            load_svamp(path)
+        assert info.value.line_no == 3
+
+    @pytest.mark.parametrize("kind", ["array", "jsonl"])
+    def test_the_file_is_opened_once(self, tmp_path, monkeypatch, kind):
+        record = {"Body": "B", "Question": "Q", "Answer": 1}
+        path = tmp_path / "svamp"
+        path.write_text(json.dumps([record] if kind == "array" else record) + "\n")
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)  # Path.open's
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert [item.question for item in load_svamp(path)] == ["B Q"]
+        assert opened.count(str(path)) == 1
+
+    def test_jsonl_lines_end_at_newlines_only(self, tmp_path):
+        """A JSON string may hold U+2028 or U+0085 raw; neither ends a line."""
+        path = tmp_path / "svamp.jsonl"
+        record = json.dumps({"Body": "B\u2028\x85", "Question": "Q", "Answer": 1}, ensure_ascii=False)
+        path.write_bytes(f"{record}\r\n{record}\r\nnot json\n".encode())
         with pytest.raises(MalformedRecord) as info:
             load_svamp(path)
         assert info.value.line_no == 3

@@ -49,8 +49,9 @@ class SpyFixture:
 
 
 # Repeated and overlapping fixtures: texts that are exact prompts, patterns
-# matching several of them, and the same text declared more than once.
-_FIXTURE_TEXTS = ("a", "ab", "ba", "b", "a(b)", "(a)b?", r"\Ab", "b|ab")
+# matching several of them, and the same text declared more than once; some
+# hold a lone surrogate, which a JSON fixture file can carry.
+_FIXTURE_TEXTS = ("a", "ab", "ba", "b", "a(b)", "(a)b?", r"\Ab", "b|ab", "a\ud800", "\udfff|b")
 
 
 @st.composite
@@ -59,10 +60,10 @@ def _fixtures_and_prompts(draw):
         Fixture,
         st.sampled_from(["exact", "pattern"]),
         st.sampled_from(_FIXTURE_TEXTS),
-        st.sampled_from(["r", "s", r"<\g<0>>"]),
+        st.sampled_from(["r", "s", r"<\g<0>>", "r\udc80"]),
     )
     fixtures = draw(st.lists(fixture, max_size=6))
-    texts = [f.text for f in fixtures] + ["ab", "zz"]
+    texts = [f.text for f in fixtures] + ["ab", "zz", "\udfff"]
     return fixtures, draw(st.lists(st.sampled_from(texts), max_size=12))
 
 
@@ -90,6 +91,8 @@ class TestCompletionRequest:
         ]
         keys = {base.key()} | {v.key() for v in variants}
         assert len(keys) == 4
+        # the cache's memory is keyed by the request: its equality covers the same fields
+        assert len({base, *variants, CompletionRequest(prompt="p")}) == 4
 
     def test_canonical_form_carries_the_fixed_temperature_and_token_limit(self):
         request = CompletionRequest(prompt="p", model_id="m", stop_sequences=("s",))
@@ -708,6 +711,10 @@ class TestServices:
             cached = Services(ScriptedProvider(fixtures), HashEmbedding(), CacheStore(directory))
             for prompt in prompts:
                 assert _answer(plain.complete_text, prompt) == _answer(cached.complete_text, prompt)
+            # the next run reads the entries from disk and needs no fixture
+            warm = Services(ScriptedProvider([]), HashEmbedding(), CacheStore(directory))
+            for prompt in prompts:
+                assert _answer(plain.complete_text, prompt) == _answer(warm.complete_text, prompt)
 
     def test_embed_memoizes(self):
         class CountingEmbedding:
