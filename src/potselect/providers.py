@@ -281,6 +281,7 @@ class RemoteCompletionProvider:
 
 TOKEN_HASH_MEMO_SIZE = 4096  # distinct tokens whose hash is kept
 EMBED_DIMENSION = 256  # buckets of the hashed bag of tokens
+_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 
 class HashEmbedding:
@@ -291,7 +292,10 @@ class HashEmbedding:
     into bucket ``hash % EMBED_DIMENSION``, L2-normalize.  Empty token list
     yields the all-zero vector.  Depends only on the multiset of tokens.
     Each distinct token is hashed once while it stays among the last
-    ``TOKEN_HASH_MEMO_SIZE`` distinct tokens.
+    ``TOKEN_HASH_MEMO_SIZE`` distinct tokens.  One ``np.bincount`` counts the
+    buckets, and integer counts convert to float64 exactly; the norm is
+    ``math.sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes for a
+    1-D float64 vector.
     """
 
     provider_id = "hash-embedding"
@@ -302,11 +306,12 @@ class HashEmbedding:
         return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
 
     def embed(self, text: str) -> np.ndarray:
-        vector = np.zeros(EMBED_DIMENSION, dtype=np.float64)
-        for token in re.split(r"[^a-z0-9]+", text.lower()):
-            if token:
-                vector[self._token_hash(token) % EMBED_DIMENSION] += 1.0
-        norm = np.linalg.norm(vector)
+        token_hash = self._token_hash
+        buckets = [token_hash(t) % EMBED_DIMENSION for t in _TOKEN_SPLIT.split(text.lower()) if t]
+        # an intp array even when empty: np.bincount of an empty float list raises
+        counts = np.bincount(np.array(buckets, dtype=np.intp), minlength=EMBED_DIMENSION)
+        vector = counts.astype(np.float64)
+        norm = math.sqrt(vector.dot(vector))
         if norm > 0:
             vector /= norm
         return vector
@@ -342,14 +347,17 @@ def embedded_cosine(a: Embedded, b: Embedded) -> float:
 
 def stacked(column: list[Embedded]) -> Embedded:
     """The vectors of ``column`` as the rows of one C-contiguous matrix, with their
-    norms as an array; vectors of two shapes raise ``DimensionMismatch``."""
+    norms as an array, both read-only because memos share them; vectors of two
+    shapes raise ``DimensionMismatch``."""
     vectors = [vector for vector, _ in column]
     try:
         matrix = np.array(vectors)
     except ValueError:
         odd = next(v.shape for v in vectors if v.shape != vectors[0].shape)
         raise DimensionMismatch(f"dimensions differ: {vectors[0].shape} vs {odd}") from None
-    return matrix, np.array([norm for _, norm in column])
+    norms = np.array([norm for _, norm in column])
+    matrix.flags.writeable = norms.flags.writeable = False
+    return matrix, norms
 
 
 def embedded_cosines(a: Embedded, b: Embedded) -> np.ndarray:
@@ -391,21 +399,24 @@ class Services:
     request, and a cache hit served from memory is still a hit.
 
     The metrics memo, kept by ``selection.candidate_metrics``, does change
-    what is requested.  Once per pool it holds the pool's candidates, and
-    once per (pool, question) the question's metric rows, so a repeated
-    question makes no further metric completions.  Like the response cache,
-    it relies on a prompt having one response, as does scoring, which
-    embeds the test question's concept-list and rough-answer responses once.
-    Those two requests are re-sent per candidate only because the benchmark
-    pins eval's provider-call count (ROADMAP item 1).
+    what is requested.  Once per pool it holds the pool's candidates, with
+    the stacked embeddings of the concept responses they last got, and once
+    per (pool, question) the question's metric rows, so a repeated question
+    makes no further metric completions.  Like the response cache, it relies
+    on a prompt having one response, as does scoring, which embeds the test
+    question's concept-list and rough-answer responses once.  Those two
+    requests are re-sent per candidate only because the benchmark pins
+    eval's provider-call count (ROADMAP item 1).  The candidates' concept
+    matrix is reused only while their responses compare equal.  Every array
+    a memo hands out is read-only.
     """
 
     completion: object
     embedding: object
     cache: CacheStore | None = None
     _embed_memo: dict[str, Embedded] = field(default_factory=dict, init=False, repr=False)
-    # id(pool) -> (pool, selection's candidates, question -> its (n, 4)
-    # metric rows); holding the pool keeps its id from reuse
+    # id(pool) -> (pool, selection's candidates and their concept matrix,
+    # question -> its (n, 4) metric rows); holding the pool keeps its id from reuse
     _metrics_memo: dict[int, tuple[object, object, dict[str, np.ndarray]]] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -437,10 +448,12 @@ class Services:
 
     def embed_with_norm(self, text: str) -> Embedded:
         """``text``'s embedding as a float64 vector, with its norm as ``cosine``
-        computes it; both are computed once per distinct text."""
+        computes it; both are computed once per distinct text.  Every caller
+        gets the memo's own vector, so it is read-only."""
         hit = self._embed_memo.get(text)
         if hit is None:
             vector = np.asarray(self.embedding.embed(text), dtype=np.float64)
+            vector.flags.writeable = False
             hit = self._embed_memo[text] = (vector, math.sqrt(vector.dot(vector)))
         return hit
 

@@ -121,14 +121,30 @@ def _normalized(raw: int, pool_stats: PoolStats) -> float:
     return 0.5 if high == low else (raw - low) / (high - low)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Candidates:
-    """What scoring needs of a pool's examples whatever the test question, in pool order."""
+    """What scoring needs of a pool's examples whatever the test question, in pool order.
+
+    Every array is read-only, since the metrics memo shares it.  Beside the
+    concept-list requests it keeps the responses they last got and those
+    responses' embeddings, stacked: ``concept_rows`` returns that matrix
+    again while a question's responses equal them, and else embeds, stacks
+    and keeps the new ones.
+    """
 
     questions: Embedded  # the question embeddings, one matrix row each, and their norms
     answers: Embedded  # the answer embeddings, likewise
     concepts: list[CompletionRequest]  # each question's concept-list request
     complexity: np.ndarray  # each answer's complexity, normalized over the pool
+    responses: list[str] = field(default_factory=list)  # the concept responses last seen
+    response_rows: Embedded | None = None  # their embeddings, stacked
+
+    def concept_rows(self, responses: list[str], services: Services) -> Embedded:
+        """The stacked embeddings of ``responses``, the concept requests' responses."""
+        if responses != self.responses:  # a list comparison: identity, then equality
+            self.response_rows = stacked([services.embed_with_norm(r) for r in responses])
+            self.responses = responses
+        return self.response_rows
 
 
 def _candidates(
@@ -136,11 +152,13 @@ def _candidates(
 ) -> _Candidates:
     """The candidates of ``(question, answer_text)`` pairs with their normalized complexity."""
     embed = services.embed_with_norm
+    complexity_column = np.array(complexity, dtype=np.float64)
+    complexity_column.flags.writeable = False
     return _Candidates(
         stacked([embed(question) for question, _ in examples]),
         stacked([embed(answer_text) for _, answer_text in examples]),
         [concept_request(question, services) for question, _ in examples],
-        np.array(complexity, dtype=np.float64),
+        complexity_column,
     )
 
 
@@ -165,22 +183,26 @@ def _metric_rows(candidates: _Candidates, probe: _Probe, services: Services) -> 
 
     Relevance comes first, so a test question embedded to another dimension
     raises ``DimensionMismatch`` before any request is sent.  Then, candidate
-    by candidate, the loop sends the pair's three metric requests in this
-    order: the candidate's concepts, the test question's concepts, the rough
-    answer.  A prompt has one response, so the test question's two responses
-    are one embedding each; their requests are re-sent per candidate only
-    because the benchmark pins eval's provider-call count (ROADMAP item 1).
+    by candidate, the loop only sends the pair's three metric requests in
+    this order: the candidate's concepts, the test question's concepts, the
+    rough answer; it keeps the candidates' concept responses.  A prompt has
+    one response, so the test question's two responses are embedded once,
+    after the loop; their requests are re-sent per candidate only because the
+    benchmark pins eval's provider-call count (ROADMAP item 1).  The
+    candidates' responses are embedded and stacked only when they differ
+    from those the pool's last question got (``_Candidates.concept_rows``).
     A metric out of range raises ``MetricVector``'s ``ValueError`` for the
     first such row in pool order, after the question's every request was sent.
     """
     complete, embed = services.complete, services.embed_with_norm
     relevance = embedded_cosines(candidates.questions, probe.question)
-    theirs = []
+    responses = []
     for request in candidates.concepts:
-        theirs.append(embed(complete(request)))
-        ours = embed(complete(probe.concepts))
-        rough = embed(complete(probe.rough))
-    concept = embedded_cosines(stacked(theirs), ours)
+        responses.append(complete(request))
+        ours_text = complete(probe.concepts)
+        rough_text = complete(probe.rough)
+    ours, rough = embed(ours_text), embed(rough_text)
+    concept = embedded_cosines(candidates.concept_rows(responses, services), ours)
     similarity = embedded_cosines(candidates.answers, rough)
     # a new C-contiguous array, so np.vecdot scores each row with one ddot
     rows = np.column_stack((relevance, concept, candidates.complexity, similarity))
@@ -280,13 +302,15 @@ def candidate_metrics(pool: ExamplePool, test_question: str, services: Services)
       norm, and its concept-list and rough-answer requests;
     - once per question, ``_metric_rows``: a loop over the candidates that
       only sends each pair's three prebuilt metric requests (the candidate's
-      concepts, the test question's concepts, the rough answer) and embeds
-      the responses, then three ``np.vecdot`` cosine columns, each row
-      bit-identical to ``embedded_cosine`` of its pair.
-    The test question's two responses are one embedding each.  Their requests
-    are re-sent for every candidate, so each pair makes the same provider
-    calls as ``calculate_metrics``; that is only because the benchmark pins
-    eval's call count (ROADMAP item 1).
+      concepts, the test question's concepts, the rough answer) and keeps the
+      candidates' concept responses, then three ``np.vecdot`` cosine columns,
+      each row bit-identical to ``embedded_cosine`` of its pair;
+    - once per pool while its concept responses repeat, the stacked matrix
+      of their embeddings, which the ``_Candidates`` keeps beside them.
+    The test question's two responses are embedded once per question.  Their
+    requests are re-sent for every candidate, so each pair makes the same
+    provider calls as ``calculate_metrics``; that is only because the
+    benchmark pins eval's call count (ROADMAP item 1).
 
     None of the four metrics depends on the weights, so the rows are kept
     per pool and question: scoring a question again, under any weights,
@@ -330,13 +354,15 @@ def select_examples(
     embed = services.embed_with_norm
 
     remaining = list(range(len(examples)))
+    unpicked = {example.id: value for example, value in zip(examples, scores)}
     chosen: list[int] = []
     previous = math.inf
     trace: list[IterationRecord] = []
     while remaining and len(chosen) < config.max_chosen:
-        candidate_scores = {examples[i].id: scores[i] for i in remaining}
+        candidate_scores = dict(unpicked)  # each record keeps its own dict
         best = max(remaining, key=scores.__getitem__)  # the first of equal scores: lowest index
         remaining.remove(best)
+        del unpicked[examples[best].id]
         chosen.append(best)
 
         stop = None

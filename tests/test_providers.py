@@ -285,6 +285,30 @@ class TestScriptedProvider:
             load_fixtures(path)
 
 
+# words with capitals, digits and non-ASCII letters, some of which lowercase to
+# ASCII letters plus other characters
+_WORDS = (
+    "Janet's", "ducks", "16", "eggs", "EGGS", "café", "ǅemal", "İstanbul", "日本", "ﬁve", "Ⅻ"
+)
+_SEPARATORS = (" ", ", ", "! ", "\n", "—", "-")
+
+
+@st.composite
+def _embedding_texts(draw):
+    """Texts that are empty, punctuation only, non-ASCII, full of repeated tokens,
+    or longer than ``TOKEN_HASH_MEMO_SIZE`` distinct tokens."""
+    kind = draw(st.sampled_from(["any", "punctuation", "words", "distinct"]))
+    if kind == "any":
+        return draw(st.text(max_size=60))
+    if kind == "punctuation":
+        return draw(st.text(alphabet=" \t\n.,;:!?'\"-—()[]#$%&*+/<=>@^_`{|}~", max_size=30))
+    if kind == "words":
+        pieces = st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPARATORS))
+        return "".join(w + sep for w, sep in draw(st.lists(pieces, max_size=40)))
+    count = draw(st.integers(TOKEN_HASH_MEMO_SIZE + 1, TOKEN_HASH_MEMO_SIZE + 64))
+    return " ".join(f"t{i}" for i in range(count))
+
+
 class TestHashEmbedding:
     def test_deterministic(self):
         emb = HashEmbedding()
@@ -308,17 +332,20 @@ class TestHashEmbedding:
         emb = HashEmbedding()
         assert np.array_equal(emb.embed("a, b; A!"), emb.embed("b a a"))
 
-    def test_bit_exact_against_independent_recomputation(self):
+    @settings(max_examples=300, deadline=None)
+    @given(_embedding_texts())
+    def test_bit_exact_against_independent_recomputation(self, text):
         # the construction is pinned: lowercase, split on non-alphanumeric,
         # 64-bit hash -> bucket hash % 256, counts, L2-normalize
-        text = "Janet's ducks lay 16 eggs per day."
         expected = np.zeros(256)
         for token in re.split(r"[^a-z0-9]+", text.lower()):
             if token:
                 digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
                 expected[int.from_bytes(digest, "big") % 256] += 1.0
-        expected /= np.linalg.norm(expected)
-        assert np.array_equal(HashEmbedding().embed(text), expected)
+        norm = np.linalg.norm(expected)
+        if norm > 0:
+            expected /= norm
+        assert HashEmbedding().embed(text).tobytes() == expected.tobytes()
 
     def test_l2_normalized(self):
         vector = HashEmbedding().embed("one two three four")
@@ -498,6 +525,7 @@ class TestEmbeddedCosines:
         matrix, norms = stacked(column)
         assert matrix.flags.c_contiguous and matrix.shape == (3, 4)
         assert norms.tolist() == [norm for _, norm in column]
+        assert not matrix.flags.writeable and not norms.flags.writeable  # memos share them
         with pytest.raises(DimensionMismatch, match=r"\Adimensions differ: \(2,\) vs \(3,\)\Z"):
             stacked([_embedded(np.ones(2)), _embedded(np.ones(2)), _embedded(np.ones(3))])
 
@@ -730,6 +758,17 @@ class TestServices:
         services.embed("t")
         services.embed("t")
         assert embedding.calls == 1
+
+    def test_shared_embeddings_are_read_only(self):
+        services = Services(completion=ScriptedProvider([]), embedding=HashEmbedding())
+        before = cosine(services.embed("total eggs sold"), services.embed("eggs sold today"))
+        vector = services.embed("total eggs sold")
+        with pytest.raises(ValueError, match="read-only"):
+            vector *= -1
+        with pytest.raises(ValueError, match="read-only"):
+            services.embed_with_norm("eggs sold today")[0][0] = 1.0
+        after = cosine(services.embed("total eggs sold"), services.embed("eggs sold today"))
+        assert after == before == pytest.approx(2 / 3)
 
     def test_embed_with_norm_keeps_a_float64_vector_beside_its_norm(self):
         embedding = StubEmbedding({"t": [3, 4]})

@@ -8,10 +8,16 @@ import gc
 import numpy as np
 import pytest
 
-from potselect import interpreter
+from potselect import interpreter, selection
 from potselect.augmentation import Example, ExamplePool
 from potselect.prompts import concept_prompt, zero_shot_prompt
-from potselect.providers import DimensionMismatch, HashEmbedding, ScriptedProvider, Services
+from potselect.providers import (
+    DimensionMismatch,
+    HashEmbedding,
+    ScriptedProvider,
+    Services,
+    stacked,
+)
 from potselect.records import write_jsonl
 from potselect.selection import (
     EmptyPool,
@@ -41,6 +47,19 @@ from conftest import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+@pytest.fixture
+def stacked_calls(monkeypatch) -> list[int]:
+    """The length of each column selection stacks into a matrix, in call order."""
+    calls = []
+
+    def counting(column):
+        calls.append(len(column))
+        return stacked(column)
+
+    monkeypatch.setattr(selection, "stacked", counting)
+    return calls
 
 
 def _metric_services():
@@ -176,7 +195,9 @@ class TestCandidateMetrics:
             candidate_metrics(pool, "the test question", services)
         assert services.completion.calls == 0
 
-    def test_pool_work_is_done_once_and_rows_equal_calculate_metrics(self, monkeypatch):
+    def test_pool_work_is_done_once_and_rows_equal_calculate_metrics(
+        self, monkeypatch, stacked_calls
+    ):
         rng = np.random.default_rng(29)
         pool, first = random_pool(rng, n_max=8)
         pool = ExamplePool(tuple(pool) + (_example(99, "one more question", extra_lines=6),))
@@ -193,6 +214,8 @@ class TestCandidateMetrics:
         for question in (first, second):
             select_examples(pool, question, SelectionConfig(epsilon=0.0), services)
         assert len(counted) == len(pool)
+        # questions, answers and one concept matrix, though both questions were scored
+        assert stacked_calls == [len(pool)] * 3
 
         oracle_services = _metric_services()
         stats = _pool_stats(pool)
@@ -205,6 +228,39 @@ class TestCandidateMetrics:
         assert services.completion.calls == calls  # the memo answers
         assert rows.shape == expected.shape and rows.dtype == np.float64
         assert rows.tobytes() == expected.tobytes()
+
+    def test_changed_concept_responses_give_their_own_rows(self):
+        rng = np.random.default_rng(37)
+        pool, first = random_pool(rng, n_max=6)
+        second = first + " once more"
+        candidate_prompts = {concept_prompt(e.question) for e in pool}
+
+        class Extending(ScriptedProvider):
+            """Appends ``suffix`` to the responses to the candidates' concept prompts."""
+
+            def __init__(self, suffix):
+                super().__init__([CONCEPT_FIXTURE, ROUGH_FIXTURE])
+                self.suffix = suffix
+
+            def complete(self, request):
+                response = super().complete(request)
+                return response + self.suffix if request.prompt in candidate_prompts else response
+
+        def oracle_rows(suffix):
+            oracle = Services(completion=Extending(suffix), embedding=HashEmbedding())
+            stats = _pool_stats(pool)
+            return np.array([
+                calculate_metrics(e.question, e.answer_text, second, stats, oracle).as_array()
+                for e in pool
+            ])
+
+        services = Services(completion=Extending(""), embedding=HashEmbedding())
+        candidate_metrics(pool, first, services)
+        services.completion.suffix = " and fractions of a dozen"
+        rows = candidate_metrics(pool, second, services)
+        assert rows.tobytes() == oracle_rows(" and fractions of a dozen").tobytes()
+        # the first question's concept matrix would have given other concept values
+        assert rows[:, 1].tobytes() != oracle_rows("")[:, 1].tobytes()
 
     def test_requests_are_those_of_calculate_metrics_pair_by_pair(self):
         class Recording(ScriptedProvider):
@@ -339,19 +395,24 @@ class TestSelectExamples:
         with pytest.raises(EmptyPool):
             select_examples(ExamplePool(()), "q", SelectionConfig(), _metric_services())
 
-    def test_pools_on_one_services_keep_separate_rows(self):
-        # each pool is collected before the next is built, which may reuse its address
+    def test_pools_on_one_services_keep_separate_rows(self, stacked_calls):
+        # each pool is collected before the next is built, which may reuse its address;
+        # the anchor pool lives throughout
         rng = np.random.default_rng(11)
         services = _metric_services()
         config = SelectionConfig(epsilon=0.0)
-        _, q_t = random_pool(rng)
-        for _ in range(20):
+        anchor, q_t = random_pool(rng)
+        candidate_metrics(anchor, q_t, services)
+        for k in range(20):
             pool, _ = random_pool(rng)
             expected = select_examples(pool, q_t, config, _metric_services())
-            calls = services.completion.calls
+            calls, built = services.completion.calls, len(stacked_calls)
             for _ in range(2):
                 assert select_examples(pool, q_t, config, services) == expected
                 assert services.completion.calls == calls + 3 * len(pool)
+            # a new anchor question reuses the anchor's concept matrix, not the pool's
+            candidate_metrics(anchor, f"{q_t} {k}", services)
+            assert stacked_calls[built:] == [len(pool)] * 3
             del pool
             gc.collect()
 
@@ -409,6 +470,16 @@ class TestInvariants:
             assert not (pruned & set(ids))
             picked = [r.picked_id for r in result.trace]
             assert len(picked) == len(set(picked))  # a pruned example is never re-picked
+            # each record's scores are its own dict, over the pool minus the earlier picks
+            records = result.trace
+            assert len({id(r.candidate_scores) for r in records}) == len(records)
+            for k, record in enumerate(records):
+                assert list(record.candidate_scores) == [
+                    e.id for e in pool if e.id not in picked[:k]
+                ]
+            before = [dict(r.candidate_scores) for r in records]
+            records[0].candidate_scores.clear()
+            assert [r.candidate_scores for r in records[1:]] == before[1:]
 
     def test_trace_scores_equal_per_candidate_scores_exactly(self):
         # the pools and weights of acceptance criterion 4
