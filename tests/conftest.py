@@ -1,8 +1,14 @@
-"""Shared corpus texts, scripted-fixture builders and provider doubles."""
+"""Shared corpus texts, scripted-fixture builders and provider doubles.
+
+``metric_requests`` states which requests selection sends, the
+``request_ledger`` fixture records those that scripted providers receive,
+and ``oracle_metric_rows`` recomputes the four metrics scalar by scalar.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -11,7 +17,8 @@ import pytest
 import requests
 
 from potselect.augmentation import Example, ExamplePool
-from potselect.providers import Fixture, HashEmbedding, ScriptedProvider, Services
+from potselect.prompts import concept_prompt, zero_shot_prompt
+from potselect.providers import CompletionRequest, Fixture, HashEmbedding, ScriptedProvider, Services
 
 BOLTS_Q = (
     "A robe takes 2 bolts of blue fiber and half that much white fiber. "
@@ -121,6 +128,89 @@ ROUGH_FIXTURE = Fixture(
     r"\AQuestion: ([^\n]*)\n# Python code, return ans\n\Z",
     r"rough answer about \1",
 )
+
+
+class RequestLedger:
+    """Every request a ``ScriptedProvider`` receives while the ledger is installed,
+    in the order sent, including those that raise ``NoFixture``."""
+
+    def __init__(self, monkeypatch):
+        self.sent: list[CompletionRequest] = []
+        complete = ScriptedProvider.complete
+
+        def recording(provider, request):
+            self.sent.append(request)
+            return complete(provider, request)
+
+        monkeypatch.setattr(ScriptedProvider, "complete", recording)
+
+    @property
+    def pairs(self) -> list[tuple[str, tuple[str, ...]]]:
+        """The ``(prompt, stop_sequences)`` of each request sent."""
+        return [(request.prompt, request.stop_sequences) for request in self.sent]
+
+    @property
+    def distinct(self) -> list[CompletionRequest]:
+        """The requests sent, each once, in first-seen order."""
+        return list(dict.fromkeys(self.sent))
+
+
+@pytest.fixture
+def request_ledger(monkeypatch) -> RequestLedger:
+    """A ``RequestLedger`` for the test; ``monkeypatch`` removes it afterwards."""
+    return RequestLedger(monkeypatch)
+
+
+def metric_requests(pool, test_questions) -> list[tuple[str, tuple[str, ...]]]:
+    """The ``(prompt, stop_sequences)`` pairs, in send order, that selection sends
+    to score ``pool`` against each of ``test_questions`` once.
+
+    Pair by pair: for each question and each candidate, the candidate's
+    concept list, the question's concept list, then its rough answer.
+    """
+    return [
+        pair
+        for question in test_questions
+        for example in pool
+        for pair in (
+            (concept_prompt(example.question), ()),
+            (concept_prompt(question), ()),
+            (zero_shot_prompt(question), ("Question:",)),
+        )
+    ]
+
+
+def oracle_metric_rows(pool, test_question: str, fixtures, embed) -> list[list[float]]:
+    """The four metrics of each candidate in ``pool`` against ``test_question``,
+    one scalar at a time: the metric prompts go to a fresh ``ScriptedProvider``
+    over ``fixtures``, and ``embed`` maps a text to its vector."""
+    provider = ScriptedProvider(list(fixtures))
+
+    def response(prompt, stop_sequences=()):
+        return provider.complete(CompletionRequest(prompt, stop_sequences=stop_sequences))
+
+    def cos(a: str, b: str) -> float:
+        u = np.asarray(embed(a), dtype=np.float64)
+        v = np.asarray(embed(b), dtype=np.float64)
+        nu, nv = math.sqrt(u.dot(u)), math.sqrt(v.dot(v))
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        value = float(u.dot(v) / (nu * nv))
+        return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
+
+    counts = [example.answer_text.count("\n") for example in pool]
+    low, high = min(counts), max(counts)
+    ours = response(concept_prompt(test_question))
+    rough = response(zero_shot_prompt(test_question), ("Question:",))
+    return [
+        [
+            cos(example.question, test_question),
+            cos(response(concept_prompt(example.question)), ours),
+            0.5 if high == low else (count - low) / (high - low),
+            cos(example.answer_text, rough),
+        ]
+        for example, count in zip(pool, counts)
+    ]
 
 
 def fake_post(

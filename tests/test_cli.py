@@ -5,9 +5,9 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,7 +24,7 @@ from potselect.augmentation import Example
 from potselect.cache import _read_entry
 from potselect.cli import _effective_config, build_parser, main
 from potselect.prompts import few_shot_prompt, rephrase_prompt
-from potselect.providers import Fixture, ProviderError, ScriptedProvider
+from potselect.providers import Fixture, ProviderError
 from potselect.selection import load_weights
 
 from conftest import (
@@ -42,6 +42,7 @@ from conftest import (
     eval_fixtures,
     eval_pool,
     fake_post,
+    metric_requests,
     save_fixtures,
     thirteen_seeds,
     write_eval_environment,
@@ -323,36 +324,9 @@ class TestTuneCommand:
         assert not out.exists()
         assert not Path(f"{out}.trials.jsonl").exists()
 
-    def test_warm_cache_makes_no_provider_calls(self, eval_environment, capsys):
-        calls = []
-        for run in range(2):
-            code = main(
-                [
-                    "tune",
-                    "--pool", eval_environment["pool"],
-                    "--dataset", eval_environment["dataset"],
-                    "--fixtures", eval_environment["fixtures"],
-                    "--cache-dir", str(eval_environment["tmp"] / "cache"),
-                    "--budget", "3",
-                    "--out", str(eval_environment["tmp"] / f"w{run}.json"),
-                ]
-            )
-            assert code == 0
-            stdout = capsys.readouterr().out
-            calls.append(int(stdout.rsplit("provider_calls=", 1)[1].split()[0]))
-        assert calls[0] > 0
-        assert calls[1] == 0
-
-    def _tune(self, env, out, *extra):
-        """Run ``tune`` on ``env``'s files; return its provider_calls."""
-        argv = ["tune", "--pool", env["pool"], "--dataset", env["dataset"]]
-        argv += ["--fixtures", env["fixtures"], "--budget", "12", "--out", str(out), *extra]
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert main(argv) == 0
-        return int(stdout.getvalue().rsplit("provider_calls=", 1)[1].split()[0])
-
-    def test_a_run_reads_each_cache_entry_file_at_most_once(self, eval_environment, monkeypatch):
+    def test_a_run_reads_each_cache_entry_file_at_most_once(
+        self, tmp_path, monkeypatch, request_ledger
+    ):
         names = []
 
         def counting(path):
@@ -360,34 +334,18 @@ class TestTuneCommand:
             return _read_entry(path)
 
         monkeypatch.setattr("potselect.cache._read_entry", counting)
-        cache_dir = eval_environment["tmp"] / "cache"
-        calls = []
+        cache_dir = tmp_path / "cache"
+        argv = [*_command_argv("tune", tmp_path), "--cache-dir", str(cache_dir)]
+        sent = []
         for run in ("cold", "warm"):
             names.clear()
-            out = eval_environment["tmp"] / f"{run}.json"
-            calls.append(self._tune(eval_environment, out, "--cache-dir", str(cache_dir)))
+            request_ledger.sent.clear()
+            assert main([*argv, "--out", str(tmp_path / f"{run}.json")]) == 0
             # each entry is looked up once: the cold run finds it missing and writes it
             assert sorted(names) == sorted(p.name for p in cache_dir.iterdir())
-        assert calls[0] == len(names) > 0
-        assert calls[1] == 0
-
-    def test_output_does_not_depend_on_the_cache(self, eval_environment):
-        """No cache, a cold cache and a warm one: the same trial points and
-        objectives, timestamps apart, and the same weights file."""
-        tmp = eval_environment["tmp"]
-        cache = ["--cache-dir", str(tmp / "cache")]
-        runs = []
-        for run, extra in enumerate([[], cache, cache]):  # no cache, cold, warm
-            out = tmp / f"w{run}.json"
-            calls = self._tune(eval_environment, out, *extra)
-            trials = [json.loads(l) for l in Path(f"{out}.trials.jsonl").read_text().splitlines()]
-            for trial in trials:
-                trial.pop("timestamp", None)
-            runs.append((trials, out.read_bytes(), calls))
-        assert runs[0][:2] == runs[1][:2] == runs[2][:2]
-        assert len(runs[0][0]) == 1 + 12
-        assert runs[1][2] > 0
-        assert runs[2][2] == 0
+            sent.append(len(request_ledger.sent))
+        assert sent[0] == len(names) > 0
+        assert sent[1] == 0
 
 
 class TestEvalCommand:
@@ -407,37 +365,58 @@ class TestEvalCommand:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines[-1]["summary"]["accuracy"] == pytest.approx(0.6)
 
-    def test_cold_then_warm_cache_byte_identical_and_no_provider_calls(
-        self, eval_environment, capsys
-    ):
-        cache_dir = eval_environment["tmp"] / "cache"
-        reports = []
-        calls = []
-        for run in range(2):
-            out = eval_environment["tmp"] / f"report{run}.jsonl"
-            code = main(
-                [
-                    "eval",
-                    "--pool", eval_environment["pool"],
-                    "--dataset", eval_environment["dataset"],
-                    "--fixtures", eval_environment["fixtures"],
-                    "--cache-dir", str(cache_dir),
-                    "--out", str(out),
-                ]
-            )
-            assert code == 0
-            stdout = capsys.readouterr().out
-            calls.append(int(stdout.rsplit("provider_calls=", 1)[1].split()[0]))
-            body = [
-                l for l in out.read_text(encoding="utf-8").splitlines() if '"meta"' not in l
-            ]
-            reports.append("\n".join(body))
-        assert reports[0] == reports[1]
-        assert calls[0] > 0
-        assert calls[1] == 0
+
+def _command_argv(command: str, tmp: Path) -> list[str]:
+    """Write inputs for ``command`` into ``tmp``; return its argv before ``--out``:
+    two augmentation stages of the 13 seeds, or the 5-item eval fixture."""
+    if command == "augment":
+        pool, fixtures = tmp / "seeds.jsonl", tmp / "fixtures.json"
+        _write_seed_pool(pool, thirteen_seeds())
+        save_fixtures(augmentation_fixtures(), fixtures)
+        return ["augment", "--stages", "1,2", "--pool", str(pool), "--fixtures", str(fixtures)]
+    env = write_eval_environment(tmp)
+    argv = [command, "--pool", env["pool"], "--dataset", env["dataset"]]
+    argv += ["--fixtures", env["fixtures"]]
+    return argv + ["--budget", "12"] if command == "tune" else argv
 
 
-def test_augment_output_does_not_depend_on_the_cache(tmp_path, monkeypatch):
+def _outputs(out: Path) -> list[bytes]:
+    """Each file whose name starts with ``out``'s, in name order, with every trial's
+    timestamp removed; each file is deleted once read."""
+    files = []
+    for path in sorted(out.parent.glob(f"{out.name}*")):
+        files.append(re.sub(rb', "timestamp": "[^"]*"', b"", path.read_bytes()))
+        path.unlink()
+    return files
+
+
+def _cache_transparent(argv: list[str], tmp: Path, ledger) -> list[list[bytes]]:
+    """Run ``argv`` with no cache, a cold cache and a warm one, and check that the
+    three runs write the same bytes, meta records and trial timestamps apart, that
+    the cold run sends each distinct request once and the warm run nothing.
+    Return the lines of each output file."""
+    cache = ["--cache-dir", str(tmp / "cache")]
+    runs, sent = [], []
+    for extra in ([], cache, cache):  # no cache, cold, warm
+        ledger.sent.clear()
+        assert main([*argv, "--out", str(tmp / "out"), *extra]) == 0
+        files = _outputs(tmp / "out")
+        runs.append([[l for l in f.split(b"\n") if b'"meta"' not in l] for f in files])
+        sent.append(list(ledger.sent))
+    assert runs[0] == runs[1] == runs[2]
+    assert sent[1] == list(dict.fromkeys(sent[0])) != []  # the uncached run's, once each
+    assert sent[2] == []
+    return runs[0]
+
+
+@pytest.mark.parametrize("command", ["augment", "select", "eval", "tune"])
+def test_output_does_not_depend_on_the_cache(tmp_path, request_ledger, command):
+    files = _cache_transparent(_command_argv(command, tmp_path), tmp_path, request_ledger)
+    if command == "tune":
+        assert len(files[1]) == 1 + 12 + 1  # the header, 12 trials, the final newline
+
+
+def test_augment_output_does_not_depend_on_the_cache(tmp_path, request_ledger):
     """A wrong and then a right fixture for one stage-1 infer prompt: the prompt's
     one response is the wrong one, with no cache, a cold cache and a warm one."""
     pool_path, fixtures_path = tmp_path / "seed.jsonl", tmp_path / "fixtures.json"
@@ -449,27 +428,9 @@ def test_augment_output_does_not_depend_on_the_cache(tmp_path, monkeypatch):
         Fixture("exact", infer, BOLTS_A),
     ]
     save_fixtures(fixtures, fixtures_path)
-    calls = []
-    complete = ScriptedProvider.complete
-
-    def counting(self, request):
-        calls.append(request.prompt)
-        return complete(self, request)
-
-    monkeypatch.setattr(ScriptedProvider, "complete", counting)
-    cache = ["--cache-dir", str(tmp_path / "cache")]
-    runs = []
-    for run, extra in enumerate([[], cache, cache]):  # no cache, cold, warm
-        calls.clear()
-        out = tmp_path / f"pool{run}.jsonl"
-        argv = ["augment", "--pool", str(pool_path), "--fixtures", str(fixtures_path)]
-        assert main([*argv, "--stages", "1", "--out", str(out), *extra]) == 0
-        pool = [l for l in out.read_bytes().split(b"\n") if b'"meta"' not in l]
-        runs.append((pool, Path(f"{out}.attempts.jsonl").read_bytes(), len(calls)))
-    assert runs[0][:2] == runs[1][:2] == runs[2][:2]
-    attempts = [json.loads(l) for l in runs[0][1].splitlines()]
-    assert [a["accepted"] for a in attempts] == [False] * 4
-    assert runs[2][2] == 0
+    argv = ["augment", "--pool", str(pool_path), "--fixtures", str(fixtures_path), "--stages", "1"]
+    _, attempts = _cache_transparent(argv, tmp_path, request_ledger)
+    assert [json.loads(l)["accepted"] for l in attempts if l] == [False] * 4
 
 
 def test_a_completion_with_a_lone_surrogate_is_a_rejected_attempt(tmp_path):
@@ -540,32 +501,13 @@ def _surrogate_inputs(tmp: Path, command: str) -> list[str]:
 
 @pytest.mark.parametrize("command", ["augment", "eval"])
 def test_a_lone_surrogate_gives_the_same_outputs_with_or_without_a_cache(
-    tmp_path, monkeypatch, command
+    tmp_path, request_ledger, command
 ):
     """No cache, a cold cache and a warm one write the same bytes, meta records
     apart, and the warm run asks the provider nothing."""
     argv = _surrogate_inputs(tmp_path, command)
-    calls = []
-    complete = ScriptedProvider.complete
-
-    def counting(self, request):
-        calls.append(request.prompt)
-        return complete(self, request)
-
-    monkeypatch.setattr(ScriptedProvider, "complete", counting)
-    cache = ["--cache-dir", str(tmp_path / "cache")]
-    runs = []
-    for run, extra in enumerate([[], cache, cache]):  # no cache, cold, warm
-        calls.clear()
-        out = tmp_path / f"out{run}.jsonl"
-        assert main([*argv, "--out", str(out), *extra]) == 0
-        outputs = [out, Path(f"{out}.attempts.jsonl")] if command == "augment" else [out]
-        files = [[l for l in p.read_bytes().split(b"\n") if b'"meta"' not in l] for p in outputs]
-        runs.append((files, len(calls)))
-    assert runs[0][0] == runs[1][0] == runs[2][0]
-    assert runs[1][1] > 0
-    assert runs[2][1] == 0
-    records = [json.loads(l) for l in runs[0][0][-1] if l]
+    files = _cache_transparent(argv, tmp_path, request_ledger)
+    records = [json.loads(l) for l in files[-1] if l]
     if command == "augment":
         assert [(a["accepted"], a["report"]["cause"]) for a in records[:2]] == [
             (True, None),
@@ -583,55 +525,28 @@ def _in_a_fresh_interpreter(argv: list[str]) -> int:
     return subprocess.run(command, env=env, capture_output=True, timeout=120).returncode
 
 
-@pytest.mark.parametrize("command", ["augment", "eval"])
-def test_runs_repeat_in_process_and_in_a_fresh_interpreter(augment_files, command):
+@pytest.mark.parametrize("command", ["augment", "select", "eval", "tune"])
+def test_runs_repeat_in_process_and_in_a_fresh_interpreter(tmp_path, command):
     """Warm memos (parsed lines, token hashes) change no output byte."""
-    out = augment_files["tmp"] / "out.jsonl"
-    if command == "augment":
-        files = augment_files
-        argv = ["augment", "--stages", "1,2", "--pool", files["pool"]]
-        outputs = [out, Path(f"{out}.attempts.jsonl")]
-    else:
-        (augment_files["tmp"] / "eval").mkdir()
-        files = write_eval_environment(augment_files["tmp"] / "eval")
-        argv = ["eval", "--pool", files["pool"], "--dataset", files["dataset"]]
-        outputs = [out]
-    argv += ["--fixtures", files["fixtures"], "--out", str(out)]
+    argv = [*_command_argv(command, tmp_path), "--out", str(tmp_path / "out")]
     runs = []
     for run in (main, main, _in_a_fresh_interpreter):
         assert run(argv) == 0
-        runs.append([path.read_bytes() for path in outputs])
-        for path in outputs:
-            path.unlink()
+        runs.append(_outputs(tmp_path / "out"))
     assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("command", ["select", "eval"])
-def test_repeated_question_without_cache_is_scored_once(eval_environment, monkeypatch, command):
-    prompts = []
-    complete = ScriptedProvider.complete
-
-    def counting(self, request):
-        prompts.append(request.prompt)
-        return complete(self, request)
-
-    monkeypatch.setattr(ScriptedProvider, "complete", counting)
+def test_repeated_question_without_cache_is_scored_once(eval_environment, request_ledger, command):
     record = eval_dataset_records()[0]
     dataset = eval_environment["tmp"] / "repeated.jsonl"
     dataset.write_text("".join(json.dumps({**record, "id": i}) + "\n" for i in ("a", "b")))
     out = eval_environment["tmp"] / "out.jsonl"
-    code = main(
-        [
-            command,
-            "--pool", eval_environment["pool"],
-            "--dataset", str(dataset),
-            "--fixtures", eval_environment["fixtures"],
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
+    argv = [command, "--pool", eval_environment["pool"], "--dataset", str(dataset)]
+    assert main([*argv, "--fixtures", eval_environment["fixtures"], "--out", str(out)]) == 0
     few_shot = 2 if command == "eval" else 0
-    assert len(prompts) == 3 * len(eval_pool()) + few_shot
+    rows = metric_requests(eval_pool(), [record["question"]])
+    assert len(request_ledger.sent) == len(rows) + few_shot
     records = [json.loads(l) for l in out.read_text().splitlines()][1:3]
     assert [r.pop("item_id") for r in records] == ["a", "b"]
     assert records[0] == records[1]

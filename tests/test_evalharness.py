@@ -51,6 +51,7 @@ from conftest import (
     eval_pool,
     fake_post,
     make_services,
+    metric_requests,
     small_example,
 )
 
@@ -401,25 +402,32 @@ class TestEvaluate:
         report = evaluate(dataset, eval_pool(), SelectionConfig(), make_services(fixtures))
         assert report.accuracy == 1.0
 
-    def test_metrics_memo_holds_only_computed_rows_and_is_reused(self, tmp_path):
+    def test_metrics_memo_holds_only_computed_rows_and_is_reused(self, tmp_path, request_ledger):
         dataset = _dataset(tmp_path)
         pool, config = eval_pool(), SelectionConfig()
+        questions = [item.question for item in dataset]
         # concepts but no rough answer: each item fails inside its first metric row
         services = make_services([CONCEPT_FIXTURE])
         failed = evaluate(dataset, pool, config, services)
         assert all(r.cause.startswith("provider: ") for r in failed.items)
-        # the failed run stored nothing: every item computes all its rows
+        # the failed run stored no rows: every item computes all its rows again
         services.completion = ScriptedProvider(eval_fixtures())
+        sent = len(request_ledger.sent)
         report = evaluate(dataset, pool, config, services)
         assert report.accuracy == pytest.approx(0.6)
-        assert services.completion.calls == len(dataset) * (3 * len(pool) + 1)
+        # what scoring each question a second time sends
+        rescored = metric_requests(pool, questions * 2)[len(metric_requests(pool, questions)):]
+        assert len(request_ledger.sent) - sent == len(rescored) + len(dataset)
         # no concept or rough-answer fixtures left: the memo answers the metrics
         services.completion = ScriptedProvider(eval_fixtures()[2:])
+        sent = len(request_ledger.sent)
         again = evaluate(dataset, pool, config, services)
         assert again.items == report.items
-        assert services.completion.calls == len(dataset)
+        assert len(request_ledger.sent) - sent == len(dataset)
 
-    def test_a_later_candidates_nan_fails_its_row_after_every_metric_request(self, tmp_path):
+    def test_a_later_candidates_nan_fails_its_row_after_every_metric_request(
+        self, tmp_path, request_ledger
+    ):
         third = small_example(2, "A third pool question")
         fourth = small_example(3, "A fourth pool question", extra_lines=2)
         pool = ExamplePool((*eval_pool(), third, fourth))
@@ -430,6 +438,7 @@ class TestEvaluate:
                 return np.full(256, np.nan) if text in nan_texts else super().embed(text)
 
         dataset = _dataset(tmp_path)
+        questions = [item.question for item in dataset]
         services = make_services(eval_fixtures(), embedding=LaterNan())
         report = evaluate(dataset, pool, SelectionConfig(), services)
         # MetricVector's message for the first failing row in pool order
@@ -438,8 +447,10 @@ class TestEvaluate:
         }
         # the one departure from scoring pair by pair: the row is checked once the
         # question's every metric request was sent, not only those of rows 0 to 2
-        assert services.completion.calls == len(dataset) * 3 * len(pool)
-        assert not services._metrics_memo[id(pool)][2]  # and no rows were stored
+        assert request_ledger.pairs == metric_requests(pool, questions)
+        # no rows were stored: evaluated again, every question is scored again
+        assert evaluate(dataset, pool, SelectionConfig(), services) == report
+        assert request_ledger.pairs == metric_requests(pool, questions * 2)
 
     def test_nan_embedding_is_a_selection_cause_and_a_data_error_for_select(
         self, eval_environment, monkeypatch, capsys

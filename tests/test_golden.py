@@ -8,8 +8,10 @@ selected example comes from stage 3, so the tuning objective varies with
 the weights and TPE fits real densities after its startup trials.
 
 The only fields stripped before hashing are the two timestamps: each trial
-record's ``timestamp`` and each cache entry's ``created_at``.  A change
-that alters an output on purpose regenerates the manifest with
+record's ``timestamp`` and each cache entry's ``created_at``.  The manifest
+also pins how many distinct requests each command sends, which neither a
+re-sent request nor the cache changes.  A change that alters an output on
+purpose regenerates the manifest with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
 """
 
@@ -24,11 +26,14 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from potselect.cli import main
 from potselect.providers import Fixture
 from potselect.tuning import TpeParams
 
 from conftest import (
+    RequestLedger,
     augmentation_fixtures,
     completion_fixture,
     eval_dataset_records,
@@ -135,25 +140,27 @@ def _stripped(path: Path) -> bytes:
     return data
 
 
-def run_commands() -> dict[str, str]:
+def run_commands(ledger: RequestLedger) -> dict[str, str | int]:
     """Run every command in the current directory; map each output to its pin."""
     _write_inputs()
     manifest = {}
     for name, argv in COMMANDS.items():
+        ledger.sent.clear()
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
         assert code == 0, (name, code)
         manifest[f"summary {name}"] = stdout.getvalue().strip()
+        manifest[f"distinct {name}"] = len(ledger.distinct)
     for path in sorted(Path(".").rglob("*")):
         if path.is_file():
             manifest[f"sha256 {path.as_posix()}"] = hashlib.sha256(_stripped(path)).hexdigest()
     return manifest
 
 
-def test_outputs_match_the_golden_manifest(tmp_path, monkeypatch):
+def test_outputs_match_the_golden_manifest(tmp_path, monkeypatch, request_ledger):
     monkeypatch.chdir(tmp_path)
-    actual = run_commands()
+    actual = run_commands(request_ledger)
     assert actual == json.loads(MANIFEST.read_text(encoding="utf-8"))
     # the startup trials' objectives differ, so every later trial is a TPE fit
     log = (tmp_path / "tuned.json.trials.jsonl").read_text(encoding="utf-8").splitlines()
@@ -163,9 +170,9 @@ def test_outputs_match_the_golden_manifest(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as root:
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
         os.chdir(root)
-        pins = run_commands()
+        pins = run_commands(RequestLedger(patch))
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(pins)} pins -> {MANIFEST}")

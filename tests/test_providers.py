@@ -118,7 +118,7 @@ class TestScriptedProvider:
         with pytest.raises(NoFixture):
             provider.complete(CompletionRequest(prompt="something else"))
 
-    def test_repeated_identical_prompts_step_in_declared_order(self):
+    def test_repeated_identical_prompts_get_the_first_matching_fixture(self):
         provider = ScriptedProvider(
             [Fixture("exact", "P", "first"), Fixture("exact", "P", "second")]
         )
@@ -149,7 +149,7 @@ class TestScriptedProvider:
         with pytest.raises(ValueError):
             Fixture("fuzzy", "a", "b")
 
-    def test_two_patterns_on_one_prompt_step_in_order_then_the_last_repeats(self):
+    def test_two_patterns_on_one_prompt_the_first_answers_every_time(self):
         provider = ScriptedProvider(
             [Fixture("pattern", r"n(\d)", r"first \1"), Fixture("pattern", r"(n)\d", r"second \1")]
         )
@@ -191,7 +191,7 @@ class TestScriptedProvider:
                 provider.complete(request)
             assert provider.calls == calls
 
-    def test_prompts_matching_the_same_fixtures_share_their_consumption(self):
+    def test_prompts_matching_the_same_fixtures_each_get_the_first(self):
         provider = ScriptedProvider(
             [Fixture("pattern", r"(\w+)", r"first \1"), Fixture("pattern", r"(\w+)", r"second \1")]
         )
@@ -711,24 +711,14 @@ class TestServices:
         services = Services(completion=provider, embedding=HashEmbedding())
         assert services.complete_text("p") == "r"
 
-    def test_complete_text_sends_the_request_that_request_builds(self):
-        sent = []
-
-        class Recording(ScriptedProvider):
-            model_id = "m"
-
-            def complete(self, request):
-                sent.append(request)
-                return super().complete(request)
-
-        services = Services(
-            completion=Recording([Fixture("exact", "p", "r")]),
-            embedding=HashEmbedding(),
-        )
+    def test_complete_text_sends_the_request_that_request_builds(self, request_ledger):
+        provider = ScriptedProvider([Fixture("exact", "p", "r")])
+        provider.model_id = "m"
+        services = Services(completion=provider, embedding=HashEmbedding())
         request = services.request("p", ("s",))
         assert request == CompletionRequest(prompt="p", model_id="m", stop_sequences=("s",))
         assert services.complete(request) == services.complete_text("p", stop_sequences=("s",))
-        assert sent == [request, request]
+        assert request_ledger.sent == [request, request]
 
     @settings(max_examples=200, deadline=None)
     @given(_fixtures_and_prompts())

@@ -7,12 +7,15 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potselect import interpreter, selection
 from potselect.augmentation import Example, ExamplePool
 from potselect.prompts import concept_prompt, zero_shot_prompt
 from potselect.providers import (
     DimensionMismatch,
+    Fixture,
     HashEmbedding,
     ScriptedProvider,
     Services,
@@ -39,14 +42,53 @@ from conftest import (
     CONCEPT_FIXTURE,
     ROUGH_FIXTURE,
     StubEmbedding,
-    concept_text,
     make_services,
+    metric_requests,
+    oracle_metric_rows,
     random_pool,
     random_weights,
-    rough_text,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# repeated words, and texts with no token, which embed to the zero vector
+_ORACLE_TEXTS = [
+    "", "...", "?!", "eggs", "Eggs, eggs!", "eggs sold today", "total eggs sold",
+    "train speed", "the price of apples",
+]
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A pool of 1-12 examples, a test question, exact fixtures for every metric
+    prompt, an embedder (hashed, or a stub with negative components) and weights."""
+    text = st.sampled_from(_ORACLE_TEXTS)
+    n = draw(st.integers(1, 12))
+    breaks = st.just(draw(st.integers(0, 3))) if draw(st.booleans()) else st.integers(0, 3)
+    line = st.sampled_from(["eggs = 2", "sold = 3", "price = 4"])
+    pool = ExamplePool(tuple(
+        Example(
+            id=f"e{i}",
+            question=draw(text),
+            answer_text="\n".join([*draw(st.lists(line, min_size=k, max_size=k)), "ans = 1"]),
+        )
+        for i, k in enumerate(draw(breaks) for _ in range(n))
+    ))
+    test_question = draw(text)
+    concepts = {q: draw(text) for q in [test_question, *(e.question for e in pool)]}
+    fixtures = [Fixture("exact", concept_prompt(q), r) for q, r in concepts.items()]
+    fixtures.append(Fixture("exact", zero_shot_prompt(test_question), draw(text)))
+    if draw(st.booleans()):
+        embedding = HashEmbedding()
+    else:
+        texts = {*_ORACLE_TEXTS, *(e.answer_text for e in pool)}
+        vector = st.lists(st.integers(-2, 2).map(float), min_size=3, max_size=3)
+        table = draw(st.dictionaries(st.sampled_from(sorted(texts)), vector))
+        embedding = StubEmbedding(table, dimension=3)  # a text not in the table: zero
+    weights = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: any(w))
+    )
+    return pool, test_question, fixtures, embedding, Weights.from_array(weights)
 
 
 @pytest.fixture
@@ -152,40 +194,30 @@ class TestCalculateMetrics:
         assert m.complexity == 0.5
 
     def test_two_candidate_vectors_match_independent_recomputation(self):
-        services = _metric_services()
-        emb = HashEmbedding()
         q_t = "A farmer sells eggs at the market"
-        candidates = [
-            ("Eggs sold at a market by a farmer", "eggs = 4\nans = eggs"),
-            ("Trains travel between two cities", "speed = 60\ntime = 2\ndistance = speed * time\nans = distance"),
-        ]
-        counts = [a.count("\n") for _, a in candidates]
-        stats = PoolStats(min_complexity=min(counts), max_complexity=max(counts))
-
-        def oracle_cos(u, v):
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            if nu == 0 or nv == 0:
-                return 0.0
-            return float(np.clip(np.dot(u, v) / (nu * nv), -1, 1))
-
-        for q, a in candidates:
-            got = calculate_metrics(q, a, q_t, stats, services)
-            expected_relevance = oracle_cos(emb.embed(q), emb.embed(q_t))
-            expected_concept = oracle_cos(
-                emb.embed(concept_text(q)), emb.embed(concept_text(q_t))
-            )
-            expected_complexity = (a.count("\n") - stats.min_complexity) / (
-                stats.max_complexity - stats.min_complexity
-            )
-            expected_similarity = oracle_cos(emb.embed(a), emb.embed(rough_text(q_t)))
-            assert got.relevance == pytest.approx(expected_relevance, abs=1e-12)
-            assert got.concept == pytest.approx(expected_concept, abs=1e-12)
-            assert got.complexity == pytest.approx(expected_complexity, abs=1e-12)
-            assert got.similarity == pytest.approx(expected_similarity, abs=1e-12)
+        pool = ExamplePool((
+            Example(
+                id="c0", question="Eggs sold at a market by a farmer", answer_text="eggs = 4\nans = eggs"
+            ),
+            Example(
+                id="c1",
+                question="Trains travel between two cities",
+                answer_text="speed = 60\ntime = 2\ndistance = speed * time\nans = distance",
+            ),
+        ))
+        expected = oracle_metric_rows(
+            pool, q_t, [CONCEPT_FIXTURE, ROUGH_FIXTURE], HashEmbedding().embed
+        )
+        services, stats = _metric_services(), _pool_stats(pool)
+        for example, row in zip(pool, expected):
+            got = calculate_metrics(example.question, example.answer_text, q_t, stats, services)
+            assert got.as_array().tolist() == row
 
 
 class TestCandidateMetrics:
-    def test_a_test_question_of_another_dimension_raises_before_any_request(self):
+    def test_a_test_question_of_another_dimension_raises_before_any_request(
+        self, request_ledger
+    ):
         pool = ExamplePool((_example(0, "first question"), _example(1, "second question", 2)))
         services = Services(
             completion=ScriptedProvider([CONCEPT_FIXTURE, ROUGH_FIXTURE]),
@@ -193,10 +225,10 @@ class TestCandidateMetrics:
         )
         with pytest.raises(DimensionMismatch, match=r"\Adimensions differ: \(2,\) vs \(3,\)\Z"):
             candidate_metrics(pool, "the test question", services)
-        assert services.completion.calls == 0
+        assert request_ledger.sent == []
 
     def test_pool_work_is_done_once_and_rows_equal_calculate_metrics(
-        self, monkeypatch, stacked_calls
+        self, monkeypatch, stacked_calls, request_ledger
     ):
         rng = np.random.default_rng(29)
         pool, first = random_pool(rng, n_max=8)
@@ -223,9 +255,9 @@ class TestCandidateMetrics:
             calculate_metrics(e.question, e.answer_text, second, stats, oracle_services).as_array()
             for e in pool
         ])
-        calls = services.completion.calls
+        sent = len(request_ledger.sent)
         rows = candidate_metrics(pool, second, services)
-        assert services.completion.calls == calls  # the memo answers
+        assert len(request_ledger.sent) == sent  # the memo answers
         assert rows.shape == expected.shape and rows.dtype == np.float64
         assert rows.tobytes() == expected.tobytes()
 
@@ -262,41 +294,41 @@ class TestCandidateMetrics:
         # the first question's concept matrix would have given other concept values
         assert rows[:, 1].tobytes() != oracle_rows("")[:, 1].tobytes()
 
-    def test_requests_are_those_of_calculate_metrics_pair_by_pair(self):
-        class Recording(ScriptedProvider):
-            def __init__(self):
-                super().__init__([CONCEPT_FIXTURE, ROUGH_FIXTURE])
-                self.sent = []
+    @settings(max_examples=200, deadline=None)
+    @given(_oracle_cases())
+    def test_rows_and_trace_scores_equal_the_scalar_oracle(self, case):
+        pool, test_question, fixtures, embedding, weights = case
+        services = make_services(fixtures, embedding=embedding)
+        expected = oracle_metric_rows(pool, test_question, fixtures, embedding.embed)
+        rows = candidate_metrics(pool, test_question, services)
+        assert rows.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        by_id = {e.id: row for e, row in zip(pool, expected)}
+        config = SelectionConfig(weights=weights, epsilon=0.0)
+        for record in select_examples(pool, test_question, config, services).trace:
+            assert record.candidate_scores == {
+                i: float(np.dot(by_id[i], weights.as_array())) for i in record.candidate_scores
+            }
 
-            def complete(self, request):
-                self.sent.append(request)
-                return super().complete(request)
-
+    def test_requests_are_those_of_calculate_metrics_pair_by_pair(self, request_ledger):
         rng = np.random.default_rng(31)
         pool, first = random_pool(rng, n_max=6)
         questions = [first, first + " again", "a third question"]
-        services = Services(completion=Recording(), embedding=HashEmbedding())
+        services = _metric_services()
         for question in questions:
             candidate_metrics(pool, question, services)
-        sent = services.completion.sent
-        assert len(sent) == len(questions) * 3 * len(pool)
-        assert [(r.prompt, r.stop_sequences) for r in sent] == [
-            pair
-            for question in questions
-            for example in pool
-            for pair in (
-                (concept_prompt(example.question), ()),
-                (concept_prompt(question), ()),
-                (zero_shot_prompt(question), ("Question:",)),
-            )
-        ]
+        sent = request_ledger.pairs
+        assert sent == metric_requests(pool, questions)
 
-        oracle = Services(completion=Recording(), embedding=HashEmbedding())
-        stats = _pool_stats(pool)
+        oracle, stats = _metric_services(), _pool_stats(pool)
         for question in questions:
             for example in pool:
                 calculate_metrics(example.question, example.answer_text, question, stats, oracle)
-        assert oracle.completion.sent == sent
+        assert request_ledger.pairs[len(sent):] == [
+            pair
+            for question in questions
+            for example in pool
+            for pair in metric_requests(ExamplePool((example,)), [question])
+        ]
 
 
 class TestPrune:
@@ -395,7 +427,7 @@ class TestSelectExamples:
         with pytest.raises(EmptyPool):
             select_examples(ExamplePool(()), "q", SelectionConfig(), _metric_services())
 
-    def test_pools_on_one_services_keep_separate_rows(self, stacked_calls):
+    def test_pools_on_one_services_keep_separate_rows(self, stacked_calls, request_ledger):
         # each pool is collected before the next is built, which may reuse its address;
         # the anchor pool lives throughout
         rng = np.random.default_rng(11)
@@ -406,10 +438,10 @@ class TestSelectExamples:
         for k in range(20):
             pool, _ = random_pool(rng)
             expected = select_examples(pool, q_t, config, _metric_services())
-            calls, built = services.completion.calls, len(stacked_calls)
+            sent, built = len(request_ledger.sent), len(stacked_calls)
             for _ in range(2):
                 assert select_examples(pool, q_t, config, services) == expected
-                assert services.completion.calls == calls + 3 * len(pool)
+                assert request_ledger.pairs[sent:] == metric_requests(pool, [q_t])
             # a new anchor question reuses the anchor's concept matrix, not the pool's
             candidate_metrics(anchor, f"{q_t} {k}", services)
             assert stacked_calls[built:] == [len(pool)] * 3
@@ -481,7 +513,7 @@ class TestInvariants:
             records[0].candidate_scores.clear()
             assert [r.candidate_scores for r in records[1:]] == before[1:]
 
-    def test_trace_scores_equal_per_candidate_scores_exactly(self):
+    def test_trace_scores_equal_per_candidate_scores_exactly(self, request_ledger):
         # the pools and weights of acceptance criterion 4
         rng = np.random.default_rng(404)
         for _ in range(50):
@@ -500,6 +532,6 @@ class TestInvariants:
             for record in result.trace:
                 assert record.candidate_scores == {i: expected[i] for i in record.candidate_scores}
                 assert record.picked_score == expected[record.picked_id]
-            calls = services.completion.calls
+            sent = len(request_ledger.sent)
             assert select_examples(pool, q_t, config, services) == result
-            assert services.completion.calls == calls
+            assert len(request_ledger.sent) == sent

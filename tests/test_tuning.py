@@ -40,6 +40,7 @@ from conftest import (
     eval_fixtures,
     eval_pool,
     make_services,
+    metric_requests,
 )
 from potselect.evalharness import load_gsm8k
 from potselect.providers import Fixture, ProviderError, ProviderUnavailable
@@ -423,19 +424,20 @@ class TestTuneWeights:
         assert isinstance(best, Trial)
         assert best.seq in (0, 1)
 
-    def test_empty_training_set_raises_before_the_first_trial(self, tmp_path):
+    def test_empty_training_set_raises_before_the_first_trial(self, tmp_path, request_ledger):
         services = make_services(eval_fixtures())
         log_path = tmp_path / "t.jsonl"
         with pytest.raises(ValueError, match="training set is empty"):
             tune_weights(eval_pool(), [], 3, 0, services, log_path=log_path)
-        assert services.completion.calls == 0
+        assert request_ledger.sent == []
         assert not log_path.exists()
 
     def test_provider_failure_raises_in_its_trial_and_the_log_keeps_earlier_ones(self, tmp_path):
         pool, dataset = eval_pool(), _train_set(tmp_path)
         services = make_services(eval_fixtures())
         provider = services.completion
-        first_trial = len(dataset) * 3 * len(pool) + len(dataset)  # metric rows, then prompts
+        questions = [item.question for item in dataset]
+        first_trial = len(metric_requests(pool, questions)) + len(dataset)  # rows, then prompts
 
         def complete(request, served=provider.complete):
             if provider.calls == first_trial:
@@ -448,7 +450,7 @@ class TestTuneWeights:
             tune_weights(pool, dataset, 3, 0, services, log_path=log_path)
         assert [seq for seq, _, _ in _log(log_path)[1]] == [0]
 
-    def test_metrics_computed_once_per_item_and_trials_unchanged(self, tmp_path):
+    def test_metrics_computed_once_per_item_and_trials_unchanged(self, tmp_path, request_ledger):
         # an item is answered correctly only when the bolts example is picked first,
         # so the objective depends on the weights
         tail = r"\n.*\nQuestion: Evaluation question number (\d+)\?\n# Python code, return ans\n\Z"
@@ -459,26 +461,24 @@ class TestTuneWeights:
             Fixture("pattern", r"(?s)\AQuestion: " + re.escape(HOUSE_Q) + tail, "ans = 0"),
         ]
         pool, dataset, budget, seed = eval_pool(), _train_set(tmp_path), 14, 5
+        rows = len(metric_requests(pool, [item.question for item in dataset]))
         services = make_services(fixtures)
         log_path = tmp_path / "t.jsonl"
         best = tune_weights(
             pool, dataset, budget, seed, services,
             selection_config_template=SelectionConfig(), log_path=log_path,
         )
-        assert services.completion.calls == len(dataset) * 3 * len(pool) + budget * len(dataset)
-
-        oracle_calls = []
+        assert len(request_ledger.sent) == rows + budget * len(dataset)
 
         def recomputing(point):
             fresh = make_services(fixtures)
-            value = accuracy_objective(
+            return accuracy_objective(
                 Weights.from_array(point), pool, dataset, fresh, SelectionConfig()
             )
-            oracle_calls.append(fresh.completion.calls)
-            return value
 
+        sent = len(request_ledger.sent)
         reference = optimize(recomputing, SearchSpace(), budget, seed=seed)
-        assert sum(oracle_calls) == budget * len(dataset) * (3 * len(pool) + 1)
+        assert len(request_ledger.sent) - sent == budget * (rows + len(dataset))
         _, trials = _log(log_path)
         assert trials == [(t.seq, t.point, t.objective) for t in reference.trials]
         assert len({objective for _, _, objective in trials}) > 1
