@@ -19,7 +19,9 @@ import numpy as np
 
 from . import interpreter, prompts
 from .interpreter import Assignment, InterpreterError, ModificationChain, Program
-from .providers import Services, cosine
+from .providers import Services, embedded_cosine
+# unused here: kept only as a benchmarks/spans.py trace point, until the benchmark-only change
+from .providers import cosine  # noqa: F401
 from .records import MalformedRecord, read_jsonl, write_jsonl
 
 
@@ -259,8 +261,9 @@ def check_consistency(
         return ConsistencyReport(
             False, candidate_value, reference_value, None, "inconsistent", "output mismatch"
         )
-    similarity = cosine(
-        services.embed(candidate.source_text), services.embed(reference.source_text)
+    similarity = embedded_cosine(
+        services.embed_with_norm(candidate.source_text),
+        services.embed_with_norm(reference.source_text),
     )
     if similarity >= tau:
         return ConsistencyReport(True, candidate_value, reference_value, similarity, "consistent")

@@ -163,36 +163,49 @@ class EvalReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "items"}
 
 
+FEW_SHOT_STOP = ("Question:",)  # a few-shot completion ends before the next question
+
+
+def _outcome(prompt: str, services: Services) -> tuple[str, float | None, str | None]:
+    """The completion of the few-shot ``prompt``, then its executed value or the
+    parse or execute cause, both of which follow from the completion alone."""
+    # complete_text, which the benchmark traces as the few-shot completions
+    completion = services.complete_text(prompt, stop_sequences=FEW_SHOT_STOP)
+    program = extract_answer_block(completion)
+    if program is None:
+        return completion, None, "parse: no answer block in completion"
+    try:
+        return completion, interpreter.execute(program), None
+    except interpreter.InterpreterError as exc:
+        return completion, None, f"execute: {exc}"
+
+
 def _grade(
     item: QAItem, pool: ExamplePool, config: SelectionConfig, services: Services
 ) -> ItemResult:
-    """Select, prompt, execute and grade one item; a failed item returns with its cause."""
+    """Select, prompt, execute and grade one item; a failed item returns with its cause.
+
+    A few-shot request that ``services`` has graded before is not completed,
+    parsed or executed again: its outcome comes from the grade memo.
+    """
     selected_ids: tuple[str, ...] = ()
-    completion = None
-
-    def graded(cause: str | None, value: float | None = None) -> ItemResult:
-        # with the selection and the completion as far as they were recorded
-        verdict = "correct" if cause is None else "incorrect"
-        return ItemResult(item.id, selected_ids, completion, value, item.gold_value, verdict, cause)
-
     try:
         selection = select_examples(pool, item.question, config, services)
         selected_ids = tuple(selection.chosen_ids)
         prompt = build_prompt([example for example, _ in selection.chosen], item.question)
-        completion = services.complete_text(prompt, stop_sequences=("Question:",))
-        program = extract_answer_block(completion)
-        if program is None:
-            return graded("parse: no answer block in completion")
-        # the one source of an InterpreterError in this block: selection parses
-        # nothing, and extract_answer_block maps its own
-        value = interpreter.execute(program)
-    except interpreter.InterpreterError as exc:
-        return graded(f"execute: {exc}")
+        request = services.request(prompt, stop_sequences=FEW_SHOT_STOP)
+        outcome = services._grade_memo.get(request)
+        if outcome is None:  # an outcome that raises is not stored
+            outcome = services._grade_memo[request] = _outcome(prompt, services)
     except ProviderError as exc:
-        return graded(f"{PROVIDER_CAUSE}{exc}")
+        outcome = None, None, f"{PROVIDER_CAUSE}{exc}"
     except ValueError as exc:
-        return graded(f"selection: {exc}")
-    return graded(None if abs(value - item.gold_value) <= EPS_EVAL else "wrong value", value)
+        outcome = None, None, f"selection: {exc}"
+    completion, value, cause = outcome
+    if cause is None and not abs(value - item.gold_value) <= EPS_EVAL:
+        cause = "wrong value"
+    verdict = "correct" if cause is None else "incorrect"
+    return ItemResult(item.id, selected_ids, completion, value, item.gold_value, verdict, cause)
 
 
 def evaluate(

@@ -391,12 +391,13 @@ class Services:
     sends the same prompt many times builds its request once and passes it
     to ``complete`` each time.  Not shareable across threads: the embed memo
     grows on every new text, the metrics memo on every new pool and (pool,
-    question) pair, ``ScriptedProvider`` memoizes each distinct prompt's
-    response, and the cache keeps each response it has read or written in
-    a dict keyed by the request.  The embed, fixture and cache memos do not
-    change what a call returns or counts: a prompt has one response, from
-    the provider as from the cache, the provider's ``calls`` counts every
-    request, and a cache hit served from memory is still a hit.
+    question) pair, the grade memo on every new few-shot request,
+    ``ScriptedProvider`` memoizes each distinct prompt's response, and the
+    cache keeps each response it has read or written in a dict keyed by the
+    request.  The embed, fixture and cache memos do not change what a call
+    returns or counts: a prompt has one response, from the provider as from
+    the cache, the provider's ``calls`` counts every request, and a cache
+    hit served from memory is still a hit.
 
     The metrics memo, kept by ``selection.candidate_metrics``, does change
     what is requested.  Once per pool it holds the pool's candidates, with
@@ -409,6 +410,16 @@ class Services:
     eval's provider-call count (ROADMAP item 1).  The candidates' concept
     matrix is reused only while their responses compare equal.  Every array
     a memo hands out is read-only.
+
+    The grade memo, kept by ``evalharness._grade``, changes what is
+    requested too.  It maps each few-shot request to its graded outcome: the
+    completion, then its executed value or its parse or execute cause, which
+    follow from the completion alone.  A request graded before is not
+    completed, parsed or executed again, so a later ``tune`` trial sends
+    nothing for a selection an earlier one made; a grade that raises stores
+    nothing.  It too relies on one response per prompt.  A run memo in front
+    of ``complete`` (ROADMAP item 3) would also dedupe these sends; this memo
+    would then save only the extraction and execution.
     """
 
     completion: object
@@ -418,6 +429,10 @@ class Services:
     # id(pool) -> (pool, selection's candidates and their concept matrix,
     # question -> its (n, 4) metric rows); holding the pool keeps its id from reuse
     _metrics_memo: dict[int, tuple[object, object, dict[str, np.ndarray]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    # few-shot request -> (completion, executed value or None, parse/execute cause or None)
+    _grade_memo: dict[CompletionRequest, tuple[str, float | None, str | None]] = field(
         default_factory=dict, init=False, repr=False
     )
 

@@ -180,6 +180,13 @@ def metric_requests(pool, test_questions) -> list[tuple[str, tuple[str, ...]]]:
     ]
 
 
+def few_shot_requests(sent, pool, test_questions) -> list[CompletionRequest]:
+    """The requests in ``sent`` besides selection's metric requests for scoring
+    ``pool`` against ``test_questions``: the few-shot prompts, in send order."""
+    metric = set(metric_requests(pool, test_questions))
+    return [r for r in sent if (r.prompt, r.stop_sequences) not in metric]
+
+
 def oracle_metric_rows(pool, test_question: str, fixtures, embed) -> list[list[float]]:
     """The four metrics of each candidate in ``pool`` against ``test_question``,
     one scalar at a time: the metric prompts go to a fresh ``ScriptedProvider``

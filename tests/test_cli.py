@@ -556,7 +556,7 @@ def test_repeated_question_without_cache_is_scored_once(eval_environment, reques
     out = eval_environment["tmp"] / "out.jsonl"
     argv = [command, "--pool", eval_environment["pool"], "--dataset", str(dataset)]
     assert main([*argv, "--fixtures", eval_environment["fixtures"], "--out", str(out)]) == 0
-    few_shot = 2 if command == "eval" else 0
+    few_shot = 1 if command == "eval" else 0  # the same selection: one few-shot prompt
     rows = metric_requests(eval_pool(), [record["question"]])
     assert len(request_ledger.sent) == len(rows) + few_shot
     records = [json.loads(l) for l in out.read_text().splitlines()][1:3]

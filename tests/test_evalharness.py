@@ -5,6 +5,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from potselect.providers import (
     DimensionMismatch,
     HashEmbedding,
     MalformedResponse,
+    Fixture,
     ProviderError,
     ScriptedProvider,
     Services,
@@ -50,6 +52,7 @@ from conftest import (
     eval_fixtures,
     eval_pool,
     fake_post,
+    few_shot_requests,
     make_services,
     metric_requests,
     small_example,
@@ -418,12 +421,13 @@ class TestEvaluate:
         # what scoring each question a second time sends
         rescored = metric_requests(pool, questions * 2)[len(metric_requests(pool, questions)):]
         assert len(request_ledger.sent) - sent == len(rescored) + len(dataset)
-        # no concept or rough-answer fixtures left: the memo answers the metrics
+        # no concept or rough-answer fixtures left: the metrics memo answers the
+        # metrics, and the grade memo each few-shot prompt
         services.completion = ScriptedProvider(eval_fixtures()[2:])
         sent = len(request_ledger.sent)
         again = evaluate(dataset, pool, config, services)
         assert again.items == report.items
-        assert len(request_ledger.sent) - sent == len(dataset)
+        assert len(request_ledger.sent) == sent
 
     def test_a_later_candidates_nan_fails_its_row_after_every_metric_request(
         self, tmp_path, request_ledger
@@ -486,6 +490,88 @@ class TestEvaluate:
         assert report.n_items == 0
         assert report.accuracy == 0.0
         assert report.mean_examples_used == 0.0
+
+
+def _any_few_shot(response: str) -> Fixture:
+    """Answer every few-shot prompt with ``response``."""
+    return Fixture("pattern", r"(?s)\A.*\n\nQuestion: [^\n]*\n# Python code, return ans\n\Z", response)
+
+
+class TestGradeMemo:
+    """A few-shot request is completed, parsed and executed once per ``Services``;
+    a grade that raises is not kept."""
+
+    def test_a_failed_few_shot_send_is_a_provider_cause_and_is_sent_again(
+        self, tmp_path, request_ledger
+    ):
+        dataset, pool, config = _dataset(tmp_path), eval_pool(), SelectionConfig()
+        questions = [item.question for item in dataset]
+        services = make_services([CONCEPT_FIXTURE, ROUGH_FIXTURE])  # no few-shot fixture
+        failed = evaluate(dataset, pool, config, services)
+        assert all(r.cause.startswith("provider: no fixture") for r in failed.items)
+        first = few_shot_requests(request_ledger.sent, pool, questions)
+        assert len(first) == len(dataset)
+        sent = len(request_ledger.sent)
+        assert evaluate(dataset, pool, config, services) == failed
+        # the metric rows are kept, the failed few-shot sends are not
+        assert request_ledger.sent[sent:] == first
+        services.completion = ScriptedProvider(eval_fixtures())
+        assert evaluate(dataset, pool, config, services) == evaluate(
+            dataset, pool, config, make_services(eval_fixtures())
+        )
+
+    def test_a_selection_error_stores_nothing(self, tmp_path, request_ledger):
+        dataset, pool, config = _dataset(tmp_path), eval_pool(), SelectionConfig()
+        services = make_services(eval_fixtures(), embedding=FailingEmbedding(ValueError("bad")))
+        failed = evaluate(dataset, pool, config, services)
+        assert [r.cause for r in failed.items] == ["selection: bad"] * len(dataset)
+        assert [r.completion for r in failed.items] == [None] * len(dataset)
+        services.embedding = HashEmbedding()
+        sent = len(request_ledger.sent)
+        report = evaluate(dataset, pool, config, services)
+        sends = request_ledger.sent[sent:]
+        assert len(few_shot_requests(sends, pool, [item.question for item in dataset])) == 5
+        assert report == evaluate(dataset, pool, config, make_services(eval_fixtures()))
+
+    @pytest.mark.parametrize(
+        "completion, cause",
+        [
+            ("Sure.", "parse: no answer block in completion"),
+            ("ans = 1 / 0", "execute: division by zero while computing 'ans'"),
+        ],
+        ids=["parse", "execute"],
+    )
+    def test_a_parse_or_execute_cause_is_reused_without_a_send(
+        self, tmp_path, request_ledger, monkeypatch, completion, cause
+    ):
+        dataset, pool, config = _dataset(tmp_path), eval_pool(), SelectionConfig()
+        services = make_services([CONCEPT_FIXTURE, ROUGH_FIXTURE, _any_few_shot(completion)])
+        report = evaluate(dataset, pool, config, services)
+        assert [r.cause for r in report.items] == [cause] * len(dataset)
+        sent = len(request_ledger.sent)
+        extracted = []
+        monkeypatch.setattr(
+            "potselect.evalharness.extract_answer_block",
+            lambda text: extracted.append(text) or extract_answer_block(text),
+        )
+        assert evaluate(dataset, pool, config, services) == report
+        assert len(request_ledger.sent) == sent and extracted == []
+
+    def test_a_hit_equals_the_first_grade_and_is_graded_against_its_own_gold(
+        self, tmp_path, request_ledger
+    ):
+        # one question asked three times, under two gold values; the completion is 10
+        records = [
+            {"id": name, "question": "Evaluation question number 1?", "answer": f"#### {gold}"}
+            for name, gold in (("a", 11), ("b", 10), ("c", 10))
+        ]
+        dataset, pool, config = _dataset(tmp_path, records), eval_pool(), SelectionConfig()
+        report = evaluate(dataset, pool, config, make_services(eval_fixtures()))
+        a, b, c = report.items
+        assert (a.value, a.gold_value, a.cause) == (10.0, 11.0, "wrong value")
+        assert replace(a, item_id="b", gold_value=10.0, verdict="correct", cause=None) == b
+        assert b == replace(c, item_id="b")
+        assert len(few_shot_requests(request_ledger.sent, pool, [dataset[0].question])) == 1
 
 
 class TestSaveReport:

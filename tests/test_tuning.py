@@ -39,6 +39,7 @@ from conftest import (
     eval_dataset_records,
     eval_fixtures,
     eval_pool,
+    few_shot_requests,
     make_services,
     metric_requests,
 )
@@ -461,14 +462,15 @@ class TestTuneWeights:
             Fixture("pattern", r"(?s)\AQuestion: " + re.escape(HOUSE_Q) + tail, "ans = 0"),
         ]
         pool, dataset, budget, seed = eval_pool(), _train_set(tmp_path), 14, 5
-        rows = len(metric_requests(pool, [item.question for item in dataset]))
+        questions = [item.question for item in dataset]
+        metric = metric_requests(pool, questions)
         services = make_services(fixtures)
         log_path = tmp_path / "t.jsonl"
         best = tune_weights(
             pool, dataset, budget, seed, services,
             selection_config_template=SelectionConfig(), log_path=log_path,
         )
-        assert len(request_ledger.sent) == rows + budget * len(dataset)
+        tuned = list(request_ledger.sent)
 
         def recomputing(point):
             fresh = make_services(fixtures)
@@ -476,9 +478,14 @@ class TestTuneWeights:
                 Weights.from_array(point), pool, dataset, fresh, SelectionConfig()
             )
 
-        sent = len(request_ledger.sent)
         reference = optimize(recomputing, SearchSpace(), budget, seed=seed)
-        assert len(request_ledger.sent) - sent == budget * (rows + len(dataset))
+        recomputed = request_ledger.sent[len(tuned):]
+        assert len(recomputed) == budget * (len(metric) + len(dataset))
+        # each distinct few-shot request of the trials is sent once, on its first trial
+        distinct = list(dict.fromkeys(few_shot_requests(recomputed, pool, questions)))
+        assert few_shot_requests(tuned, pool, questions) == distinct
+        assert len(distinct) < budget * len(dataset)
+        assert len(tuned) == len(metric) + len(distinct)
         _, trials = _log(log_path)
         assert trials == [(t.seq, t.point, t.objective) for t in reference.trials]
         assert len({objective for _, _, objective in trials}) > 1
