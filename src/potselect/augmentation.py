@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -333,13 +333,16 @@ def stage1(
 ) -> Example | None:
     """Rephrase the question and re-infer its answer; None means every attempt failed."""
 
-    def propose() -> Proposal:
+    def propose(_: None) -> Proposal:
         question = rephrase_question(example, services)
         answer = infer_answer((example.question, example.answer_text), question, services)
         return question, answer, example.program
 
-    found = _first_consistent(example.id, 1, None, config, services, log, propose)
-    return None if found is None else _child(example, 1, *found)
+    found = _first_consistent(example.id, 1, None, config, services, log, _no_draw, propose)
+    if found is None:
+        return None
+    (question, answer, _), report = found
+    return _child(example, 1, question, answer, report)
 
 
 def stage2(
@@ -359,12 +362,15 @@ def stage2(
         log.append(AttemptRecord(example.id, 2, None, 0, False, None, skip))
         return None
 
-    def propose() -> Proposal:
+    def propose(_: None) -> Proposal:
         pair = (reference.question, reference.answer_text)
         return example.question, infer_answer(pair, example.question, services), example.program
 
-    found = _first_consistent(example.id, 2, None, config, services, log, propose)
-    return None if found is None else _child(example, 2, *found)
+    found = _first_consistent(example.id, 2, None, config, services, log, _no_draw, propose)
+    if found is None:
+        return None
+    (question, answer, _), report = found
+    return _child(example, 2, question, answer, report)
 
 
 def stage3(
@@ -377,27 +383,30 @@ def stage3(
     """T rounds of modify-then-question; None means a round's attempts all failed.
 
     Each round modifies the program the previous round accepted, starting
-    from ``example.program``, and draws its chains from ``rng``.  The gate
+    from ``example.program``, and draws one chain per attempt from ``rng``.  The gate
     checks the answer inferred for the generated question against the
     modified answer, which is the one the product keeps.
     """
     question, program = example.question, example.program
-    modified: Program | None = None
+    draw = functools.partial(random_chain, rng)
 
-    def propose() -> Proposal:
-        nonlocal modified
-        modified = interpreter.modify_answer(program, random_chain(rng))
+    def propose(chain: ModificationChain) -> Proposal:
+        modified = interpreter.modify_answer(program, chain)
         reference = (question, program.source_text)
         new_question = generate_question(modified.source_text, reference, services)
         return new_question, infer_answer(reference, new_question, services), modified
 
     for iteration in range(1, config.iterations + 1):
-        found = _first_consistent(example.id, 3, iteration, config, services, log, propose)
+        found = _first_consistent(example.id, 3, iteration, config, services, log, draw, propose)
         if found is None:
             return None
-        question, _, report = found
-        program = modified  # the accepted attempt was the last one proposed
+        (question, _, program), report = found
     return _child(example, 3, question, program, report, config.iterations)
+
+
+def _no_draw() -> None:
+    """Stages 1 and 2 draw nothing: every attempt of theirs has the same inputs."""
+    return None
 
 
 def _first_consistent(
@@ -407,26 +416,38 @@ def _first_consistent(
     config: AugmentationConfig,
     services: Services,
     log: list[AttemptRecord],
-    propose: Callable[[], Proposal],
-) -> tuple[str, Program, ConsistencyReport] | None:
-    """The first of up to ``max_retries + 1`` proposals that passes the gate.
+    draw: Callable[[], Hashable],
+    propose: Callable[[Any], Proposal],
+) -> tuple[Proposal, ConsistencyReport] | None:
+    """The first of up to ``max_retries + 1`` attempts whose proposal passes the gate.
 
-    The gate checks the candidate answer against the reference answer.  A
-    proposal that cannot be generated counts as an inconsistent attempt.
-    Every attempt is logged.  Returns the accepted proposal's question,
-    candidate answer and report; None means all of them failed.
+    Each attempt first draws its inputs (``draw``, which runs for every
+    attempt), then ``propose`` builds a proposal from them, sending its
+    requests.  The gate checks the candidate answer against the reference
+    answer.  A proposal that cannot be generated counts as an inconsistent
+    attempt.  A completion has one response per prompt, so an attempt that
+    draws the same inputs as an attempt already rejected in this call gets
+    that attempt's report: it proposes nothing, sends nothing and runs no
+    gate.  A ``ProviderError`` propagates and leaves no report behind.
+    Every attempt is logged.  Returns the accepted proposal and its report;
+    None means all of them failed.
     """
+    rejected: dict[Hashable, ConsistencyReport] = {}
     for attempt in range(config.max_retries + 1):
-        try:
-            proposal = propose()
-        except (EmptyGeneration, InterpreterError) as exc:
-            report = ConsistencyReport(False, None, None, None, "inconsistent", str(exc))
-        else:
-            report = check_consistency(proposal[1], proposal[2], services, tau=config.tau)
+        drawn = draw()
+        report = rejected.get(drawn)
+        if report is None:
+            try:
+                proposal = propose(drawn)
+            except (EmptyGeneration, InterpreterError) as exc:
+                report = ConsistencyReport(False, None, None, None, "inconsistent", str(exc))
+            else:
+                report = check_consistency(proposal[1], proposal[2], services, tau=config.tau)
         accepted = report.verdict == "consistent"
         log.append(AttemptRecord(seed_id, stage, iteration, attempt, accepted, report))
         if accepted:
-            return proposal[0], proposal[1], report
+            return proposal, report
+        rejected[drawn] = report
     return None
 
 

@@ -210,7 +210,8 @@ def cmd_augment(cfg: dict) -> int:
     counts = result.accepted_per_stage()
     print(
         f"pool: {len(pool)} seeds -> {len(result.pool)} examples "
-        f"(stage1={counts[1]} stage2={counts[2]} stage3={counts[3]})"
+        f"(stage1={counts[1]} stage2={counts[2]} stage3={counts[3]}) "
+        f"provider_calls={services.completion.calls}"
     )
     return EXIT_OK
 

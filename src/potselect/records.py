@@ -9,6 +9,7 @@ check only a record's shape.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -68,13 +69,27 @@ def decode_jsonl(lines: Iterable[str], path: str | Path) -> Iterator[tuple[int, 
 def write_jsonl(path: str | Path, records: Iterable, meta: dict | None = None) -> None:
     """One JSON object per line (sorted keys, non-ASCII kept), after an optional meta record.
 
+    The lines go to a temporary file beside ``path``, which then replaces
+    ``path`` whole; on any failure the temporary file is removed and an
+    earlier file at ``path`` is left as it was.
+
     A dataclass record, at any depth, is written as its fields, uncopied.  A
     lone surrogate, which UTF-8 cannot encode, can only sit inside a JSON
     string, so it is written as its JSON escape (``\\ud800``).
     """
     lines = [] if meta is None else [{"meta": meta}]
     lines.extend(records)
-    with open(path, "wb") as fh:
-        for record in lines:
-            text = json.dumps(record, sort_keys=True, ensure_ascii=False, default=vars) + "\n"
-            fh.write(text.encode("utf-8", "backslashreplace"))
+    path = Path(path).resolve()  # a symlinked target is replaced, not the link
+    # a random name beside the target, created exclusively; unlike a mkstemp
+    # file, which only its owner may read, it gets the mode a plain open gives
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            for record in lines:
+                text = json.dumps(record, sort_keys=True, ensure_ascii=False, default=vars) + "\n"
+                fh.write(text.encode("utf-8", "backslashreplace"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -261,7 +261,7 @@ class TestRunStage:
         assert out.consistency.verdict == "consistent"
         assert len(log) == 1 and log[0].accepted
 
-    def test_stage1_exhausts_retries_on_wrong_answers(self):
+    def test_stage1_exhausts_retries_on_wrong_answers(self, request_ledger):
         fixtures = [
             Fixture(
                 "pattern", r"(?s)# Instruction: Rephrase the question\Z", "some new question"
@@ -273,8 +273,28 @@ class TestRunStage:
         config = AugmentationConfig(max_retries=2)
         out = stage1(bolts_example(), config, services, log)
         assert out is None
-        assert len(log) == 3  # max_retries + 1 attempts
-        assert all(not r.accepted for r in log)
+        assert [(r.attempt, r.accepted) for r in log] == [(0, False), (1, False), (2, False)]
+        # every attempt has the first one's inputs, so the retries reuse its report
+        assert all(r.report == log[0].report for r in log)
+        assert log[0].report.cause == "output mismatch"
+        assert request_ledger.pairs == [
+            (prompts.rephrase_prompt(BOLTS_Q, BOLTS_A), ()),
+            (prompts.few_shot_prompt([(BOLTS_Q, BOLTS_A)], "some new question"), ("Question:",)),
+        ]
+
+    def test_stage2_rejected_on_every_attempt_sends_its_request_once(self, request_ledger):
+        product = Example(
+            "S01.s1", "Problem number 1, rephrased.", "ans = 1", Provenance("stage1"), "S01"
+        )
+        infer = prompts.few_shot_prompt([("Problem number 2.", "ans = 2")], product.question)
+        services = make_services([Fixture("exact", infer, "ans = 5")])
+        log = []
+        out = stage2(product, thirteen_seeds(), AugmentationConfig(max_retries=3), services, log)
+        assert out is None
+        assert [(r.stage, r.attempt, r.accepted) for r in log] == [(2, a, False) for a in range(4)]
+        assert all(r.report == log[0].report for r in log)
+        assert log[0].report.candidate_value == 5.0
+        assert request_ledger.pairs == [(infer, ("Question:",))]
 
     def test_stage2_skipped_for_pool_of_one(self):
         product = Example(
@@ -337,6 +357,61 @@ class TestRunStage:
         assert out.question == generated_q
         assert out.provenance == Provenance("stage3", iteration=1)
         assert out.parent_id == "bolts.s1.s2"
+
+
+class ScriptedDraws:
+    """An rng stand-in for ``random_chain``: each chain given, as its two draws."""
+
+    def __init__(self, *chains: tuple[str, int]):
+        self.values = [v for op, operand in chains for v in ("+-*/".index(op), operand)]
+
+    def integers(self, low: int, high: int) -> int:
+        return self.values.pop(0)
+
+
+class TestStage3Redraws:
+    """A round's retry that draws a chain rejected earlier in the round: with
+    ``ROUNDS_FIXTURES``, a division step has no inferred program, and any other
+    step is accepted."""
+
+    seed = Example("S07", "Problem number 7.", "ans = 7")
+
+    def test_a_redrawn_rejected_chain_sends_nothing(self, request_ledger):
+        rng = ScriptedDraws(("/", 2), ("/", 2), ("/", 3), ("/", 2))
+        log = []
+        out = stage3(self.seed, rng, AugmentationConfig(), make_services(ROUNDS_FIXTURES), log)
+        assert out is None
+        assert rng.values == []  # every attempt drew its chain
+        assert [(r.attempt, r.accepted) for r in log] == [(a, False) for a in range(4)]
+        assert all(r.report.cause == "completion contains no parseable answer block" for r in log)
+        # the generated question and its inferred answer, for "/ 2" once and then "/ 3"
+        assert request_ledger.distinct == request_ledger.sent
+        halves = [r.prompt.count("ans = temp0 / 2") for r in request_ledger.sent]
+        thirds = [r.prompt.count("ans = temp0 / 3") for r in request_ledger.sent]
+        assert halves == [1, 1, 0, 0] and thirds == [0, 0, 1, 1]
+
+    def test_a_new_chain_after_rejected_redraws_is_accepted_and_logged(self, request_ledger):
+        rng = ScriptedDraws(("/", 2), ("/", 2), ("+", 3))
+        log = []
+        out = stage3(self.seed, rng, AugmentationConfig(), make_services(ROUNDS_FIXTURES), log)
+        assert out.answer_text == "temp0 = 7\nans = temp0 + 3"
+        assert out.provenance == Provenance("stage3", iteration=1)
+        assert [(r.seed_id, r.stage, r.iteration, r.attempt, r.accepted) for r in log] == [
+            ("S07", 3, 1, 0, False), ("S07", 3, 1, 1, False), ("S07", 3, 1, 2, True)
+        ]
+        assert log[2].report == out.consistency and out.consistency.verdict == "consistent"
+        assert len(request_ledger.sent) == 4
+
+    def test_a_provider_error_is_raised_not_reused(self, request_ledger):
+        # no fixture infers the "+ 3" answer: NoFixture, a ProviderError, on attempt 1
+        fixtures = [f for f in ROUNDS_FIXTURES if "[-+*]" not in f.text]
+        rng = ScriptedDraws(("/", 2), ("+", 3), ("+", 3))
+        log = []
+        with pytest.raises(NoFixture):
+            stage3(self.seed, rng, AugmentationConfig(), make_services(fixtures), log)
+        assert [(r.attempt, r.accepted) for r in log] == [(0, False)]
+        assert len(rng.values) == 2  # attempt 2 never drew
+        assert len(request_ledger.sent) == 4
 
 
 class TestStage2Reference:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import errno
 import json
 import os
 import re
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import potselect
+from potselect import records
 from potselect.augmentation import Example
 from potselect.cache import _read_entry
 from potselect.cli import _effective_config, build_parser, main
@@ -407,7 +409,8 @@ def _outputs(out: Path) -> list[bytes]:
 def _cache_transparent(argv: list[str], tmp: Path, ledger) -> list[list[bytes]]:
     """Run ``argv`` with no cache, a cold cache and a warm one, and check that the
     three runs write the same bytes, meta records and trial timestamps apart, that
-    the cold run sends each distinct request once and the warm run nothing.
+    the cold run sends each distinct request once and the warm run nothing, and
+    that an uncached ``augment`` sends each distinct request once as well.
     Return the lines of each output file."""
     cache = ["--cache-dir", str(tmp / "cache")]
     runs, sent = [], []
@@ -419,6 +422,8 @@ def _cache_transparent(argv: list[str], tmp: Path, ledger) -> list[list[bytes]]:
         sent.append(list(ledger.sent))
     assert runs[0] == runs[1] == runs[2]
     assert sent[1] == list(dict.fromkeys(sent[0])) != []  # the uncached run's, once each
+    if argv[0] == "augment":  # a retry with a rejected attempt's inputs sends nothing
+        assert sent[0] == sent[1]
     assert sent[2] == []
     return runs[0]
 
@@ -1250,3 +1255,72 @@ def test_invalid_json_in_any_input_file_names_the_file_and_the_line(surface, cap
         Path(path).write_text("[\n{\"a\": }\n]" if surface == "svamp-array" else '\n{"a": }\n')
         assert main(_argv("select", env, *extra)) == 3
         assert f"data error: record 2: invalid JSON in {path}: " in capsys.readouterr().err
+
+
+# the files each command writes through ``records.write_jsonl``, in write order;
+# tune's trial log is flushed trial by trial instead
+_WRITTEN = {
+    "augment": ("out", "out.attempts.jsonl"),
+    "select": ("out", "out.trace.jsonl"),
+    "eval": ("out",),
+    "tune": ("out",),
+}
+
+
+class _FailingFile:
+    """A binary file whose ``line``-th write raises ``OSError``, as a full disk or a
+    file-size limit would; ``write_jsonl`` writes one line at a time."""
+
+    def __init__(self, fh, line: int):
+        self.fh, self.line, self.written = fh, line, 0
+
+    def write(self, data: bytes) -> int:
+        self.written += 1
+        if self.written == self.line:
+            raise OSError(errno.EFBIG, "File too large")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+def _failing_open(file_no: int, line: int):
+    """An ``open`` for ``records`` under which the ``file_no``-th file (from 0)
+    opened for writing is a ``_FailingFile``."""
+    opened = []
+
+    def fake_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        if "r" in mode:
+            return fh
+        opened.append(file)
+        return _FailingFile(fh, line) if len(opened) - 1 == file_no else fh
+
+    return fake_open
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_WRITTEN)), st.data())
+def test_a_failed_write_leaves_the_earlier_output_file_whole(command, data):
+    """A write that fails at any line of any output file exits 3 and leaves no
+    temporary file: the files written before it are this run's, whole, and the
+    failed file and those after it keep an earlier run's bytes."""
+    written = _WRITTEN[command]
+    with tempfile.TemporaryDirectory() as root, contextlib.chdir(root):
+        argv = [*_command_argv(command, Path(root)), "--out", "out"]
+        assert main(argv) == 0
+        new = {name: Path(name).read_bytes() for name in written}
+        for name in written:
+            Path(name).write_bytes(b"an earlier run\n")
+        names = sorted(os.listdir())
+        file_no = data.draw(st.integers(0, len(written) - 1), label="file_no")
+        line = data.draw(st.integers(1, new[written[file_no]].count(b"\n")), label="line")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(records, "open", _failing_open(file_no, line), raising=False)
+            assert main(argv) == 3
+        assert sorted(os.listdir()) == names
+        for i, name in enumerate(written):
+            assert Path(name).read_bytes() == (new[name] if i < file_no else b"an earlier run\n")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+import stat
 
 import pytest
 
@@ -54,3 +56,15 @@ def test_invalid_json_names_the_file_and_the_line(tmp_path, text, line_no):
     message = f"^record {line_no}: invalid JSON in {re.escape(str(path))}: "
     with pytest.raises(MalformedRecord, match=message):
         read_json(path)
+
+
+def test_a_write_replaces_the_file_a_symlink_names_with_a_plain_open_mode(tmp_path):
+    target, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+    target.write_text("an earlier run\n")
+    link.symlink_to(target)
+    write_jsonl(link, [{"a": 1}])
+    assert link.is_symlink() and target.read_text() == '{"a": 1}\n'
+    mask = os.umask(0)
+    os.umask(mask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
