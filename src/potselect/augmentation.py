@@ -284,7 +284,7 @@ def rephrase_question(example: Example, services: Services) -> str:
 def infer_answer(reference: tuple[str, str], new_question: str, services: Services) -> Program:
     """Answer ``new_question`` with the (question, answer) ``reference`` as the one shot."""
     prompt = prompts.few_shot_prompt([reference], new_question)
-    completion = services.complete_text(prompt, stop_sequences=("Question:",))
+    completion = services.complete_text(prompt, stop_sequences=prompts.FEW_SHOT_STOP)
     program = extract_answer_block(completion)
     if program is None:
         raise EmptyGeneration("completion contains no parseable answer block")

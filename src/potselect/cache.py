@@ -4,10 +4,12 @@
 key under a directory.  Each entry declares byte lengths for the canonical
 request and the verbatim response so round-trips are bit-exact; a lone
 surrogate, which strict UTF-8 cannot encode, is stored as its three
-``surrogatepass`` bytes, so any ``str`` round-trips.  Writes go through a
-temp file and an atomic rename, so concurrent writers of the same key are
-benign and distinct keys never interfere.  A reader that finds an entry
-gone, or already quarantined, by another process counts a miss.
+``surrogatepass`` bytes, so any ``str`` round-trips.  ``records.replace_file``
+writes an entry as it writes an output file, through a temp file and an
+atomic rename, so concurrent writers of the same key are benign, distinct
+keys never interfere, and an entry gets an output file's mode.  A reader
+that finds an entry gone, or already quarantined, by another process
+counts a miss.
 
 A store verifies an entry on its first read and serves it from memory
 afterwards, as it does a response it has written: a run reads each entry
@@ -21,11 +23,11 @@ import contextlib
 import hashlib
 import os
 import re
-import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from .records import replace_file
 
 if TYPE_CHECKING:
     from .providers import CompletionRequest
@@ -35,14 +37,6 @@ _KEY_NAME = re.compile(r"^[0-9a-f]{64}$")
 
 class CacheCorrupt(Exception):
     """A stored entry failed key or length recomputation."""
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    response: str
-    created_at: str
-    provider_id: str
 
 
 class CacheStore:
@@ -68,42 +62,31 @@ class CacheStore:
         key = request.key()
         path = self.directory / key
         try:
-            entry = _read_entry(path)
-            if entry.key != key:
-                raise CacheCorrupt(f"stored key {entry.key!r} != expected {key!r}")
+            stored_key, response = _read_entry(path)
+            if stored_key != key:
+                raise CacheCorrupt(f"stored key {stored_key!r} != expected {key!r}")
         except FileNotFoundError:
             return None
         except CacheCorrupt:
             with contextlib.suppress(FileNotFoundError):  # another process moved it first
                 os.replace(path, path.with_name(key + ".corrupt"))
             return None
-        self._known[request] = entry.response
-        return entry.response
+        self._known[request] = response
+        return response
 
     def put(self, request: "CompletionRequest", response: str, provider_id: str) -> None:
         request_bytes = request.canonical().encode("utf-8", "surrogatepass")
         key = hashlib.sha256(request_bytes).hexdigest()  # request.key(), serialized once
-        created_at = datetime.now(timezone.utc).isoformat()
         response_bytes = response.encode("utf-8", "surrogatepass")
         header = (
             f"key: {key}\n"
             f"provider_id: {provider_id}\n"
-            f"created_at: {created_at}\n"
+            f"created_at: {datetime.now(timezone.utc).isoformat()}\n"
             f"request_bytes: {len(request_bytes)}\n"
             f"response_bytes: {len(response_bytes)}\n"
             "\n"
         )
-        fd, tmp_name = tempfile.mkstemp(prefix=f".{key}.", dir=self.directory)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(header.encode("utf-8"))
-                fh.write(request_bytes)
-                fh.write(response_bytes)
-            os.replace(tmp_name, self.directory / key)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        replace_file(self.directory / key, (header.encode("utf-8"), request_bytes, response_bytes))
         self._known[request] = response
 
     def stats(self) -> dict[str, int]:
@@ -119,7 +102,8 @@ class CacheStore:
         return {"entries": entries, "bytes": total_bytes, "quarantined": quarantined}
 
 
-def _read_entry(path: Path) -> CacheEntry:
+def _read_entry(path: Path) -> tuple[str, str]:
+    """The key an entry declares and its response."""
     blob = path.read_bytes()
     head, sep, body = blob.partition(b"\n\n")
     if not sep:
@@ -133,9 +117,8 @@ def _read_entry(path: Path) -> CacheEntry:
     try:
         request_len = int(fields["request_bytes"])
         response_len = int(fields["response_bytes"])
-        key = fields["key"]
-        provider_id = fields["provider_id"]
-        created_at = fields["created_at"]
+        # provider_id and created_at are informational, yet an entry must have them
+        key, _provider_id, _created_at = fields["key"], fields["provider_id"], fields["created_at"]
     except (KeyError, ValueError) as exc:
         raise CacheCorrupt(f"bad header: {exc}") from None
     if len(body) != request_len + response_len:
@@ -147,5 +130,5 @@ def _read_entry(path: Path) -> CacheEntry:
         response = body[request_len:].decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as exc:
         raise CacheCorrupt(f"response is not UTF-8: {exc}") from None
-    return CacheEntry(key=key, response=response, created_at=created_at, provider_id=provider_id)
+    return key, response
 

@@ -118,7 +118,7 @@ def load_svamp(path: str | Path) -> list[QAItem]:
             raise MalformedRecord(line_no, "needs body, question and answer fields")
         try:
             gold = float(None if isinstance(answer, bool) else answer)  # true is not a number
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
             raise MalformedRecord(line_no, f"answer {answer!r} is not numeric") from None
         if not math.isfinite(gold):
             raise MalformedRecord(line_no, f"answer {answer!r} is not finite")
@@ -163,14 +163,11 @@ class EvalReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "items"}
 
 
-FEW_SHOT_STOP = ("Question:",)  # a few-shot completion ends before the next question
-
-
 def _outcome(prompt: str, services: Services) -> tuple[str, float | None, str | None]:
     """The completion of the few-shot ``prompt``, then its executed value or the
     parse or execute cause, both of which follow from the completion alone."""
     # complete_text, which the benchmark traces as the few-shot completions
-    completion = services.complete_text(prompt, stop_sequences=FEW_SHOT_STOP)
+    completion = services.complete_text(prompt, stop_sequences=prompts.FEW_SHOT_STOP)
     program = extract_answer_block(completion)
     if program is None:
         return completion, None, "parse: no answer block in completion"
@@ -193,7 +190,7 @@ def _grade(
         selection = select_examples(pool, item.question, config, services)
         selected_ids = tuple(selection.chosen_ids)
         prompt = build_prompt([example for example, _ in selection.chosen], item.question)
-        request = services.request(prompt, stop_sequences=FEW_SHOT_STOP)
+        request = services.request(prompt, stop_sequences=prompts.FEW_SHOT_STOP)
         outcome = services._grade_memo.get(request)
         if outcome is None:  # an outcome that raises is not stored
             outcome = services._grade_memo[request] = _outcome(prompt, services)

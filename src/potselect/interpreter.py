@@ -13,6 +13,7 @@ import ast
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 
@@ -138,9 +139,11 @@ def _convert(node: ast.expr, depth: int = 0) -> Expr:
         raise _Unsupported(_NESTED_TOO_DEEP)
     if isinstance(node, ast.Constant):
         # bool is an int subclass; reject it along with strings etc.
-        if type(node.value) in (int, float):
-            return Num(float(node.value))
-        raise _Unsupported(f"literal {node.value!r}")
+        if type(node.value) not in (int, float):
+            raise _Unsupported(f"literal {node.value!r}")
+        if abs(node.value) > sys.float_info.max:  # 1e999 parses as inf, and an int can be larger
+            raise _Unsupported("literal beyond float range")
+        return Num(float(node.value))
     if isinstance(node, ast.Name):
         return Var(node.id)
     if isinstance(node, ast.UnaryOp):
@@ -253,7 +256,7 @@ def _expr_precedence(expr: Expr) -> int:
 def _render_expr(expr: Expr, min_precedence: int = 0) -> str:
     if isinstance(expr, Num):
         v = expr.value
-        text = str(int(v)) if v == int(v) and math.isfinite(v) else repr(v)
+        text = str(int(v)) if v == int(v) else repr(v)
     elif isinstance(expr, Var):
         text = expr.name
     elif isinstance(expr, Neg):

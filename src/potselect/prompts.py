@@ -30,6 +30,9 @@ def answer_first_block(answer_text: str, question: str) -> str:
     return f"{PROGRAM_HEADER}\n{answer_text.rstrip(chr(10))}\n\nQuestion: {question}\n"
 
 
+FEW_SHOT_STOP = ("Question:",)  # a few-shot or zero-shot completion ends before the next question
+
+
 def few_shot_prompt(pairs: Sequence[tuple[str, str]], test_question: str) -> str:
     """Static examples followed by the test question and a bare header line.
 

@@ -1,9 +1,10 @@
-"""How a record enters or leaves a JSON file: one reader, one writer.
+"""How a record enters or leaves a file: one reader, one encoder, one writer.
 
-Every input file is decoded by ``read_json`` or ``read_jsonl``, or, once
-read, by the ``decode_json`` or ``decode_jsonl`` under them, and every
-line-delimited output is encoded by ``write_jsonl``; the loaders elsewhere
-check only a record's shape.
+Every input file is decoded by ``read_json`` or ``read_jsonl``, or, once read,
+by the ``decode_json`` or ``decode_jsonl`` under them; every output line is
+encoded by ``encode_record``, and every file but the streamed trial log, cache
+entries too, is written whole by ``replace_file``.  The loaders elsewhere check
+only a record's shape.
 """
 
 from __future__ import annotations
@@ -67,28 +68,37 @@ def decode_jsonl(lines: Iterable[str], path: str | Path) -> Iterator[tuple[int, 
 
 
 def write_jsonl(path: str | Path, records: Iterable, meta: dict | None = None) -> None:
-    """One JSON object per line (sorted keys, non-ASCII kept), after an optional meta record.
+    """One ``encode_record`` line per record, after an optional meta record,
+    written to ``path`` by ``replace_file``."""
+    lines = [] if meta is None else [{"meta": meta}]
+    lines.extend(records)
+    replace_file(path, map(encode_record, lines))
 
-    The lines go to a temporary file beside ``path``, which then replaces
-    ``path`` whole; on any failure the temporary file is removed and an
-    earlier file at ``path`` is left as it was.
+
+def encode_record(record) -> bytes:
+    """One JSON line: sorted keys, non-ASCII kept as UTF-8.
 
     A dataclass record, at any depth, is written as its fields, uncopied.  A
     lone surrogate, which UTF-8 cannot encode, can only sit inside a JSON
     string, so it is written as its JSON escape (``\\ud800``).
     """
-    lines = [] if meta is None else [{"meta": meta}]
-    lines.extend(records)
+    text = json.dumps(record, sort_keys=True, ensure_ascii=False, default=vars) + "\n"
+    return text.encode("utf-8", "backslashreplace")
+
+
+def replace_file(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, which then replaces
+    ``path`` whole; on any failure the temporary file is removed and an
+    earlier file at ``path`` is left as it was."""
     path = Path(path).resolve()  # a symlinked target is replaced, not the link
-    # a random name beside the target, created exclusively; unlike a mkstemp
-    # file, which only its owner may read, it gets the mode a plain open gives
+    # a random name beside the target, created exclusively with the mode a
+    # plain open gives, not an owner-only one
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
-            for record in lines:
-                text = json.dumps(record, sort_keys=True, ensure_ascii=False, default=vars) + "\n"
-                fh.write(text.encode("utf-8", "backslashreplace"))
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

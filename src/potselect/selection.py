@@ -172,7 +172,9 @@ class _Probe:
 
 
 def _probe(test_question: str, services: Services) -> _Probe:
-    rough = services.request(prompts.zero_shot_prompt(test_question), stop_sequences=("Question:",))
+    rough = services.request(
+        prompts.zero_shot_prompt(test_question), stop_sequences=prompts.FEW_SHOT_STOP
+    )
     return _Probe(
         services.embed_with_norm(test_question), concept_request(test_question, services), rough
     )

@@ -18,7 +18,6 @@ calls scipy's own.  scipy.special is imported only once a density is fitted.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -29,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .providers import ProviderError, Services
+from .records import encode_record
 from .selection import EmptyPool, SelectionConfig, Weights
 
 
@@ -269,21 +269,21 @@ def optimize(
     """Run a new search of ``budget`` trials from ``seed``.
 
     ``log_path``, when given, is overwritten with an ``{"rng_seed": seed}``
-    header and then one line per trial, flushed as the trial completes, so a
-    run that raises leaves the trials before it in the log.
+    header and then one ``encode_record`` line per trial, flushed as the trial
+    completes, so a run that raises leaves the trials before it in the log.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     history = TrialHistory(rng_seed=seed)
-    with open(os.devnull if log_path is None else log_path, "w", encoding="utf-8") as log_fh:
-        log_fh.write(json.dumps({"rng_seed": seed}) + "\n")
+    with open(os.devnull if log_path is None else log_path, "wb") as log_fh:
+        log_fh.write(encode_record({"rng_seed": seed}))
         for _ in range(budget):
             point = tpe_suggest(history, space)
             value = float(objective(point))
             trial = Trial(seq=len(history.trials), point=tuple(float(v) for v in point), objective=value)
             history.trials.append(trial)
             record = {**vars(trial), "timestamp": datetime.now(timezone.utc).isoformat()}
-            log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+            log_fh.write(encode_record(record))
             log_fh.flush()
     return history
 

@@ -7,6 +7,7 @@ and ``oracle_metric_rows`` recomputes the four metrics scalar by scalar.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import re
@@ -101,6 +102,42 @@ class FailingEmbedding:
 
     def embed(self, text: str) -> np.ndarray:
         raise self.error
+
+
+class _FailingFile:
+    """A binary file whose ``write_no``-th write raises ``OSError``, as a full disk
+    or a file-size limit would.  ``write_jsonl`` writes one line a write, and a
+    cache entry is three writes: header, request, response."""
+
+    def __init__(self, fh, write_no: int):
+        self.fh, self.write_no, self.written = fh, write_no, 0
+
+    def write(self, data: bytes) -> int:
+        self.written += 1
+        if self.written == self.write_no:
+            raise OSError(errno.EFBIG, "File too large")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+def failing_open(file_no: int, write_no: int):
+    """An ``open`` for ``records`` under which the ``file_no``-th file (from 0)
+    opened for writing fails at its ``write_no``-th write."""
+    opened = []
+
+    def fake_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        if "r" in mode:
+            return fh
+        opened.append(file)
+        return _FailingFile(fh, write_no) if len(opened) - 1 == file_no else fh
+
+    return fake_open
 
 
 def save_fixtures(fixtures: list[Fixture], path: str | Path) -> None:

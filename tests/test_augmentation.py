@@ -138,6 +138,12 @@ class TestExtractAnswerBlock:
         completion = "ans = q + 1\nq = 2\nans = q + 1"
         assert extract_answer_block(completion).source_text == "q = 2\nans = q + 1"
 
+    @pytest.mark.parametrize("literal", ["9" * 400, "1e999"], ids=["int", "float"])
+    def test_a_line_with_a_literal_beyond_float_range_is_not_in_a_block(self, literal):
+        assert extract_answer_block(f"ans = {literal}") is None
+        completion = f"ans = 1 / {literal}\nx = 2\nans = x"
+        assert extract_answer_block(completion).source_text == "x = 2\nans = x"
+
     def test_a_line_with_a_lone_surrogate_is_not_python(self):
         assert extract_answer_block("ans = 1\ud800") is None
         completion = "ans = 1\ud800\nx = 2\nans = x"

@@ -6,10 +6,11 @@ import os
 
 import pytest
 
+from potselect import records
 from potselect.cache import CacheCorrupt, CacheStore, _read_entry
 from potselect.providers import CompletionRequest, Fixture, NoFixture
 
-from conftest import make_services
+from conftest import failing_open, make_services
 
 
 @pytest.fixture
@@ -197,6 +198,31 @@ class TestReadOnce:
         assert reads == [request.key()]
         assert list(store.directory.iterdir()) == []
 
+    @pytest.mark.parametrize("failing", ["header", "request", "response", "rename"])
+    def test_a_failed_put_leaves_the_earlier_entry_whole(self, store, reads, monkeypatch, failing):
+        """A put that fails at any of its three writes or at its rename leaves the
+        entry an earlier run wrote, no temporary file and nothing in memory."""
+        request = CompletionRequest(prompt="p")
+        CacheStore(store.directory).put(request, "first", "scripted")  # an earlier run
+        path = store.directory / request.key()
+        earlier = path.read_bytes()
+
+        def full_disk(source, target):
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as patch:
+            if failing == "rename":
+                patch.setattr(records.os, "replace", full_disk)
+            else:
+                write_no = ["header", "request", "response"].index(failing) + 1
+                patch.setattr(records, "open", failing_open(0, write_no), raising=False)
+            with pytest.raises(OSError):
+                store.put(request, "second", "scripted")
+        assert list(store.directory.iterdir()) == [path]
+        assert path.read_bytes() == earlier
+        assert store.get(request) == "first"
+        assert reads == [request.key()]
+
     def test_a_put_after_a_get_replaces_what_memory_serves(self, store):
         request = CompletionRequest(prompt="p")
         store.put(request, "first", "scripted")
@@ -234,13 +260,21 @@ class TestRoundTrip:
         }
 
     def test_entry_header_fields(self, store):
+        """The header names the key, the provider and the time of writing; no
+        reader uses the last two, but an entry without either is corrupt."""
         request = CompletionRequest(prompt="p")
         _services(store, "resp").complete_text("p")
-        entry = _read_entry(store.directory / request.key())
-        assert entry.key == request.key()
-        assert entry.provider_id == "scripted"
-        assert entry.response == "resp"
-        assert entry.created_at  # informational timestamp present
+        path = store.directory / request.key()
+        blob = path.read_bytes()
+        head = blob.partition(b"\n\n")[0].decode()
+        fields = dict(line.split(": ", 1) for line in head.split("\n"))
+        assert (fields["key"], fields["provider_id"]) == (request.key(), "scripted")
+        assert fields["created_at"]  # informational timestamp present
+        assert _read_entry(path) == (request.key(), "resp")
+        for name in ("provider_id", "created_at"):
+            path.write_bytes(blob.replace(f"{name}: {fields[name]}\n".encode(), b""))
+            with pytest.raises(CacheCorrupt, match=f"bad header: '{name}'"):
+                _read_entry(path)
 
     def test_put_names_the_entry_by_key_and_stores_the_canonical_request(self, store):
         request = CompletionRequest(prompt="∑ \ud7ff\n", model_id="m", stop_sequences=("Q:",))

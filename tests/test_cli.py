@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import errno
 import json
 import os
 import re
@@ -43,6 +42,7 @@ from conftest import (
     eval_dataset_records,
     eval_fixtures,
     eval_pool,
+    failing_open,
     fake_post,
     metric_requests,
     save_fixtures,
@@ -482,6 +482,66 @@ def test_a_completion_with_a_lone_surrogate_is_written_into_the_report(eval_envi
     assert records[1]["completion"] == "ans = 1\ud800"
     assert records[1]["cause"] == "parse: no answer block in completion"
     assert "summary" in records[-1]
+
+
+_BEYOND_FLOAT_RANGE = ["9" * 400, "1e999"]  # an int too large for a float; a float read as inf
+
+
+@pytest.mark.parametrize("literal", _BEYOND_FLOAT_RANGE, ids=["int", "float"])
+def test_a_seed_literal_beyond_float_range_is_a_data_error(augment_files, capsys, literal):
+    pool = Path(augment_files["pool"])
+    records = [json.loads(line) for line in pool.read_text().splitlines()]
+    records[1]["answer_text"] = f"x = 1 / {literal}\nans = 2 + x"
+    pool.write_text("".join(json.dumps(record) + "\n" for record in records))
+    out = augment_files["tmp"] / "out.jsonl"
+    argv = ["augment", "--pool", str(pool), "--fixtures", augment_files["fixtures"]]
+    assert main([*argv, "--stages", "1,2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "data error: record 2: not a pool example" in err
+    assert "line 1: unsupported construct: literal beyond float range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", _BEYOND_FLOAT_RANGE, ids=["int", "float"])
+def test_a_completion_literal_beyond_float_range_is_a_rejected_attempt(tmp_path, literal):
+    """Were ``1 / 1e999`` parsed, it would execute to 0 and pass the gate, and
+    stage 3 would then fail to render its product's literal."""
+    pool_path, fixtures_path = tmp_path / "seed.jsonl", tmp_path / "fixtures.json"
+    _write_seed_pool(pool_path, [Example(id="one", question="Problem number 1.", answer_text="ans = 1")])
+    rephrase, infer = augmentation_fixtures()
+    completion = f"x = 1 / {literal}\nans = 1 + x"
+    save_fixtures([rephrase, Fixture(infer.kind, infer.text, completion)], fixtures_path)
+    out = tmp_path / "pool.jsonl"
+    argv = ["augment", "--pool", str(pool_path), "--fixtures", str(fixtures_path)]
+    assert main([*argv, "--stages", "1", "--out", str(out)]) == 0
+    attempts = [json.loads(l) for l in Path(f"{out}.attempts.jsonl").read_text().splitlines()]
+    assert [(a["accepted"], a["report"]["cause"]) for a in attempts] == [
+        (False, "completion contains no parseable answer block")
+    ] * 4
+
+
+@pytest.mark.parametrize("literal", _BEYOND_FLOAT_RANGE, ids=["int", "float"])
+def test_a_completion_literal_beyond_float_range_is_a_parse_cause(eval_environment, literal):
+    fixtures = json.loads(Path(eval_environment["fixtures"]).read_text(encoding="utf-8"))
+    fixtures[2]["response"] = f"ans = {literal}"  # the first question's completion
+    Path(eval_environment["fixtures"]).write_text(json.dumps(fixtures))
+    out = eval_environment["tmp"] / "report.jsonl"
+    argv = ["eval", "--pool", eval_environment["pool"], "--dataset", eval_environment["dataset"]]
+    assert main([*argv, "--fixtures", eval_environment["fixtures"], "--out", str(out)]) == 0
+    records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+    assert records[1]["cause"] == "parse: no answer block in completion"
+    assert "summary" in records[-1]
+
+
+def test_a_svamp_answer_beyond_float_range_is_a_data_error(eval_environment, capsys):
+    dataset = eval_environment["tmp"] / "svamp.json"
+    dataset.write_text(json.dumps([{"Body": "B", "Question": "Q?", "Answer": 10**400}]))
+    out = eval_environment["tmp"] / "report.jsonl"
+    argv = ["eval", "--pool", eval_environment["pool"], "--dataset", str(dataset)]
+    argv += ["--dataset-kind", "svamp", "--fixtures", eval_environment["fixtures"]]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert f"data error: record 1: answer {10**400} is not numeric" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _surrogate_inputs(tmp: Path, command: str) -> list[str]:
@@ -1267,41 +1327,6 @@ _WRITTEN = {
 }
 
 
-class _FailingFile:
-    """A binary file whose ``line``-th write raises ``OSError``, as a full disk or a
-    file-size limit would; ``write_jsonl`` writes one line at a time."""
-
-    def __init__(self, fh, line: int):
-        self.fh, self.line, self.written = fh, line, 0
-
-    def write(self, data: bytes) -> int:
-        self.written += 1
-        if self.written == self.line:
-            raise OSError(errno.EFBIG, "File too large")
-        return self.fh.write(data)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.fh.close()
-
-
-def _failing_open(file_no: int, line: int):
-    """An ``open`` for ``records`` under which the ``file_no``-th file (from 0)
-    opened for writing is a ``_FailingFile``."""
-    opened = []
-
-    def fake_open(file, mode="r", **kwargs):
-        fh = open(file, mode, **kwargs)
-        if "r" in mode:
-            return fh
-        opened.append(file)
-        return _FailingFile(fh, line) if len(opened) - 1 == file_no else fh
-
-    return fake_open
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_WRITTEN)), st.data())
 def test_a_failed_write_leaves_the_earlier_output_file_whole(command, data):
@@ -1319,7 +1344,7 @@ def test_a_failed_write_leaves_the_earlier_output_file_whole(command, data):
         file_no = data.draw(st.integers(0, len(written) - 1), label="file_no")
         line = data.draw(st.integers(1, new[written[file_no]].count(b"\n")), label="line")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(records, "open", _failing_open(file_no, line), raising=False)
+            patch.setattr(records, "open", failing_open(file_no, line), raising=False)
             assert main(argv) == 3
         assert sorted(os.listdir()) == names
         for i, name in enumerate(written):

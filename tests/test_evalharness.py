@@ -161,6 +161,12 @@ class TestLoadSvamp:
         with pytest.raises(MalformedRecord):
             load_svamp(path)
 
+    def test_an_integer_answer_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "svamp.json"
+        path.write_text(json.dumps([{"Body": "B", "Question": "Q", "Answer": 10**400}]))
+        with pytest.raises(MalformedRecord, match=f"^record 1: answer 1{'0' * 400} is not numeric$"):
+            load_svamp(path)
+
     def test_empty_file_gives_empty_list(self, tmp_path):
         path = tmp_path / "svamp.json"
         path.write_text("")

@@ -82,6 +82,23 @@ class TestParse:
         with pytest.raises(UnsupportedConstructError):
             parse(line)
 
+    @pytest.mark.parametrize(
+        "literal", ["9" * 400, "0x" + "f" * 300, "1e999"], ids=["int", "hex", "float"]
+    )
+    def test_a_literal_beyond_float_range_is_unsupported(self, literal):
+        with pytest.raises(UnsupportedConstructError, match="^line 4: .*literal beyond float range"):
+            interpreter.parse_line(f"x = 1 / {literal}", 4)
+        with pytest.raises(UnsupportedConstructError) as info:
+            parse(f"a = 1\nx = a / {literal}\nans = a")
+        assert info.value.line_no == 2
+
+    def test_the_largest_float_is_a_literal(self):
+        largest = sys.float_info.max
+        for literal in (repr(largest), str(int(largest))):
+            program = parse(f"ans = {literal}")
+            assert execute(program) == largest
+            assert render(program) == f"ans = {int(largest)}"
+
     def test_aug_assign_rejected(self):
         with pytest.raises((UnsupportedConstructError, ProgramSyntaxError)):
             parse("a = 1\na += 2\nans = a")

@@ -10,7 +10,9 @@ import stat
 import pytest
 
 from potselect.augmentation import AttemptRecord, ConsistencyReport
+from potselect.cache import CacheStore
 from potselect.evalharness import ItemResult
+from potselect.providers import CompletionRequest
 from potselect.records import MalformedRecord, read_json, read_jsonl, write_jsonl
 from potselect.selection import IterationRecord, Weights
 
@@ -64,7 +66,11 @@ def test_a_write_replaces_the_file_a_symlink_names_with_a_plain_open_mode(tmp_pa
     link.symlink_to(target)
     write_jsonl(link, [{"a": 1}])
     assert link.is_symlink() and target.read_text() == '{"a": 1}\n'
+    store = CacheStore(tmp_path / "cache")
+    store.put(CompletionRequest(prompt="p"), "r", "scripted")
+    (entry,) = store.directory.iterdir()
     mask = os.umask(0)
     os.umask(mask)
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+    assert stat.S_IMODE(entry.stat().st_mode) == 0o666 & ~mask  # a cache entry's too
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "link.jsonl", "real.jsonl"]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from potselect import tuning
-from potselect.records import read_jsonl
+from potselect.records import encode_record, read_jsonl
 from potselect.selection import SelectionConfig, Weights
 from potselect.tuning import (
     SearchSpace,
@@ -331,6 +331,16 @@ class TestOptimize:
         rng_seed, trials = _log(log_path)
         assert rng_seed == history.rng_seed == 7
         assert trials == [(t.seq, t.point, t.objective) for t in history.trials]
+
+    def test_the_log_is_one_encode_record_line_per_record(self, tmp_path):
+        log_path = tmp_path / "trials.jsonl"
+        history = optimize(_quadratic, SearchSpace(), budget=4, seed=7, log_path=log_path)
+        header, *lines = log_path.read_bytes().splitlines(keepends=True)
+        assert header == encode_record({"rng_seed": 7})
+        assert len(lines) == len(history.trials)
+        for line, trial in zip(lines, history.trials):
+            timestamp = json.loads(line)["timestamp"]
+            assert line == encode_record({**vars(trial), "timestamp": timestamp})
 
     def test_an_existing_log_is_overwritten_by_the_new_search(self, tmp_path):
         log_path = tmp_path / "trials.jsonl"
