@@ -45,9 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _stages(text: str) -> str:
-    """Accept a non-empty comma list drawn from 1, 2, 3; keep the text as given."""
-    if not all(part.strip() in ("1", "2", "3") for part in text.split(",")):
-        raise argparse.ArgumentTypeError(f"stages must be a comma list of 1, 2, 3, got {text!r}")
+    """Accept a comma list of the stages 1, 1,2 or 1,2,3, in any order, as each stage
+    runs on the one before it; keep the text as given."""
+    if {part.strip() for part in text.split(",")} not in ({"1"}, {"1", "2"}, {"1", "2", "3"}):
+        raise argparse.ArgumentTypeError(f"stages must be 1, 1,2 or 1,2,3, got {text!r}")
     return text
 
 
@@ -291,7 +292,11 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_cache_stats(cfg: dict) -> int:
     """Report cache entry counts and sizes."""
-    stats = CacheStore(_require(cfg, "cache_dir")).stats()
+    directory = Path(_require(cfg, "cache_dir"))
+    if not directory.exists():  # an empty cache; a query creates nothing
+        stats = dict.fromkeys(("entries", "bytes", "quarantined"), 0)
+    else:
+        stats = CacheStore(directory).stats()
     print("entries={entries} bytes={bytes} quarantined={quarantined}".format(**stats))
     return EXIT_OK
 

@@ -1,13 +1,14 @@
 """Metric-weight learning by Tree-structured Parzen Estimator search.
 
 Maximizes an objective (by default: selection-pipeline accuracy over a
-training subset) inside a box search space.  The schedule is the fixed
-one of ``TpeParams``: the first 10 trials are uniform random; afterwards
-the history is split at the 0.25-quantile of the objective into good/bad
-sets, per-dimension Parzen densities (bound-truncated Gaussian kernels plus
-a uniform prior component) are fitted to each, all dimensions as one batch,
-and of 24 candidates drawn from the good densities the one maximizing the
-good/bad density ratio is suggested.
+training subset) over the weight box [0, 1]^4, one dimension per metric
+weight.  The schedule is the fixed one of ``TpeParams``: the first 10
+trials are uniform random; afterwards the history is split at the
+0.25-quantile of the objective into good/bad sets, per-dimension Parzen
+densities (Gaussian kernels truncated to [0, 1] plus a uniform prior
+component) are fitted to each, all dimensions as one batch, and of 24
+candidates drawn from the good densities the one maximizing the good/bad
+density ratio is suggested.
 
 The kernels are scipy's truncnorm density and inverse-cdf sampler
 written out with scipy.special, operation for operation, so results are
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -34,27 +35,17 @@ from .selection import EmptyPool, SelectionConfig, Weights
 
 @dataclass(frozen=True)
 class SearchSpace:
-    bounds: tuple[tuple[float, float], ...] = (((0.0, 1.0),) * 4)
+    """The weight box [0, 1]^ndim, one dimension per field of ``Weights``."""
 
-    def __post_init__(self) -> None:
-        for low, high in self.bounds:
-            if not low < high:
-                raise ValueError(f"need low < high per dimension, got ({low}, {high})")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.bounds)
+    ndim = len(fields(Weights))
 
     def contains(self, points) -> np.ndarray:
         """Whether each point (the last axis of ``points``) lies in the box; NaN lies outside."""
-        lows, highs = np.array(self.bounds, dtype=np.float64).T
         points = np.asarray(points, dtype=np.float64)
-        return ((lows <= points) & (points <= highs)).all(axis=-1)
+        return ((0.0 <= points) & (points <= 1.0)).all(axis=-1)
 
     def uniform(self, rng: np.random.Generator) -> np.ndarray:
-        lows = np.array([b[0] for b in self.bounds])
-        highs = np.array([b[1] for b in self.bounds])
-        return rng.uniform(lows, highs)
+        return rng.uniform(np.zeros(self.ndim), np.ones(self.ndim))
 
 
 @dataclass(frozen=True)
@@ -126,32 +117,28 @@ def _logaddexp(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _Parzen1D:
-    """One-dimensional Parzen densities, one per row of ``values`` (shape
-    ``(..., k)``) on that row's interval [``low``, ``high``] (shapes ``(...)``):
-    a mixture of bound-truncated Gaussians plus one uniform prior component.
+    """One-dimensional Parzen densities on [0, 1], one per row of ``values``
+    (shape ``(..., k)``): a mixture of Gaussians truncated to [0, 1] plus one
+    uniform prior component.
 
-    Kernel bandwidths follow the neighbor-spacing rule, floored at 1% of the
-    interval and capped at the interval width.  All components share weight
-    1/(k+1), so the pdf is strictly positive on [low, high].  Every kernel
-    centre must lie in its interval.  ``tpe_suggest`` fits at least 3 kernels
-    per row (see ``TpeParams``); the rule is the same for any k, and k = 0
-    leaves only the uniform component.  Each row computes exactly what a fit
-    of that row alone computes.
+    Kernel bandwidths follow the neighbor-spacing rule, floored at 0.01 and
+    capped at 1.  All components share weight 1/(k+1), so the pdf is
+    strictly positive on [0, 1].  Every kernel centre must lie in [0, 1].
+    ``tpe_suggest`` fits at least 3 kernels per row (see ``TpeParams``); the
+    rule is the same for any k, and k = 0 leaves only the uniform component.
+    Each row computes exactly what a fit of that row alone computes.
     """
 
-    def __init__(self, values: np.ndarray, low: np.ndarray | float, high: np.ndarray | float):
-        self.low = np.asarray(low, dtype=np.float64)
-        self.high = np.asarray(high, dtype=np.float64)
+    def __init__(self, values: np.ndarray):
         mus = np.sort(np.asarray(values, dtype=np.float64), axis=-1)
-        low, high = self.low[..., None], self.high[..., None]
-        width = high - low
+        low, high = 0.0, 1.0
         left = np.diff(mus, axis=-1, prepend=low)
         right = np.diff(mus, axis=-1, append=high)
         # count-scaled floor keeps duplicate/clustered points from
         # collapsing to near-delta kernels and stalling the search
-        floor = np.maximum(width * 1e-2, width / (1 + mus.shape[-1]))
+        floor = max(1e-2, 1 / (1 + mus.shape[-1]))
         self.mus = mus
-        self.sigmas = np.clip(np.maximum(left, right), floor, width)
+        self.sigmas = np.clip(np.maximum(left, right), floor, 1.0)
         # each kernel's bounds in its own standard units, and its mass between them
         self.a = (low - mus) / self.sigmas
         self.b = (high - mus) / self.sigmas
@@ -165,7 +152,7 @@ class _Parzen1D:
         z = (np.asarray(xs, dtype=np.float64)[..., None] - mus) / sigmas
         density = np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - log_mass) / sigmas
         kernels = np.where((a <= z) & (z <= b), density, 0.0)
-        total = 1.0 / (self.high - self.low)[..., None] + kernels.sum(axis=-1)
+        total = 1.0 + kernels.sum(axis=-1)
         return total / (self.mus.shape[-1] + 1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -175,22 +162,22 @@ class _Parzen1D:
         uniform component's points, then the kernels' quantiles.  One inverse
         cdf then turns every row's quantiles into points.
         """
-        k = self.mus.shape[-1]
-        rows = self.low.size
+        *shape, k = self.mus.shape
+        rows = math.prod(shape)
         out = np.empty((rows, size))
         components = np.empty((rows, size), dtype=np.int64)
         quantiles = []
-        for row, (low, high) in enumerate(zip(self.low.flat, self.high.flat)):
+        for row in range(rows):
             components[row] = rng.integers(0, k + 1, size=size)
             uniform_mask = components[row] == k
             n_uniform = int(uniform_mask.sum())
-            out[row, uniform_mask] = rng.uniform(low, high, size=n_uniform)
+            out[row, uniform_mask] = rng.uniform(0.0, 1.0, size=n_uniform)
             quantiles.append(rng.uniform(size=size - n_uniform))
         drawn = components < k
         idx = (np.arange(rows)[:, None] * k + components)[drawn]  # flat kernel index
         z = self._ppf(np.concatenate(quantiles), idx)
         out[drawn] = z * self.sigmas.flat[idx] + self.mus.flat[idx]
-        return out.reshape(self.low.shape + (size,))
+        return out.reshape(*shape, size)
 
     def _ppf(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Standard-unit quantiles ``q`` of kernels ``idx`` (flat indices): truncnorm's inverse cdf.
@@ -237,9 +224,8 @@ def tpe_suggest(history: TrialHistory, space: SearchSpace) -> np.ndarray:
 
     n_good = int(np.ceil(TpeParams.gamma * len(trials)))
     order = np.argsort(-objectives, kind="stable")
-    lows, highs = np.array(space.bounds, dtype=np.float64).T
-    good_density = _Parzen1D(points[order[:n_good]].T, lows, highs)
-    bad_density = _Parzen1D(points[order[n_good:]].T, lows, highs)
+    good_density = _Parzen1D(points[order[:n_good]].T)
+    bad_density = _Parzen1D(points[order[n_good:]].T)
     candidates = good_density.sample(rng, TpeParams.n_candidates)  # one row per dimension
     terms = np.log(good_density.pdf(candidates)) - np.log(bad_density.pdf(candidates))
     log_ratio = np.zeros(TpeParams.n_candidates)
@@ -252,11 +238,7 @@ def best_trial(history: TrialHistory) -> Trial:
     """Argmax objective; ties resolve to the earliest trial."""
     if not history.trials:
         raise ValueError("history is empty")
-    best = history.trials[0]
-    for trial in history.trials[1:]:
-        if trial.objective > best.objective:
-            best = trial
-    return best
+    return max(history.trials, key=lambda trial: trial.objective)  # the first of equals
 
 
 def optimize(

@@ -134,7 +134,8 @@ class TestAugmentCommand:
 
 
 class TestStages:
-    _BAD = ["4", "x", "", "1,,2", "0,1"]
+    # each stage runs on the product of the one before, so a set that skips one is bad
+    _BAD = ["4", "x", "", "1,,2", "0,1", "2", "3", "2,3", "1,3"]
 
     def _augment(self, augment_files, *extra):
         out = augment_files["tmp"] / "augmented.jsonl"
@@ -860,6 +861,19 @@ class TestCacheStats:
 
     def test_requires_cache_dir(self):
         assert main(["cache-stats"]) == 1
+
+    def test_a_missing_directory_is_an_empty_cache_and_is_not_created(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "sub"
+        assert main(["cache-stats", "--cache-dir", str(missing)]) == 0
+        assert capsys.readouterr().out == "entries=0 bytes=0 quarantined=0\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "cache"
+        path.write_text("not a directory")
+        assert main(["cache-stats", "--cache-dir", str(path)]) == 3
+        assert str(path) in capsys.readouterr().err
+        assert path.read_text() == "not a directory"
 
 
 class TestOutOfRange:

@@ -1,6 +1,6 @@
 """TPE suggestion behavior, the optimize loop and the accuracy objective.
 
-Three full searches are pinned by their trial points in
+Three full searches of the weight box are pinned by their trial points in
 ``tests/golden/tpe_searches.json``.  A change that alters a search on purpose
 regenerates the file with ``PYTHONPATH=src python tests/test_tuning.py`` and
 says why in CHANGES.md.
@@ -78,13 +78,12 @@ SEARCHES = Path(__file__).resolve().parent / "golden" / "tpe_searches.json"
 
 
 def _corner_search() -> TrialHistory:
-    """A 5-D search whose first trial sits on a bound in every dimension and stays
-    the best, so every good fit has kernels centred on a lower or an upper bound."""
-    space = SearchSpace(bounds=((0.0, 1.0), (-2.0, 3.0), (0.0, 0.5), (10.0, 11.0), (-1.0, 0.0)))
-    corner = (0.0, 3.0, 0.5, 10.0, 0.0)
+    """A search whose first trial sits on a bound in every weight and stays the best,
+    so every good fit has kernels centred on the lower and on the upper bound."""
+    corner = (0.0, 1.0, 0.0, 1.0)
     history = _history([(corner, 1.0)], seed=6)
     for _ in range(40):
-        point = tpe_suggest(history, space)
+        point = tpe_suggest(history, SearchSpace())
         objective = -float(np.sum((point - np.asarray(corner)) ** 2))
         history.trials.append(Trial(len(history.trials), tuple(float(v) for v in point), objective))
     return history
@@ -94,11 +93,10 @@ def _pinned_searches() -> dict[str, list[list[float]]]:
     """Each pinned search's trial points, in trial order."""
     searches = {
         "quadratic_4d": optimize(_quadratic, SearchSpace(), budget=60, seed=0),
-        "distance_1d": optimize(
-            lambda point: -abs(float(point[0]) - 1.7), SearchSpace(bounds=((-2.0, 3.0),)),
-            budget=40, seed=3,
+        "distance_4d": optimize(
+            lambda point: -abs(float(point[1]) - 0.7), SearchSpace(), budget=40, seed=3
         ),
-        "corner_5d": _corner_search(),
+        "corner_4d": _corner_search(),
     }
     return {name: [list(t.point) for t in h.trials] for name, h in searches.items()}
 
@@ -107,16 +105,20 @@ class TestSearchSpace:
     def test_default_is_unit_box_4d(self):
         space = SearchSpace()
         assert space.ndim == 4
-        assert space.bounds == ((0.0, 1.0),) * 4
-
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            SearchSpace(bounds=((1.0, 1.0),))
+        draws = np.array([space.uniform(np.random.default_rng(i)) for i in range(200)])
+        assert draws.shape == (200, 4)
+        assert space.contains(draws).all()
+        assert space.contains([(0.0,) * 4, (1.0,) * 4, (-0.0, 1.0, 0.0, 1.0)]).all()
 
     def test_contains(self):
-        space = SearchSpace(bounds=((0.0, 1.0), (-2.0, 2.0)))
-        assert space.contains((0.5, -1.0))
-        assert not space.contains((0.5, 3.0))
+        space = SearchSpace()
+        assert space.contains((0.5,) * 4)
+        for outside in (-1e-300, 1.0 + 2**-52, np.nan, np.inf, -np.inf):
+            for dim in range(4):
+                point = np.full(4, 0.5)
+                point[dim] = outside
+                assert not space.contains(point), (outside, dim)
+                assert space.contains([point, (0.5,) * 4]).tolist() == [False, True]
 
 
 class TestTrialHistory:
@@ -153,42 +155,32 @@ class TestTpeSuggest:
         b = tpe_suggest(_history(trials[:-1], seed=9), SearchSpace())
         assert not np.array_equal(a, b)
 
-    def test_suggestions_always_inside_arbitrary_bounds(self):
-        space = SearchSpace(bounds=((-2.0, 3.0), (0.0, 0.5)))
+    def test_suggestions_always_inside_the_box(self):
+        space = SearchSpace()
         rng = np.random.default_rng(5)
         for i in range(200):
             n = int(rng.integers(0, 40))
-            trials = [
-                (
-                    (float(rng.uniform(-2, 3)), float(rng.uniform(0, 0.5))),
-                    float(rng.normal()) if i % 3 else 0.25,  # sometimes all-equal
-                )
-                for _ in range(n)
-            ]
+            points = rng.uniform(0.0, 1.0, size=(n, 4))
+            on_bound = rng.random((n, 4)) < 0.1
+            points[on_bound] = rng.choice([0.0, 1.0], size=int(on_bound.sum()))
+            objectives = rng.normal(size=n) if i % 3 else np.full(n, 0.25)  # sometimes all-equal
+            trials = [(point, float(objective)) for point, objective in zip(points, objectives)]
             point = tpe_suggest(_history(trials, seed=i), space)
             assert space.contains(point)
 
-    def test_one_dimensional_cluster_attracts_suggestions(self):
-        # high-objective points clustered near 0.3; the suggestion should
-        # land inside the cluster's convex hull almost always
+    def test_a_cluster_attracts_suggestions(self):
+        # high-objective points clustered near 0.3 in every weight; the
+        # suggestion should land near the cluster in every weight almost always
         rng = np.random.default_rng(0)
-        cluster = rng.uniform(0.27, 0.33, size=10)
-        spread = rng.uniform(0.5, 0.95, size=30)
-        space = SearchSpace(bounds=((0.0, 1.0),))
-        inside = 0
-        for seed in range(100):
-            history = TrialHistory(rng_seed=seed)
-            seq = 0
-            for x in cluster:
-                history.trials.append(Trial(seq, (float(x),), objective=1.0 + 0.01 * float(x)))
-                seq += 1
-            for x in spread:
-                history.trials.append(Trial(seq, (float(x),), objective=0.001 * float(x)))
-                seq += 1
-            suggestion = tpe_suggest(history, space)
-            if cluster.min() <= suggestion[0] <= cluster.max():
-                inside += 1
-        assert inside > 90
+        cluster = rng.uniform(0.27, 0.33, size=(10, 4))
+        spread = rng.uniform(0.5, 0.95, size=(30, 4))
+        trials = [(point, 1.0 + 0.01 * float(point[0])) for point in cluster]
+        trials += [(point, 0.001 * float(point[0])) for point in spread]
+        near = sum(
+            bool(np.all(np.abs(tpe_suggest(_history(trials, seed=seed), SearchSpace()) - 0.3) <= 0.1))
+            for seed in range(100)
+        )
+        assert near > 90
 
     def test_startup_phase_is_uniform_random(self):
         trials = [((0.5,) * 4, float(i)) for i in range(5)]
@@ -201,10 +193,10 @@ def _truncnorm_pdf(parzen: _Parzen1D, xs: np.ndarray) -> np.ndarray:
     from scipy.stats import truncnorm
 
     k = parzen.mus.size
-    total = np.full(xs.shape, 1.0 / (parzen.high - parzen.low))
+    total = np.ones(xs.shape)
     if k:
-        a = (parzen.low - parzen.mus) / parzen.sigmas
-        b = (parzen.high - parzen.mus) / parzen.sigmas
+        a = (0.0 - parzen.mus) / parzen.sigmas
+        b = (1.0 - parzen.mus) / parzen.sigmas
         kernels = truncnorm.pdf(
             xs[..., None], a[None, :], b[None, :], loc=parzen.mus[None, :],
             scale=parzen.sigmas[None, :],
@@ -221,11 +213,11 @@ def _truncnorm_sample(parzen: _Parzen1D, rng: np.random.Generator, size: int) ->
     components = rng.integers(0, k + 1, size=size)
     out = np.empty(size)
     uniform_mask = components == k
-    out[uniform_mask] = rng.uniform(parzen.low, parzen.high, size=int(uniform_mask.sum()))
+    out[uniform_mask] = rng.uniform(0.0, 1.0, size=int(uniform_mask.sum()))
     idx = components[~uniform_mask]
     if k and idx.size:
-        a = (parzen.low - parzen.mus[idx]) / parzen.sigmas[idx]
-        b = (parzen.high - parzen.mus[idx]) / parzen.sigmas[idx]
+        a = (0.0 - parzen.mus[idx]) / parzen.sigmas[idx]
+        b = (1.0 - parzen.mus[idx]) / parzen.sigmas[idx]
         out[~uniform_mask] = truncnorm.rvs(
             a, b, loc=parzen.mus[idx], scale=parzen.sigmas[idx], random_state=rng
         )
@@ -233,33 +225,33 @@ def _truncnorm_sample(parzen: _Parzen1D, rng: np.random.Generator, size: int) ->
 
 
 def _random_fits(n: int):
-    """Seeded (values, low, high) fits: duplicates, centres on either bound, k == 1."""
-    yield [0.25], 0.0, 1.0
-    yield [0.0], 0.0, 1.0
-    yield [1.0], 0.0, 1.0
-    yield [0.0, 1.0, 0.5, 0.5, 0.5], 0.0, 1.0
+    """Seeded fits on [0, 1]: duplicates, tight clusters, centres exactly on 0 and on 1, k == 1."""
+    yield [0.25]
+    yield [0.0]
+    yield [1.0]
+    yield [0.0, 1.0, 0.5, 0.5, 0.5]
     for seed in range(n):
         rng = np.random.default_rng(seed)
-        low = float(rng.uniform(-3.0, 1.0))
-        high = low + float(rng.choice([1e-3, 0.5, 1.0, 7.0]))
-        values = list(rng.uniform(low, high, size=int(rng.integers(1, 30))))
+        span = float(rng.choice([1e-3, 0.1, 1.0]))  # how tightly the centres cluster
+        start = float(rng.uniform(0.0, 1.0 - span))
+        values = list(start + span * rng.uniform(size=int(rng.integers(1, 30))))
         if seed % 3 == 0:
             values += values[: len(values) // 2 + 1]  # duplicates
         if seed % 4 == 0:
-            values.append(low)
+            values.append(0.0)
         if seed % 5 == 0:
-            values.append(high)
-        yield values, low, high
+            values.append(1.0)
+        yield values
 
 
 class TestParzenKernels:
     """The closed-form kernels are scipy.stats.truncnorm's, bit for bit."""
 
     def test_pdf_and_samples_equal_truncnorm(self):
-        for i, (values, low, high) in enumerate(_random_fits(240)):
-            parzen = _Parzen1D(values, low, high)
+        for i, values in enumerate(_random_fits(240)):
+            parzen = _Parzen1D(values)
             rng = np.random.default_rng([i, 1])
-            xs = np.concatenate(([low, high], values, rng.uniform(low, high, size=32)))
+            xs = np.concatenate(([0.0, 1.0], values, rng.uniform(size=32)))
             assert np.array_equal(parzen.pdf(xs), _truncnorm_pdf(parzen, xs)), i
             ours, theirs = np.random.default_rng([i, 2]), np.random.default_rng([i, 2])
             samples = parzen.sample(ours, 64)
@@ -270,14 +262,12 @@ class TestParzenKernels:
         for seed in range(60):
             rng = np.random.default_rng([seed, 3])
             d, k = int(rng.integers(1, 6)), int(rng.integers(1, 30))
-            low = rng.uniform(-3.0, 1.0, size=d)
-            high = low + rng.choice([1e-3, 0.5, 1.0, 7.0], size=d)
-            values = rng.uniform(low[:, None], high[:, None], size=(d, k))
-            values[:, 0] = np.choose(rng.integers(0, 3, size=d), [values[:, 0], low, high])
-            batch = _Parzen1D(values, low, high)
-            rows = [_Parzen1D(values[i], low[i], high[i]) for i in range(d)]
-            inside = rng.uniform(low[:, None], high[:, None], size=(d, 16))
-            xs = np.concatenate((low[:, None], high[:, None], values, inside), axis=1)
+            values = rng.uniform(size=(d, k))
+            values[:, 0] = np.choose(rng.integers(0, 3, size=d), [values[:, 0], 0.0, 1.0])
+            batch = _Parzen1D(values)
+            rows = [_Parzen1D(row) for row in values]
+            bounds = np.tile([0.0, 1.0], (d, 1))
+            xs = np.concatenate((bounds, values, rng.uniform(size=(d, 16))), axis=1)
             assert np.array_equal(batch.pdf(xs), [row.pdf(x) for row, x in zip(rows, xs)]), seed
             ours, theirs = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
             samples = batch.sample(ours, 64)
@@ -288,8 +278,8 @@ class TestParzenKernels:
         shapes = []
 
         class Recording(_Parzen1D):
-            def __init__(self, values, low, high):
-                super().__init__(values, low, high)
+            def __init__(self, values):
+                super().__init__(values)
                 shapes.append(self.mus.shape)
 
         monkeypatch.setattr(tuning, "_Parzen1D", Recording)
