@@ -39,7 +39,7 @@ fixtures = [
 services = Services(completion=ScriptedProvider(fixtures), embedding=HashEmbedding())
 
 print("== stages 1-2 over four seeds ==")
-result = augment_pool(seeds, AugmentationConfig(rng_seed=7), services, stages=(1, 2))
+result = augment_pool(seeds, AugmentationConfig(rng_seed=7), services, stages=2)
 print(f"pool grew {len(seeds)} -> {len(result.pool)}")
 for example in result.pool:
     tag = example.provenance.stage
@@ -87,6 +87,6 @@ bad_fixtures = [
     Fixture("pattern", r"(?s)# Python code, return ans\n\Z", "ans = 999999"),
 ]
 bad_services = Services(completion=ScriptedProvider(bad_fixtures), embedding=HashEmbedding())
-bad = augment_pool(seeds, AugmentationConfig(max_retries=1), bad_services, stages=(1,))
+bad = augment_pool(seeds, AugmentationConfig(max_retries=1), bad_services, stages=1)
 print(f"pool stays at {len(bad.pool)} (seeds retained), "
       f"{len(bad.attempts)} rejected attempts logged")

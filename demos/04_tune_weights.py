@@ -9,7 +9,7 @@ then density-ratio suggestions from the good/bad trial split.
 
 import numpy as np
 
-from potselect import SearchSpace, Weights
+from potselect import Weights
 from potselect.tuning import best_trial, optimize
 
 TARGET = np.full(4, 0.3)
@@ -20,7 +20,7 @@ def objective(point) -> float:
 
 
 print("== single run, budget 60 ==")
-history = optimize(objective, SearchSpace(), budget=60, seed=0)
+history = optimize(objective, budget=60, seed=0)
 for start in range(0, 60, 10):
     window = history.trials[start : start + 10]
     dist = np.mean([np.max(np.abs(np.asarray(t.point) - 0.3)) for t in window])
@@ -33,7 +33,7 @@ print()
 print("== TPE vs uniform random search, 10 seeds ==")
 tpe_scores, random_scores = [], []
 for seed in range(10):
-    tpe_scores.append(best_trial(optimize(objective, SearchSpace(), budget=60, seed=seed)).objective)
+    tpe_scores.append(best_trial(optimize(objective, budget=60, seed=seed)).objective)
     rng = np.random.default_rng([seed, 1])
     random_scores.append(max(objective(p) for p in rng.uniform(0, 1, size=(60, 4))))
 print(f"  TPE    median best: {np.median(tpe_scores):+.4f}")
@@ -41,7 +41,7 @@ print(f"  random median best: {np.median(random_scores):+.4f}")
 
 print()
 print("== the best trial's point as Weights ==")
-history = optimize(objective, SearchSpace(), budget=40, seed=3)
+history = optimize(objective, budget=40, seed=3)
 weights = Weights.from_array(best_trial(history).point)
 print(f"learned weights: relevance={weights.relevance:.3f} concept={weights.concept:.3f} "
       f"complexity={weights.complexity:.3f} similarity={weights.similarity:.3f}")

@@ -231,16 +231,14 @@ def extract_answer_block(completion: str) -> Program | None:
     return Program(tuple(best[2]), "\n".join(block))
 
 
+EPS_GATE = 1e-6  # the gate's output tolerance: absolute below 1, relative above
+
+
 def check_consistency(
-    candidate: Program,
-    reference: Program,
-    services: Services,
-    *,
-    tau: float,
-    eps_abs: float = 1e-6,
-    eps_rel: float = 1e-6,
+    candidate: Program, reference: Program, services: Services, *, tau: float
 ) -> ConsistencyReport:
-    """Two-phase gate: execute-and-compare outputs, then step similarity vs tau.
+    """Two-phase gate: execute-and-compare outputs within ``EPS_GATE``, then
+    step similarity vs tau.
 
     All failures fold into an inconsistent verdict with a recorded cause;
     nothing raises.  A phase-1 mismatch skips phase 2 entirely.  Each
@@ -256,8 +254,7 @@ def check_consistency(
         return ConsistencyReport(
             False, None, reference_value, None, "inconsistent", f"candidate: {exc}"
         )
-    tolerance = max(eps_abs, eps_rel * abs(reference_value))
-    if not abs(candidate_value - reference_value) <= tolerance:
+    if not abs(candidate_value - reference_value) <= EPS_GATE * max(1.0, abs(reference_value)):
         return ConsistencyReport(
             False, candidate_value, reference_value, None, "inconsistent", "output mismatch"
         )
@@ -474,36 +471,37 @@ def augment_pool(
     pool: ExamplePool,
     config: AugmentationConfig,
     services: Services,
-    stages: tuple[int, ...] = (1, 2, 3),
+    stages: int = 3,
 ) -> AugmentationResult:
-    """Run the requested stages over every pool member.
+    """Run stages 1 through ``stages`` (1, 2 or 3) over every pool member.
 
     Input examples are always retained; accepted augmentations follow in
-    generation order (seed index, then stage).  Later stages for a seed run
-    only on the previous stage's accepted product.
+    generation order (seed index, then stage).  Each stage for a seed runs
+    only on the previous stage's accepted product.  Any other ``stages``
+    raises ValueError, as does an empty pool.
     """
+    if type(stages) is not int or not 1 <= stages <= 3:
+        raise ValueError(f"stages must be 1, 2 or 3, got {stages!r}")
     if len(pool) == 0:
         raise ValueError("pool must be nonempty")
     attempts: list[AttemptRecord] = []
     augmented: list[Example] = []
     for index, seed in enumerate(pool):
         rng = np.random.default_rng([abs(config.rng_seed) % 2**32, index, 3])
-        stage_fns = {
-            1: lambda example: stage1(example, config, services, attempts),
-            2: lambda example: stage2(example, pool, config, services, attempts),
-            3: lambda example: stage3(example, rng, config, services, attempts),
-        }
         product: Example | None = seed
-        for stage, stage_fn in stage_fns.items():
-            if stage not in stages:
-                product = None
-            elif product is None:
+        for stage in range(1, stages + 1):
+            if product is None:
                 skip = f"no stage-{stage - 1} product"
                 attempts.append(AttemptRecord(seed.id, stage, None, 0, False, None, skip))
+                continue
+            if stage == 1:
+                product = stage1(product, config, services, attempts)
+            elif stage == 2:
+                product = stage2(product, pool, config, services, attempts)
             else:
-                product = stage_fn(product)
-                if product is not None:
-                    augmented.append(product)
+                product = stage3(product, rng, config, services, attempts)
+            if product is not None:
+                augmented.append(product)
     out = ExamplePool(tuple(pool.examples) + tuple(augmented))
     return AugmentationResult(pool=out, attempts=attempts)
 

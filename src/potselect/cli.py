@@ -198,7 +198,7 @@ def cmd_augment(cfg: dict) -> int:
     pool = augmentation.load_pool(_require(cfg, "pool"))
     out = _require(cfg, "out")
     services = _services(cfg)
-    stages = tuple(int(s) for s in cfg["stages"].split(","))
+    stages = len({s.strip() for s in cfg["stages"].split(",")})  # _stages checked the set
     config = augmentation.AugmentationConfig(
         iterations=cfg["iterations"],
         max_retries=cfg["max_retries"],
@@ -251,9 +251,7 @@ def cmd_tune(cfg: dict) -> int:
         def objective(point: np.ndarray) -> float:
             return -float(np.sum((np.asarray(point) - target) ** 2))
 
-        history = tuning.optimize(
-            objective, tuning.SearchSpace(), cfg["budget"], seed=seed, log_path=log_path
-        )
+        history = tuning.optimize(objective, cfg["budget"], seed=seed, log_path=log_path)
         best = tuning.best_trial(history)
     else:
         pool = augmentation.load_pool(_require(cfg, "pool"))

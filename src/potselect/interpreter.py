@@ -22,8 +22,8 @@ class InterpreterError(Exception):
 
 
 class ProgramSyntaxError(InterpreterError):
-    def __init__(self, line_no: int, line: str, reason: str = "unparseable line"):
-        super().__init__(f"line {line_no}: {reason}: {line.strip()!r}")
+    def __init__(self, line_no: int, line: str):
+        super().__init__(f"line {line_no}: unparseable line: {line.strip()!r}")
         self.line_no = line_no
 
 
@@ -101,11 +101,13 @@ class Program:
 
 @dataclass(frozen=True)
 class ModificationChain:
-    """Sequence of (operator, operand) steps folded over a program's answer."""
+    """Nonempty sequence of (operator, operand) steps folded over a program's answer."""
 
     steps: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
+        if not self.steps:
+            raise ValueError("chain must have at least one step")
         for op, operand in self.steps:
             if op not in "+-*/":
                 raise ValueError(f"unknown chain operator {op!r}")
@@ -113,11 +115,6 @@ class ModificationChain:
                 raise ValueError(f"chain operand must be finite, got {operand!r}")
             if op == "/" and operand == 0:
                 raise ValueError("chain must not divide by zero")
-
-    def fold(self, value: float) -> float:
-        for op, operand in self.steps:
-            value = _apply(op, value, float(operand))
-        return value
 
 
 _ALLOWED_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
@@ -341,13 +338,10 @@ def modify_answer(program: Program, chain: ModificationChain) -> Program:
 
     The last ``ans`` assignment is renamed ``temp<k>``, intermediate chain
     steps become ``temp<k+i> = temp<k+i-1> <op> <operand>`` and the final
-    step is written directly into ``ans``.  An empty chain returns an equal
-    program.  The input program is never mutated.
+    step is written directly into ``ans``.  The input program is never
+    mutated.
     """
     statements = list(program.statements)
-    if not chain.steps:
-        return Program(tuple(statements), render(program))
-
     ans_index = None
     max_temp = -1
     for i, statement in enumerate(statements):

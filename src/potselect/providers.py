@@ -298,8 +298,6 @@ class HashEmbedding:
     1-D float64 vector.
     """
 
-    provider_id = "hash-embedding"
-
     @staticmethod
     @functools.lru_cache(maxsize=TOKEN_HASH_MEMO_SIZE)
     def _token_hash(token: str) -> int:

@@ -50,6 +50,9 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class Trial:
+    """One evaluated point of the weight box; a point of the wrong length or
+    outside the box, NaN included, raises ValueError naming the trial."""
+
     seq: int
     point: tuple[float, ...]
     objective: float
@@ -57,6 +60,8 @@ class Trial:
     def __post_init__(self) -> None:
         if not math.isfinite(self.objective):
             raise ValueError("objective must be finite")
+        if len(self.point) != SearchSpace.ndim or not SearchSpace().contains(self.point):
+            raise ValueError(f"trial {self.seq} point {self.point} lies outside the space")
 
 
 @dataclass
@@ -85,7 +90,7 @@ def _log_gauss_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Scipy uses a central formula when b > 0 and a left-tail one when b == 0
     (a kernel centred on the upper bound); the two differ in the last ulp.
     A kernel centred below the box (a > 0) would take a third formula, which
-    ``tpe_suggest`` rules out by rejecting trials outside the space.
+    ``Trial`` rules out by rejecting points outside the space.
     """
     from scipy.special import log1p, log_ndtr, ndtr
 
@@ -107,12 +112,13 @@ def _logaddexp(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.logaddexp differs in the last ulp.  Scipy takes another path where
     the result is not finite (both terms -inf, or either +inf); the kernels
     never get there, as x is the finite log_ndtr of a kernel's bound.
+    Scipy's division of the sum by the tie count ``m`` is left out: with two
+    terms, a tie makes the sum 0 and no tie makes ``m`` 1.
     """
     hi = np.maximum(x, y)
     x_tied, y_tied = x == hi, y == hi
     m = x_tied.astype(np.float64) + y_tied
     s = np.exp(np.where(x_tied, -np.inf, x) - hi) + np.exp(np.where(y_tied, -np.inf, y) - hi)
-    s = np.where(s == 0, s, s / m)
     return np.log1p(s) + np.log(m) + hi
 
 
@@ -121,8 +127,8 @@ class _Parzen1D:
     (shape ``(..., k)``): a mixture of Gaussians truncated to [0, 1] plus one
     uniform prior component.
 
-    Kernel bandwidths follow the neighbor-spacing rule, floored at 0.01 and
-    capped at 1.  All components share weight 1/(k+1), so the pdf is
+    Kernel bandwidths follow the neighbor-spacing rule, floored at 0.01; no
+    spacing on [0, 1] exceeds 1.  All components share weight 1/(k+1), so the pdf is
     strictly positive on [0, 1].  Every kernel centre must lie in [0, 1].
     ``tpe_suggest`` fits at least 3 kernels per row (see ``TpeParams``); the
     rule is the same for any k, and k = 0 leaves only the uniform component.
@@ -138,7 +144,7 @@ class _Parzen1D:
         # collapsing to near-delta kernels and stalling the search
         floor = max(1e-2, 1 / (1 + mus.shape[-1]))
         self.mus = mus
-        self.sigmas = np.clip(np.maximum(left, right), floor, 1.0)
+        self.sigmas = np.maximum(np.maximum(left, right), floor)
         # each kernel's bounds in its own standard units, and its mass between them
         self.a = (low - mus) / self.sigmas
         self.b = (high - mus) / self.sigmas
@@ -197,31 +203,23 @@ class _Parzen1D:
         return out
 
 
-def tpe_suggest(history: TrialHistory, space: SearchSpace) -> np.ndarray:
-    """Suggest the next point; deterministic given (seed, history).
+def tpe_suggest(history: TrialHistory) -> np.ndarray:
+    """Suggest the next point of the weight box; deterministic given (seed, history).
 
     Uniform random below ``TpeParams.n_startup`` trials and on degenerate
     histories (all objectives equal).  Suggestions always lie inside the
-    space; a history with a trial outside it raises ValueError naming that
-    trial.
+    box, as every ``Trial`` does.
     """
     rng = np.random.default_rng([abs(history.rng_seed) % 2**32, len(history.trials)])
     trials = history.trials
-    ndim = space.ndim
-    # a point of the wrong length becomes NaNs, which lie outside the space
-    points = np.array(
-        [t.point if len(t.point) == ndim else (np.nan,) * ndim for t in trials], dtype=np.float64
-    ).reshape(len(trials), ndim)
-    inside = space.contains(points)
-    if not inside.all():
-        trial = trials[int(np.argmin(inside))]
-        raise ValueError(f"trial {trial.seq} point {trial.point} lies outside the space")
+    space = SearchSpace()
     if len(trials) < TpeParams.n_startup:
         return space.uniform(rng)
     objectives = np.array([t.objective for t in trials])
     if np.ptp(objectives) == 0.0:
         return space.uniform(rng)
 
+    points = np.array([t.point for t in trials], dtype=np.float64)
     n_good = int(np.ceil(TpeParams.gamma * len(trials)))
     order = np.argsort(-objectives, kind="stable")
     good_density = _Parzen1D(points[order[:n_good]].T)
@@ -243,12 +241,11 @@ def best_trial(history: TrialHistory) -> Trial:
 
 def optimize(
     objective: Callable[[np.ndarray], float],
-    space: SearchSpace,
     budget: int,
     seed: int = 0,
     log_path: str | Path | None = None,
 ) -> TrialHistory:
-    """Run a new search of ``budget`` trials from ``seed``.
+    """Run a new search of the weight box, ``budget`` trials from ``seed``.
 
     ``log_path``, when given, is overwritten with an ``{"rng_seed": seed}``
     header and then one ``encode_record`` line per trial, flushed as the trial
@@ -260,7 +257,7 @@ def optimize(
     with open(os.devnull if log_path is None else log_path, "wb") as log_fh:
         log_fh.write(encode_record({"rng_seed": seed}))
         for _ in range(budget):
-            point = tpe_suggest(history, space)
+            point = tpe_suggest(history)
             value = float(objective(point))
             trial = Trial(seq=len(history.trials), point=tuple(float(v) for v in point), objective=value)
             history.trials.append(trial)
@@ -319,4 +316,4 @@ def tune_weights(
             Weights.from_array(point), train_pool, train_set, services, selection_config_template
         )
 
-    return best_trial(optimize(objective, SearchSpace(), budget, seed=seed, log_path=log_path))
+    return best_trial(optimize(objective, budget, seed=seed, log_path=log_path))

@@ -84,8 +84,6 @@ DEEP_LINE = "ans = " + "+".join(["1"] * 1200)  # nested deeper than the interpre
 class StubEmbedding:
     """Maps exact texts to fixed vectors; unseen texts get the zero vector."""
 
-    provider_id = "stub-embedding"
-
     def __init__(self, table: dict[str, list[float]], dimension: int = 2):
         self.table = table
         self.dimension = dimension

@@ -11,12 +11,12 @@ import time
 
 import numpy as np
 
-from potselect.augmentation import AugmentationConfig, augment_pool, check_consistency
+from potselect.augmentation import EPS_GATE, AugmentationConfig, augment_pool, check_consistency
 from potselect.cli import main
 from potselect.interpreter import InterpreterError, execute, parse, render
 from potselect.providers import HashEmbedding, ScriptedProvider, Services, cosine
 from potselect.selection import SelectionConfig, Weights, select_examples
-from potselect.tuning import SearchSpace, best_trial, optimize
+from potselect.tuning import best_trial, optimize
 
 from conftest import (
     BOLTS_A,
@@ -72,7 +72,6 @@ def test_criterion_1_interpreter_golden_traces():
 def test_criterion_2_consistency_gate_soundness():
     rng = np.random.default_rng(2024)
     services = make_services()
-    eps_abs = eps_rel = 1e-6
     pairs = 0
     differing = 0
     violations = 0
@@ -87,8 +86,8 @@ def test_criterion_2_consistency_gate_soundness():
             continue
         pairs += 1
         # tau = -1 removes the similarity phase: phase 1 alone must reject
-        report = check_consistency(a, b, services, tau=-1.0, eps_abs=eps_abs, eps_rel=eps_rel)
-        if abs(va - vb) > max(eps_abs, eps_rel * abs(vb)):
+        report = check_consistency(a, b, services, tau=-1.0)
+        if abs(va - vb) > max(EPS_GATE, EPS_GATE * abs(vb)):
             differing += 1
             if report.verdict != "inconsistent":
                 violations += 1
@@ -105,7 +104,7 @@ def test_criterion_3_pool_count_reproduction():
         thirteen_seeds(),
         AugmentationConfig(),
         make_services(augmentation_fixtures()),
-        stages=(1, 2),
+        stages=2,
     )
     _criterion(
         3,
@@ -195,7 +194,7 @@ def test_criterion_6_selection_footprint():
         thirteen_seeds(),
         AugmentationConfig(),
         make_services(augmentation_fixtures()),
-        stages=(1, 2),
+        stages=2,
     )
     pool = result.pool
     assert len(pool) == 39
@@ -220,13 +219,12 @@ def test_criterion_7_tpe_competence():
     def objective(point):
         return -float(np.sum((np.asarray(point) - target) ** 2))
 
-    space = SearchSpace()
     start = time.perf_counter()
     tpe_scores = []
     random_scores = []
     box_hits = 0
     for seed in range(20):
-        history = optimize(objective, space, budget=60, seed=seed)
+        history = optimize(objective, budget=60, seed=seed)
         best = best_trial(history)
         tpe_scores.append(best.objective)
         if np.all(np.abs(np.asarray(best.point) - 0.3) <= 0.1):

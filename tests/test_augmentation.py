@@ -462,7 +462,7 @@ class TestAugmentPool:
             thirteen_seeds(),
             AugmentationConfig(),
             make_services(augmentation_fixtures()),
-            stages=(1, 2),
+            stages=2,
         )
         assert len(result.pool) == 39
         counts = result.accepted_per_stage()
@@ -477,7 +477,7 @@ class TestAugmentPool:
         monkeypatch.setattr(
             augmentation, "extract_answer_block", lambda c: blocks.append(real_extract(c)) or blocks[-1]
         )
-        result = augment_pool(seeds, AugmentationConfig(), services, stages=(1, 2))
+        result = augment_pool(seeds, AugmentationConfig(), services, stages=2)
         added = result.pool.examples[len(seeds) :]
         assert calls == []
         assert len(added) == len(blocks) == 26
@@ -523,7 +523,7 @@ class TestAugmentPool:
             thirteen_seeds(),
             AugmentationConfig(),
             make_services(augmentation_fixtures()),
-            stages=(1, 2),
+            stages=2,
         )
         ids = [e.id for e in result.pool]
         assert ids[:13] == [f"S{i:02d}" for i in range(1, 14)]
@@ -536,7 +536,7 @@ class TestAugmentPool:
         ]
         result = augment_pool(
             thirteen_seeds(), AugmentationConfig(max_retries=0), make_services(fixtures),
-            stages=(1, 2),
+            stages=2,
         )
         assert len(result.pool) == 13
         assert [e.id for e in result.pool] == [f"S{i:02d}" for i in range(1, 14)]
@@ -547,14 +547,14 @@ class TestAugmentPool:
             Fixture("pattern", r"(?s)# Python code, return ans\n\Z", DEEP_LINE),
         ]
         config = AugmentationConfig(max_retries=0)
-        result = augment_pool(thirteen_seeds(), config, make_services(fixtures), stages=(1,))
+        result = augment_pool(thirteen_seeds(), config, make_services(fixtures), stages=1)
         assert len(result.pool) == 13
         assert [a.accepted for a in result.attempts] == [False] * 13
 
     def test_gate_soundness_every_nonseed_has_consistent_report(self):
         result = augment_pool(
             thirteen_seeds(), AugmentationConfig(), make_services(augmentation_fixtures()),
-            stages=(1, 2),
+            stages=2,
         )
         for example in result.pool:
             if example.provenance.stage != "seed":
@@ -564,7 +564,7 @@ class TestAugmentPool:
     def test_lineage_bounded(self):
         result = augment_pool(
             thirteen_seeds(), AugmentationConfig(), make_services(augmentation_fixtures()),
-            stages=(1, 2),
+            stages=2,
         )
         max_hops = 2 + AugmentationConfig().iterations
         for example in result.pool:
@@ -580,7 +580,7 @@ class TestAugmentPool:
         for run in range(2):
             result = augment_pool(
                 thirteen_seeds(), AugmentationConfig(rng_seed=5),
-                make_services(augmentation_fixtures()), stages=(1, 2),
+                make_services(augmentation_fixtures()), stages=2,
             )
             path = tmp_path / f"pool{run}.jsonl"
             save_pool(result.pool, path)
@@ -590,6 +590,15 @@ class TestAugmentPool:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             augment_pool(ExamplePool(()), AugmentationConfig(), make_services([]))
+
+    @pytest.mark.parametrize("stages", [0, 4, (2, 3), (1, 3)], ids=["0", "4", "2,3", "1,3"])
+    def test_a_stage_count_other_than_1_2_or_3_raises_before_any_request(
+        self, stages, request_ledger
+    ):
+        services = make_services(augmentation_fixtures())
+        with pytest.raises(ValueError, match="stages must be 1, 2 or 3"):
+            augment_pool(thirteen_seeds(), AugmentationConfig(), services, stages=stages)
+        assert request_ledger.sent == []
 
     def test_stage_dependencies_skip_later_stages(self):
         # stage 1 always fails -> stages 2 and 3 never attempted for that seed
@@ -621,7 +630,7 @@ class TestPoolFiles:
     def test_round_trip(self, tmp_path):
         result = augment_pool(
             thirteen_seeds(), AugmentationConfig(), make_services(augmentation_fixtures()),
-            stages=(1, 2),
+            stages=2,
         )
         path = tmp_path / "pool.jsonl"
         save_pool(result.pool, path, meta={"note": "test"})

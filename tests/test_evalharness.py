@@ -56,6 +56,7 @@ from conftest import (
     make_services,
     metric_requests,
     small_example,
+    thirteen_seeds,
 )
 
 
@@ -306,6 +307,21 @@ class TestEvaluate:
         report = evaluate(dataset, eval_pool(), SelectionConfig(), make_services(eval_fixtures()))
         assert report.accuracy == pytest.approx(0.6)
         assert report.n_correct == 3
+
+    @pytest.mark.parametrize("make_pool", [eval_pool, thirteen_seeds])
+    def test_each_item_record_depends_only_on_its_item(self, tmp_path, make_pool):
+        # what the grade and metrics memos keep must not leak from one item into
+        # another; over the 13 seeds, each item selects the seed that shares its number
+        dataset, pool, config = _dataset(tmp_path), make_pool(), SelectionConfig()
+        services = make_services(eval_fixtures())
+        full = {r.item_id: r for r in evaluate(dataset, pool, config, services).items}
+        rng = np.random.default_rng(4)
+        for _ in range(12):
+            order = rng.permutation(len(dataset))[: rng.integers(1, len(dataset) + 1)]
+            subset = [dataset[i] for i in order]
+            for run_services in (make_services(eval_fixtures()), services):  # fresh, then warm
+                report = evaluate(subset, pool, config, run_services)
+                assert report.items == [full[item.id] for item in subset]
 
     def test_unparseable_completion_recorded_as_parse_cause(self, tmp_path):
         dataset = _dataset(tmp_path)

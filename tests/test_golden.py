@@ -20,7 +20,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import re
 import tempfile
@@ -29,7 +31,8 @@ from pathlib import Path
 import pytest
 
 from potselect.cli import main
-from potselect.providers import Fixture
+from potselect.providers import Fixture, ProviderUnavailable, ScriptedProvider
+from potselect.records import encode_record
 from potselect.tuning import TpeParams
 
 from conftest import (
@@ -167,6 +170,78 @@ def test_outputs_match_the_golden_manifest(tmp_path, monkeypatch, request_ledger
     objectives = [json.loads(line)["objective"] for line in log[1:]]
     n_startup = TpeParams().n_startup
     assert len(objectives) > n_startup and len(set(objectives[:n_startup])) > 1
+
+
+# each command run with --cache-dir, the golden command whose outputs it must
+# write, and its exit code when the provider goes down: eval records the failure
+RESUMED = {
+    "augment": ([*COMMANDS["augment"], "--cache-dir", "cache"], "augment", 2),
+    "eval": ([*COMMANDS["eval"], "--cache-dir", "cache"], "eval", 0),
+    "tune": (COMMANDS["tune-cached"], "tune-cached", 2),
+}
+
+
+def _uncached_form(path: Path) -> bytes:
+    """``_stripped`` bytes, with a meta record's ``cache_dir`` put back to null, as
+    the golden run of a command without ``--cache-dir`` records it."""
+    data = _stripped(path)
+    first, _, rest = data.partition(b"\n")
+    record = json.loads(first) if path.suffix == ".jsonl" else None
+    if isinstance(record, dict) and "meta" in record:
+        record["meta"]["config"]["cache_dir"] = None
+        return encode_record(record) + rest
+    return data
+
+
+@pytest.mark.parametrize("name", RESUMED)
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_a_run_interrupted_at_a_provider_call_resumes_to_the_golden_bytes(
+    tmp_path, monkeypatch, request_ledger, name, at
+):
+    """The provider goes down at its k-th call, for the first, the middle and the
+    last of the n calls an uninterrupted cached run makes.  Run again on the same
+    cache, the command sends exactly the requests that have no entry and writes
+    the golden files; no temp file and no quarantined entry is left."""
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    _write_inputs()
+    if name != "augment":  # the pool that eval and tune read
+        assert main(COMMANDS["augment"]) == 0
+    argv, pinned, down_code = RESUMED[name]
+    n = golden[f"distinct {pinned}"]
+    k = {"first": 1, "middle": math.ceil(n / 2), "last": n}[at]
+    before = set(Path(".").rglob("*"))
+
+    complete, calls = ScriptedProvider.complete, itertools.count(1)
+
+    def down_from_k(provider, request):
+        if next(calls) >= k:
+            raise ProviderUnavailable("endpoint down")
+        return complete(provider, request)
+
+    with monkeypatch.context() as outage, contextlib.redirect_stdout(io.StringIO()):
+        outage.setattr(ScriptedProvider, "complete", down_from_k)
+        assert main(argv) == down_code
+    cached = {path.name for path in Path("cache").iterdir()}
+    assert len(cached) == k - 1
+
+    request_ledger.sent.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    entries = {path.name for path in Path("cache").iterdir()}
+    sent = [request.key() for request in request_ledger.sent]
+    assert len(sent) == len(set(sent)) and set(sent) == entries - cached
+    assert len(entries) == n
+
+    written = sorted(set(Path(".").rglob("*")) - before)
+    assert not [p for p in written if p.name.endswith((".tmp", ".corrupt"))]
+    outputs = [p for p in written if p.is_file() and p.parent.name != "cache"]
+    assert outputs
+    for path in outputs:
+        assert hashlib.sha256(_uncached_form(path)).hexdigest() == golden[f"sha256 {path}"]
+    if name == "tune":  # the golden run wrote this cache
+        for path in Path("cache").iterdir():
+            assert hashlib.sha256(_stripped(path)).hexdigest() == golden[f"sha256 {path}"]
 
 
 if __name__ == "__main__":

@@ -126,6 +126,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             MetricVector(relevance=0, concept=0, complexity=-0.1, similarity=0)
 
+    @pytest.mark.parametrize("name", ["relevance", "concept", "similarity"])
+    def test_a_cosine_metric_accepts_minus_one_and_nothing_below(self, name):
+        zero = dict(relevance=0.0, concept=0.0, complexity=0.0, similarity=0.0)
+        assert getattr(MetricVector(**{**zero, name: -1.0}), name) == -1.0
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[-1, 1\]"):
+            MetricVector(**{**zero, name: float(np.nextafter(-1.0, -2.0))})
+
+    @pytest.mark.parametrize("name", ["epsilon", "delta"])
+    def test_epsilon_and_delta_accept_zero_and_reject_any_negative(self, name):
+        assert getattr(SelectionConfig(**{name: 0.0}), name) == 0.0
+        with pytest.raises(ValueError, match="epsilon and delta must be >= 0"):
+            SelectionConfig(**{name: -1e-12})
+
     def test_weights_require_one_positive(self):
         with pytest.raises(ValueError):
             Weights(0, 0, 0, 0)

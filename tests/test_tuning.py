@@ -83,7 +83,7 @@ def _corner_search() -> TrialHistory:
     corner = (0.0, 1.0, 0.0, 1.0)
     history = _history([(corner, 1.0)], seed=6)
     for _ in range(40):
-        point = tpe_suggest(history, SearchSpace())
+        point = tpe_suggest(history)
         objective = -float(np.sum((point - np.asarray(corner)) ** 2))
         history.trials.append(Trial(len(history.trials), tuple(float(v) for v in point), objective))
     return history
@@ -92,10 +92,8 @@ def _corner_search() -> TrialHistory:
 def _pinned_searches() -> dict[str, list[list[float]]]:
     """Each pinned search's trial points, in trial order."""
     searches = {
-        "quadratic_4d": optimize(_quadratic, SearchSpace(), budget=60, seed=0),
-        "distance_4d": optimize(
-            lambda point: -abs(float(point[1]) - 0.7), SearchSpace(), budget=40, seed=3
-        ),
+        "quadratic_4d": optimize(_quadratic, budget=60, seed=0),
+        "distance_4d": optimize(lambda point: -abs(float(point[1]) - 0.7), budget=40, seed=3),
         "corner_4d": _corner_search(),
     }
     return {name: [list(t.point) for t in h.trials] for name, h in searches.items()}
@@ -130,29 +128,29 @@ class TestTrialHistory:
 class TestTpeSuggest:
     def test_empty_history_gives_uniform_point_in_bounds(self):
         space = SearchSpace()
-        point = tpe_suggest(TrialHistory(rng_seed=1), space)
+        point = tpe_suggest(TrialHistory(rng_seed=1))
         assert space.contains(point)
 
     def test_degenerate_history_falls_back_to_uniform(self):
         space = SearchSpace()
         trials = [((i / 20.0,) * 4, 0.5) for i in range(20)]
-        point = tpe_suggest(_history(trials, seed=2), space)
+        point = tpe_suggest(_history(trials, seed=2))
         assert space.contains(point)
 
     def test_deterministic_given_seed_and_history(self):
         trials = [
             (tuple(np.random.default_rng(i).uniform(0, 1, 4)), float(i)) for i in range(15)
         ]
-        a = tpe_suggest(_history(trials, seed=9), SearchSpace())
-        b = tpe_suggest(_history(trials, seed=9), SearchSpace())
+        a = tpe_suggest(_history(trials, seed=9))
+        b = tpe_suggest(_history(trials, seed=9))
         assert np.array_equal(a, b)
 
     def test_different_history_lengths_give_different_draws(self):
         trials = [
             (tuple(np.random.default_rng(i).uniform(0, 1, 4)), float(i)) for i in range(15)
         ]
-        a = tpe_suggest(_history(trials, seed=9), SearchSpace())
-        b = tpe_suggest(_history(trials[:-1], seed=9), SearchSpace())
+        a = tpe_suggest(_history(trials, seed=9))
+        b = tpe_suggest(_history(trials[:-1], seed=9))
         assert not np.array_equal(a, b)
 
     def test_suggestions_always_inside_the_box(self):
@@ -165,7 +163,7 @@ class TestTpeSuggest:
             points[on_bound] = rng.choice([0.0, 1.0], size=int(on_bound.sum()))
             objectives = rng.normal(size=n) if i % 3 else np.full(n, 0.25)  # sometimes all-equal
             trials = [(point, float(objective)) for point, objective in zip(points, objectives)]
-            point = tpe_suggest(_history(trials, seed=i), space)
+            point = tpe_suggest(_history(trials, seed=i))
             assert space.contains(point)
 
     def test_a_cluster_attracts_suggestions(self):
@@ -177,14 +175,23 @@ class TestTpeSuggest:
         trials = [(point, 1.0 + 0.01 * float(point[0])) for point in cluster]
         trials += [(point, 0.001 * float(point[0])) for point in spread]
         near = sum(
-            bool(np.all(np.abs(tpe_suggest(_history(trials, seed=seed), SearchSpace()) - 0.3) <= 0.1))
+            bool(np.all(np.abs(tpe_suggest(_history(trials, seed=seed)) - 0.3) <= 0.1))
             for seed in range(100)
         )
         assert near > 90
 
+    @pytest.mark.parametrize("n_trials", [0, 15])
+    def test_a_seed_counts_by_its_magnitude_modulo_2_to_the_32(self, n_trials):
+        trials = [
+            (tuple(np.random.default_rng(i).uniform(0, 1, 4)), float(i)) for i in range(n_trials)
+        ]
+        point = tpe_suggest(_history(trials, seed=5))
+        for seed in (2**32 + 5, -5):
+            assert np.array_equal(tpe_suggest(_history(trials, seed=seed)), point), seed
+
     def test_startup_phase_is_uniform_random(self):
         trials = [((0.5,) * 4, float(i)) for i in range(5)]
-        point = tpe_suggest(_history(trials, seed=3), SearchSpace())
+        point = tpe_suggest(_history(trials, seed=3))
         assert SearchSpace().contains(point)
 
 
@@ -283,7 +290,7 @@ class TestParzenKernels:
                 shapes.append(self.mus.shape)
 
         monkeypatch.setattr(tuning, "_Parzen1D", Recording)
-        optimize(_quadratic, SearchSpace(), budget=60)
+        optimize(_quadratic, budget=60)
         assert len(shapes) == 2 * (60 - 10)  # one good and one bad fit per fitted trial
         assert all(dims == 4 and k >= 3 for dims, k in shapes)
 
@@ -306,25 +313,25 @@ class TestLogAddExp:
 
 class TestOptimize:
     def test_quadratic_converges_near_target(self):
-        history = optimize(_quadratic, SearchSpace(), budget=60, seed=0)
+        history = optimize(_quadratic, budget=60, seed=0)
         best = best_trial(history)
         assert np.all(np.abs(np.asarray(best.point) - 0.3) <= 0.1)
 
     def test_deterministic_across_runs(self):
-        a = optimize(_quadratic, SearchSpace(), budget=15, seed=4)
-        b = optimize(_quadratic, SearchSpace(), budget=15, seed=4)
+        a = optimize(_quadratic, budget=15, seed=4)
+        b = optimize(_quadratic, budget=15, seed=4)
         assert [t.point for t in a.trials] == [t.point for t in b.trials]
 
     def test_trial_log_reconstructs_history_exactly(self, tmp_path):
         log_path = tmp_path / "trials.jsonl"
-        history = optimize(_quadratic, SearchSpace(), budget=12, seed=7, log_path=log_path)
+        history = optimize(_quadratic, budget=12, seed=7, log_path=log_path)
         rng_seed, trials = _log(log_path)
         assert rng_seed == history.rng_seed == 7
         assert trials == [(t.seq, t.point, t.objective) for t in history.trials]
 
     def test_the_log_is_one_encode_record_line_per_record(self, tmp_path):
         log_path = tmp_path / "trials.jsonl"
-        history = optimize(_quadratic, SearchSpace(), budget=4, seed=7, log_path=log_path)
+        history = optimize(_quadratic, budget=4, seed=7, log_path=log_path)
         header, *lines = log_path.read_bytes().splitlines(keepends=True)
         assert header == encode_record({"rng_seed": 7})
         assert len(lines) == len(history.trials)
@@ -334,8 +341,8 @@ class TestOptimize:
 
     def test_an_existing_log_is_overwritten_by_the_new_search(self, tmp_path):
         log_path = tmp_path / "trials.jsonl"
-        optimize(_quadratic, SearchSpace(), budget=5, seed=3, log_path=log_path)
-        history = optimize(_quadratic, SearchSpace(), budget=3, seed=8, log_path=log_path)
+        optimize(_quadratic, budget=5, seed=3, log_path=log_path)
+        history = optimize(_quadratic, budget=3, seed=8, log_path=log_path)
         rng_seed, trials = _log(log_path)
         assert rng_seed == 8
         assert [seq for seq, _, _ in trials] == [0, 1, 2]
@@ -352,7 +359,7 @@ class TestOptimize:
             return _quadratic(point)
 
         with pytest.raises(RuntimeError):
-            optimize(flaky, SearchSpace(), budget=10, seed=1, log_path=log_path)
+            optimize(flaky, budget=10, seed=1, log_path=log_path)
         assert [seq for seq, _, _ in _log(log_path)[1]] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize(
@@ -363,7 +370,7 @@ class TestOptimize:
             ((0.2,) * 4, 0.0), ((0.4,) * 4, 1.0), (bad, 0.5), ((1.5,) * 4, 0.0), ((0.5,) * 5, 0.0),
         ]
         with pytest.raises(ValueError, match=r"^trial 2 point .* outside the space"):
-            tpe_suggest(_history(trials), SearchSpace())
+            tpe_suggest(_history(trials))
 
     def test_searches_keep_their_pinned_trial_points(self):
         pinned = json.loads(SEARCHES.read_text(encoding="utf-8"))
@@ -405,14 +412,14 @@ class TestAccuracyObjective:
 class TestTuneWeights:
     def test_budget_one_returns_the_single_point(self, tmp_path):
         log_path = tmp_path / "t.jsonl"
-        searched = optimize(_quadratic, SearchSpace(), budget=1, seed=11, log_path=log_path)
+        searched = optimize(_quadratic, budget=1, seed=11, log_path=log_path)
         weights = Weights.from_array(best_trial(searched).point)
         _, trials = _log(log_path)
         assert len(trials) == 1
         assert weights.as_array() == pytest.approx(np.asarray(trials[0][1]))
 
     def test_synthetic_objective_recovers_target_box(self):
-        searched = optimize(_quadratic, SearchSpace(), budget=60, seed=2)
+        searched = optimize(_quadratic, budget=60, seed=2)
         weights = Weights.from_array(best_trial(searched).point)
         assert np.all(np.abs(weights.as_array() - 0.3) <= 0.1)
 
@@ -478,7 +485,7 @@ class TestTuneWeights:
                 Weights.from_array(point), pool, dataset, fresh, SelectionConfig()
             )
 
-        reference = optimize(recomputing, SearchSpace(), budget, seed=seed)
+        reference = optimize(recomputing, budget, seed=seed)
         recomputed = request_ledger.sent[len(tuned):]
         assert len(recomputed) == budget * (len(metric) + len(dataset))
         # each distinct few-shot request of the trials is sent once, on its first trial
