@@ -13,7 +13,6 @@ from .augmentation import (
     ExamplePool,
     augment_pool,
     check_consistency,
-    extract_answer_block,
     load_pool,
     save_pool,
 )
@@ -31,6 +30,7 @@ from .interpreter import (
     Program,
     complexity,
     execute,
+    extract_answer_block,
     modify_answer,
     parse,
 )

@@ -18,7 +18,7 @@ from typing import Any, Callable, Hashable
 import numpy as np
 
 from . import interpreter, prompts
-from .interpreter import Assignment, InterpreterError, ModificationChain, Program
+from .interpreter import InterpreterError, ModificationChain, Program, extract_answer_block
 from .providers import Services, embedded_cosine
 # unused here: kept only as a benchmarks/spans.py trace point, until the benchmark-only change
 from .providers import cosine  # noqa: F401
@@ -191,46 +191,6 @@ class AugmentationResult:
         return counts
 
 
-def extract_answer_block(completion: str) -> Program | None:
-    """Parse the maximal contiguous block of dialect-parseable lines.
-
-    Code fences are stripped first.  A valid block needs at least one
-    assignment; blocks of equal length tie toward the earliest.  The
-    program's ``source_text`` is the block, trimmed of blank lines.
-    Returns None when no block qualifies.
-    """
-    lines = [l for l in completion.replace("\r", "").split("\n") if not l.strip().startswith("```")]
-    n = len(lines)
-    best: tuple[int, int, list[Assignment]] | None = None  # (start, end) half-open, statements
-    start = 0
-    while start < n:
-        defined: set[str] = set()
-        statements: list[Assignment] = []
-        end = start
-        while end < n:
-            try:
-                assignment = interpreter.parse_line(lines[end])
-            except InterpreterError:
-                break
-            if assignment is not None:
-                if not interpreter.references(assignment.expression) <= defined:
-                    break
-                defined.add(assignment.target)
-                statements.append(assignment)
-            end += 1
-        if statements and (best is None or end - start > best[1] - best[0]):
-            best = (start, end, statements)
-        start = max(end, start + 1)
-    if best is None:
-        return None
-    block = lines[best[0] : best[1]]
-    while block and not block[0].strip():
-        block.pop(0)
-    while block and not block[-1].strip():
-        block.pop()
-    return Program(tuple(best[2]), "\n".join(block))
-
-
 EPS_GATE = 1e-6  # the gate's output tolerance: absolute below 1, relative above
 
 
@@ -270,12 +230,17 @@ def check_consistency(
     )
 
 
-def rephrase_question(example: Example, services: Services) -> str:
-    prompt = prompts.rephrase_prompt(example.question, example.answer_text)
+def _generate(prompt: str, services: Services, what: str) -> str:
+    """The completion of ``prompt``, stripped; a blank one raises EmptyGeneration."""
     response = services.complete_text(prompt).strip()
     if not response:
-        raise EmptyGeneration("rephrased question is blank")
+        raise EmptyGeneration(f"{what} is blank")
     return response
+
+
+def rephrase_question(example: Example, services: Services) -> str:
+    prompt = prompts.rephrase_prompt(example.question, example.answer_text)
+    return _generate(prompt, services, "rephrased question")
 
 
 def infer_answer(reference: tuple[str, str], new_question: str, services: Services) -> Program:
@@ -291,10 +256,7 @@ def infer_answer(reference: tuple[str, str], new_question: str, services: Servic
 def generate_question(modified_answer: str, reference: tuple[str, str], services: Services) -> str:
     """A question for ``modified_answer``, with the (question, answer) ``reference`` as the one shot."""
     prompt = prompts.question_generation_prompt([reference], modified_answer)
-    response = services.complete_text(prompt).strip()
-    if not response:
-        raise EmptyGeneration("generated question is blank")
-    return response
+    return _generate(prompt, services, "generated question")
 
 
 def random_chain(rng: np.random.Generator) -> ModificationChain:
@@ -322,7 +284,8 @@ def _stage2_reference(example: Example, pool: ExamplePool) -> Example | None:
     return next((e for e in pool.in_id_order if e.id not in lineage), None)
 
 
-Proposal = tuple[str, Program, Program]  # (question, candidate answer, reference answer)
+# (question, candidate answer, reference answer, the answer the product keeps: one of the two)
+Proposal = tuple[str, Program, Program, Program]
 
 
 def stage1(
@@ -333,13 +296,9 @@ def stage1(
     def propose(_: None) -> Proposal:
         question = rephrase_question(example, services)
         answer = infer_answer((example.question, example.answer_text), question, services)
-        return question, answer, example.program
+        return question, answer, example.program, answer
 
-    found = _first_consistent(example.id, 1, None, config, services, log, _no_draw, propose)
-    if found is None:
-        return None
-    (question, answer, _), report = found
-    return _child(example, 1, question, answer, report)
+    return _first_consistent(example, 1, None, config, services, log, propose)
 
 
 def stage2(
@@ -361,13 +320,10 @@ def stage2(
 
     def propose(_: None) -> Proposal:
         pair = (reference.question, reference.answer_text)
-        return example.question, infer_answer(pair, example.question, services), example.program
+        answer = infer_answer(pair, example.question, services)
+        return example.question, answer, example.program, answer
 
-    found = _first_consistent(example.id, 2, None, config, services, log, _no_draw, propose)
-    if found is None:
-        return None
-    (question, answer, _), report = found
-    return _child(example, 2, question, answer, report)
+    return _first_consistent(example, 2, None, config, services, log, propose)
 
 
 def stage3(
@@ -379,55 +335,52 @@ def stage3(
 ) -> Example | None:
     """T rounds of modify-then-question; None means a round's attempts all failed.
 
-    Each round modifies the program the previous round accepted, starting
-    from ``example.program``, and draws one chain per attempt from ``rng``.  The gate
-    checks the answer inferred for the generated question against the
-    modified answer, which is the one the product keeps.
+    Each round modifies the program of the previous round's product, with
+    its question as the one shot, starting from ``example``, and draws one
+    chain per attempt from ``rng``.  The gate checks the answer inferred for
+    the generated question against the modified answer, which is the one
+    the product keeps.
     """
-    question, program = example.question, example.program
+    child: Example | None = example
     draw = functools.partial(random_chain, rng)
 
     def propose(chain: ModificationChain) -> Proposal:
-        modified = interpreter.modify_answer(program, chain)
-        reference = (question, program.source_text)
+        modified = interpreter.modify_answer(child.program, chain)
+        reference = (child.question, child.program.source_text)
         new_question = generate_question(modified.source_text, reference, services)
-        return new_question, infer_answer(reference, new_question, services), modified
+        return new_question, infer_answer(reference, new_question, services), modified, modified
 
     for iteration in range(1, config.iterations + 1):
-        found = _first_consistent(example.id, 3, iteration, config, services, log, draw, propose)
-        if found is None:
+        child = _first_consistent(example, 3, iteration, config, services, log, propose, draw)
+        if child is None:
             return None
-        (question, _, program), report = found
-    return _child(example, 3, question, program, report, config.iterations)
-
-
-def _no_draw() -> None:
-    """Stages 1 and 2 draw nothing: every attempt of theirs has the same inputs."""
-    return None
+    return child
 
 
 def _first_consistent(
-    seed_id: str,
+    example: Example,
     stage: int,
     iteration: int | None,
     config: AugmentationConfig,
     services: Services,
     log: list[AttemptRecord],
-    draw: Callable[[], Hashable],
     propose: Callable[[Any], Proposal],
-) -> tuple[Proposal, ConsistencyReport] | None:
-    """The first of up to ``max_retries + 1`` attempts whose proposal passes the gate.
+    draw: Callable[[], Hashable] = lambda: None,
+) -> Example | None:
+    """``example``'s stage product from the first of up to ``max_retries + 1``
+    attempts whose proposal passes the gate.
 
     Each attempt first draws its inputs (``draw``, which runs for every
-    attempt), then ``propose`` builds a proposal from them, sending its
-    requests.  The gate checks the candidate answer against the reference
-    answer.  A proposal that cannot be generated counts as an inconsistent
-    attempt.  A completion has one response per prompt, so an attempt that
-    draws the same inputs as an attempt already rejected in this call gets
-    that attempt's report: it proposes nothing, sends nothing and runs no
-    gate.  A ``ProviderError`` propagates and leaves no report behind.
-    Every attempt is logged.  Returns the accepted proposal and its report;
-    None means all of them failed.
+    attempt; by default nothing, so every attempt has the same inputs), then
+    ``propose`` builds a proposal from them, sending its requests.  The gate
+    checks the candidate answer against the reference answer.  A proposal
+    that cannot be generated counts as an inconsistent attempt.  A
+    completion has one response per prompt, so an attempt that draws the
+    same inputs as an attempt already rejected in this call gets that
+    attempt's report: it proposes nothing, sends nothing and runs no gate.
+    A ``ProviderError`` propagates and leaves no report behind.  Every
+    attempt is logged.  The product has the proposal's question and kept
+    answer and the gate's report; None means every attempt failed.
     """
     rejected: dict[Hashable, ConsistencyReport] = {}
     for attempt in range(config.max_retries + 1):
@@ -435,36 +388,25 @@ def _first_consistent(
         report = rejected.get(drawn)
         if report is None:
             try:
-                proposal = propose(drawn)
+                question, candidate, reference, kept = propose(drawn)
             except (EmptyGeneration, InterpreterError) as exc:
                 report = ConsistencyReport(False, None, None, None, "inconsistent", str(exc))
             else:
-                report = check_consistency(proposal[1], proposal[2], services, tau=config.tau)
+                report = check_consistency(candidate, reference, services, tau=config.tau)
         accepted = report.verdict == "consistent"
-        log.append(AttemptRecord(seed_id, stage, iteration, attempt, accepted, report))
+        log.append(AttemptRecord(example.id, stage, iteration, attempt, accepted, report))
         if accepted:
-            return proposal, report
+            return Example(
+                id=f"{example.id}.s{stage}",
+                question=question,
+                answer_text=kept.source_text,
+                provenance=Provenance(f"stage{stage}", iteration),
+                parent_id=example.id,
+                consistency=report,
+                program=kept,
+            )
         rejected[drawn] = report
     return None
-
-
-def _child(
-    parent: Example,
-    stage: int,
-    question: str,
-    answer: Program,
-    report: ConsistencyReport,
-    iteration: int | None = None,
-) -> Example:
-    return Example(
-        id=f"{parent.id}.s{stage}",
-        question=question,
-        answer_text=answer.source_text,
-        provenance=Provenance(f"stage{stage}", iteration),
-        parent_id=parent.id,
-        consistency=report,
-        program=answer,
-    )
 
 
 def augment_pool(

@@ -118,14 +118,11 @@ def build_parser() -> _Parser:
 
 
 def _check(key: str, default, kwargs: dict, value) -> None:
-    """Give a config-file value its flag's checks: JSON type, choices, ``type`` and range."""
+    """Give a config-file value its flag's checks: its default's JSON type, choices, range."""
     if value is None and default is None:
         return
     parse = kwargs.get("type", str)
-    if "action" in kwargs:
-        types: tuple[type, ...] = (bool,)
-    else:
-        types = {int: (int,), float: (int, float)}.get(getattr(parse, "kind", parse), (str,))
+    types = {bool: (bool,), int: (int,), float: (int, float)}.get(type(default), (str,))
     try:
         if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
             raise argparse.ArgumentTypeError(f"expected {types[-1].__name__}, got {value!r}")

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import interpreter, prompts
-from .augmentation import Example, ExamplePool, extract_answer_block
+from .augmentation import Example, ExamplePool
+from .interpreter import extract_answer_block
 from .providers import ProviderError, Services
 from .records import (
     DatasetError,

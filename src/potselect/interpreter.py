@@ -217,6 +217,22 @@ def parse_line(line: str, line_no: int = 1) -> Assignment | None:
     return outcome
 
 
+def _scan(lines: list[str], start: int, statements: list[Assignment]) -> None:
+    """Parse ``lines[start:]`` in one scope, appending each assignment to
+    ``statements``; raise at the first line that does not parse or reads a name
+    not yet assigned."""
+    defined: set[str] = set()
+    for index in range(start, len(lines)):
+        assignment = parse_line(lines[index], index + 1)
+        if assignment is None:
+            continue
+        read = references(assignment.expression)
+        if not read <= defined:
+            raise ForwardReferenceError(min(read - defined), index + 1)
+        statements.append(assignment)
+        defined.add(assignment.target)
+
+
 def parse(source: str) -> Program:
     """Parse program text into :class:`Program`.
 
@@ -225,17 +241,39 @@ def parse(source: str) -> Program:
     :class:`ForwardReferenceError`; ``source`` is preserved verbatim.
     """
     statements: list[Assignment] = []
-    defined: set[str] = set()
-    for line_no, line in enumerate(source.replace("\r", "").split("\n"), start=1):
-        assignment = parse_line(line, line_no)
-        if assignment is None:
-            continue
-        for name in sorted(references(assignment.expression)):
-            if name not in defined:
-                raise ForwardReferenceError(name, line_no)
-        statements.append(assignment)
-        defined.add(assignment.target)
+    _scan(source.replace("\r", "").split("\n"), 0, statements)
     return Program(tuple(statements), source)
+
+
+def extract_answer_block(completion: str) -> Program | None:
+    """Parse the maximal contiguous block of dialect-parseable lines.
+
+    Code fences are stripped first.  A valid block needs at least one
+    assignment; blocks of equal length tie toward the earliest.  The
+    program's ``source_text`` is the block, trimmed of blank lines.
+    Returns None when no block qualifies.
+    """
+    lines = [l for l in completion.replace("\r", "").split("\n") if not l.strip().startswith("```")]
+    best: tuple[int, int, list[Assignment]] | None = None  # (start, end) half-open, statements
+    start = 0
+    while start < len(lines):
+        statements: list[Assignment] = []
+        try:
+            _scan(lines, start, statements)
+            end = len(lines)
+        except InterpreterError as exc:
+            end = exc.line_no - 1  # the index of the line that stopped the block
+        if statements and (best is None or end - start > best[1] - best[0]):
+            best = (start, end, statements)
+        start = end + 1  # the line that stopped the block fails from an empty scope too
+    if best is None:
+        return None
+    block = lines[best[0] : best[1]]
+    while block and not block[0].strip():
+        block.pop(0)
+    while block and not block[-1].strip():
+        block.pop()
+    return Program(tuple(best[2]), "\n".join(block))
 
 
 # precedence: atoms 4, unary minus 3, * / 2, + - 1

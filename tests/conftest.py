@@ -2,7 +2,8 @@
 
 ``metric_requests`` states which requests selection sends, the
 ``request_ledger`` fixture records those that scripted providers receive,
-and ``oracle_metric_rows`` recomputes the four metrics scalar by scalar.
+``oracle_metric_rows`` recomputes the four metrics scalar by scalar, and
+``oracle_select_examples`` replays the selection loop over them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import requests
 from potselect.augmentation import Example, ExamplePool
 from potselect.prompts import concept_prompt, zero_shot_prompt
 from potselect.providers import CompletionRequest, Fixture, HashEmbedding, ScriptedProvider, Services
+from potselect.selection import IterationRecord, SelectionResult
 
 BOLTS_Q = (
     "A robe takes 2 bolts of blue fiber and half that much white fiber. "
@@ -222,6 +224,18 @@ def few_shot_requests(sent, pool, test_questions) -> list[CompletionRequest]:
     return [r for r in sent if (r.prompt, r.stop_sequences) not in metric]
 
 
+def oracle_cosine(a: str, b: str, embed) -> float:
+    """The cosine of the ``embed`` vectors of two texts, clamped to [-1, 1]; 0 when
+    either vector is zero."""
+    u = np.asarray(embed(a), dtype=np.float64)
+    v = np.asarray(embed(b), dtype=np.float64)
+    nu, nv = math.sqrt(u.dot(u)), math.sqrt(v.dot(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    value = float(u.dot(v) / (nu * nv))
+    return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
+
+
 def oracle_metric_rows(pool, test_question: str, fixtures, embed) -> list[list[float]]:
     """The four metrics of each candidate in ``pool`` against ``test_question``,
     one scalar at a time: the metric prompts go to a fresh ``ScriptedProvider``
@@ -232,13 +246,7 @@ def oracle_metric_rows(pool, test_question: str, fixtures, embed) -> list[list[f
         return provider.complete(CompletionRequest(prompt, stop_sequences=stop_sequences))
 
     def cos(a: str, b: str) -> float:
-        u = np.asarray(embed(a), dtype=np.float64)
-        v = np.asarray(embed(b), dtype=np.float64)
-        nu, nv = math.sqrt(u.dot(u)), math.sqrt(v.dot(v))
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        value = float(u.dot(v) / (nu * nv))
-        return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
+        return oracle_cosine(a, b, embed)
 
     counts = [example.answer_text.count("\n") for example in pool]
     low, high = min(counts), max(counts)
@@ -255,10 +263,68 @@ def oracle_metric_rows(pool, test_question: str, fixtures, embed) -> list[list[f
     ]
 
 
+def oracle_select_examples(pool, test_question: str, config, fixtures, embed):
+    """``select_examples`` as the paper's loop, in plain loops over
+    ``oracle_metric_rows``.
+
+    Each candidate's score is ``np.dot`` of its row and the weights.  Each
+    round picks the highest score left, the lowest pool index of equal ones,
+    and stops when the pick's score is closer than epsilon to the previous
+    pick's.  Otherwise, once three or more are chosen, each chosen answer's
+    redundancy is its mean cosine to the other chosen answers, and the most
+    redundant (the earliest chosen of equal ones) is dropped when it beats
+    the second by more than delta.
+    """
+    examples = list(pool)
+    weights = config.weights.as_array()
+    rows = oracle_metric_rows(pool, test_question, fixtures, embed)
+    scores = [float(np.dot(row, weights)) for row in rows]
+    remaining = list(range(len(examples)))
+    chosen: list[int] = []
+    picked: list[float] = []
+    trace: list[IterationRecord] = []
+    while remaining and len(chosen) < config.max_chosen:
+        candidate_scores = {examples[i].id: scores[i] for i in remaining}
+        best = remaining[0]
+        for i in remaining:
+            if scores[i] > scores[best]:
+                best = i
+        remaining.remove(best)
+        chosen.append(best)
+        record = dict(
+            iteration=len(trace) + 1,
+            candidate_scores=candidate_scores,
+            picked_id=examples[best].id,
+            picked_score=scores[best],
+        )
+        if picked and abs(picked[-1] - scores[best]) < config.epsilon:
+            trace.append(IterationRecord(**record, stop="epsilon"))
+            break
+        picked.append(scores[best])
+        if len(chosen) >= 3:
+            redundancy = []
+            for i in chosen:
+                others = [oracle_cosine(examples[i].answer_text, examples[j].answer_text, embed)
+                          for j in chosen if j != i]
+                redundancy.append(sum(others) / len(others))
+            top = redundancy.index(max(redundancy))
+            second = max(r for k, r in enumerate(redundancy) if k != top)
+            record["redundancy"] = {examples[i].id: r for i, r in zip(chosen, redundancy)}
+            if redundancy[top] - second > config.delta:
+                record["pruned_id"] = examples[chosen.pop(top)].id
+        trace.append(IterationRecord(**record))
+    return SelectionResult(chosen=[(examples[i], scores[i]) for i in chosen], trace=trace)
+
+
 def fake_post(
-    monkeypatch, status: int = 200, body: bytes = b"", raises: Exception | None = None
+    monkeypatch,
+    status: int = 200,
+    body: bytes = b"",
+    raises: Exception | None = None,
+    respond=None,
 ) -> list[dict]:
-    """Make every ``requests.post`` answer with one canned response, or raise ``raises``.
+    """Make every ``requests.post`` answer with one canned response, or raise ``raises``;
+    ``respond(payload)``, when given, returns each post's ``(status, body)`` or raises.
 
     Returns the list that collects each posted payload.
     """
@@ -269,8 +335,7 @@ def fake_post(
         if raises is not None:
             raise raises
         resp = requests.Response()
-        resp.status_code = status
-        resp._content = body
+        resp.status_code, resp._content = respond(json) if respond else (status, body)
         return resp
 
     monkeypatch.setattr("requests.post", post)

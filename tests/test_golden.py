@@ -18,6 +18,7 @@ purpose regenerates the manifest with
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import itertools
@@ -29,9 +30,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import requests
 
+from potselect import cache, records
 from potselect.cli import main
-from potselect.providers import Fixture, ProviderUnavailable, ScriptedProvider
+from potselect.providers import CompletionRequest, Fixture, ProviderUnavailable, ScriptedProvider
 from potselect.records import encode_record
 from potselect.tuning import TpeParams
 
@@ -41,6 +44,7 @@ from conftest import (
     completion_fixture,
     eval_dataset_records,
     eval_fixtures,
+    fake_post,
     save_fixtures,
     thirteen_seeds,
 )
@@ -242,6 +246,119 @@ def test_a_run_interrupted_at_a_provider_call_resumes_to_the_golden_bytes(
     if name == "tune":  # the golden run wrote this cache
         for path in Path("cache").iterdir():
             assert hashlib.sha256(_stripped(path)).hexdigest() == golden[f"sha256 {path}"]
+
+
+def _remote_faults(monkeypatch, fixtures: str, fault: str, k: float, sent: list) -> None:
+    """A remote endpoint, at ``requests.post``, that answers as a ``ScriptedProvider``
+    over ``fixtures`` until ``fault`` hits every post of the k-th distinct request
+    and of each later one: a ``Timeout``, a 5xx, or a body with no "text".  Each
+    post's request is appended to ``sent``."""
+    provider, distinct = ScriptedProvider.from_file(fixtures), {}
+
+    def respond(payload):
+        request = CompletionRequest(payload["prompt"], payload["model"], tuple(payload["stop"]))
+        sent.append(request)
+        if distinct.setdefault(request, len(distinct) + 1) >= k:
+            if fault == "timeout":
+                raise requests.Timeout("slow")
+            return (503, b"busy") if fault == "5xx" else (200, b'{"choices": []}')
+        return 200, json.dumps({"text": provider.complete(request)}).encode("utf-8")
+
+    fake_post(monkeypatch, respond=respond)
+
+
+def _cache_writes_fail_at(monkeypatch, k: int) -> None:
+    """The k-th cache entry ``records.replace_file`` writes fails after its header,
+    as on a full disk; other writes go through."""
+    writes = itertools.count(1)
+
+    def failing(chunks):
+        yield next(iter(chunks))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def replace_file(path, chunks):
+        records.replace_file(path, failing(chunks) if next(writes) == k else chunks)
+
+    monkeypatch.setattr(cache, "replace_file", replace_file)
+
+
+# each fault's kind, and the exit code of a run it stops: eval records a provider
+# failure as an item's cause, but stops on a failed cache write
+FAULTS = {"timeout": 2, "5xx": 2, "malformed": 2, "enospc": 3}
+
+
+def _requests_sent(monkeypatch, fixtures: str, fault: str, k: float) -> list[CompletionRequest]:
+    """Install the fault from the k-th request or cache write on (none for k = inf);
+    return the list that collects each request sent, remote or scripted."""
+    sent: list[CompletionRequest] = []
+    if fault != "enospc":
+        _remote_faults(monkeypatch, fixtures, fault, k, sent)
+        return sent
+    complete = ScriptedProvider.complete
+
+    def recording(provider, request):
+        sent.append(request)
+        return complete(provider, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", recording)
+    if k != math.inf:
+        _cache_writes_fail_at(monkeypatch, k)
+    return sent
+
+
+@pytest.mark.parametrize("name", RESUMED)
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("at", ["first", "middle"])
+def test_a_run_stopped_by_a_remote_or_disk_fault_resumes_to_the_same_bytes(
+    tmp_path, monkeypatch, name, fault, at
+):
+    """A remote command (for ``enospc``, a scripted one) with ``--cache-dir`` meets
+    a fault at its k-th distinct request or cache write, for the first and the
+    middle of the n an uninterrupted run makes.  Run again on the same cache, it
+    sends exactly the requests that have no entry, and writes the bytes of an
+    uninterrupted run of the same command; no temp file or quarantined entry is left."""
+    monkeypatch.setenv("POTSELECT_ENDPOINT", "http://example.invalid")
+    monkeypatch.setattr("time.sleep", lambda seconds: None)
+    golden = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    argv, pinned, _ = RESUMED[name]
+    if fault != "enospc":
+        argv = [*argv, "--provider", "remote"]
+    fixtures = "augment_fixtures.json" if name == "augment" else "eval_fixtures.json"
+    n = golden[f"distinct {pinned}"]
+    k = {"first": 1, "middle": math.ceil(n / 2)}[at]
+
+    def run(k: float) -> tuple[int, list[str]]:
+        with monkeypatch.context() as faults, contextlib.redirect_stdout(io.StringIO()):
+            sent = _requests_sent(faults, fixtures, fault, k)
+            code = main(argv)
+        return code, [request.key() for request in sent]
+
+    def files() -> dict[str, bytes]:
+        return {str(p): _stripped(p) for p in sorted(Path(".").rglob("*")) if p.is_file()}
+
+    for directory in ("clean", "resumed"):
+        (tmp_path / directory).mkdir()
+        monkeypatch.chdir(tmp_path / directory)
+        _write_inputs()
+        if name != "augment":  # the pool that eval and tune read
+            assert main(COMMANDS["augment"]) == 0
+    monkeypatch.chdir(tmp_path / "clean")
+    code, sent = run(math.inf)
+    assert code == 0 and len(set(sent)) == len(sent) == n
+    clean = files()
+
+    monkeypatch.chdir(tmp_path / "resumed")
+    code, _ = run(k)
+    assert code == (0 if name == "eval" and fault != "enospc" else FAULTS[fault])
+    cached = {path.name for path in Path("cache").iterdir()}
+    assert len(cached) == k - 1
+    code, sent = run(math.inf)
+    assert code == 0
+    entries = {path.name for path in Path("cache").iterdir()}
+    assert len(sent) == len(set(sent)) and set(sent) == entries - cached
+    resumed = files()
+    assert not [p for p in resumed if p.endswith((".tmp", ".corrupt"))]
+    assert resumed == clean
 
 
 if __name__ == "__main__":

@@ -510,3 +510,59 @@ def test_render_assignment_helper():
             "+", interpreter.Num(1.0), interpreter.BinOp("*", interpreter.Num(2.0), interpreter.Num(3.0))
         ),
     )
+
+
+# the kinds of line a completion holds: assignments, some reading a name that is
+# assigned later or never ("late"), blanks, comments, prose, lines outside the
+# dialect, code fences, a stray carriage return and a lone surrogate
+_TARGETS = st.sampled_from(("a", "b", "ans", "late"))
+_OPERANDS = st.sampled_from(("a", "b", "ans", "late", "2", "3"))
+_assignments = st.one_of(
+    st.builds("{} = {}".format, _TARGETS, st.integers(0, 9)),
+    st.builds("{} = {} {} {}".format, _TARGETS, _OPERANDS, st.sampled_from("+-*/"), _OPERANDS),
+)
+_completion_lines = st.one_of(
+    _assignments,
+    _assignments,
+    st.sampled_from(
+        [
+            "", "   ", "# a comment", "  # steps", "The answer is below.", "ans",
+            "ans = (1", "print(ans)", "a, b = 1, 2", "x = 'text'", "ans = 2 ** 3",
+            "```", "```python", "  ```", "ans = 1\r", "ans = 1\ud800",
+        ]
+    ),
+    st.text(st.characters(blacklist_characters="\r\n"), max_size=12),
+)
+
+
+def _longest_parseable_span(completion: str):
+    """``extract_answer_block`` by exhaustion: of the fence-stripped lines, the
+    longest span that ``parse`` accepts with an assignment, the earliest of equal
+    length, as (statements, the span trimmed of blank lines); None if none."""
+    lines = [l for l in completion.replace("\r", "").split("\n") if not l.strip().startswith("```")]
+    for length in range(len(lines), 0, -1):
+        for start in range(len(lines) - length + 1):
+            span = lines[start : start + length]
+            try:
+                statements = parse("\n".join(span)).statements
+            except InterpreterError:
+                continue
+            if statements:
+                while not span[0].strip():
+                    span = span[1:]
+                while not span[-1].strip():
+                    span = span[:-1]
+                return statements, "\n".join(span)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_completion_lines, max_size=15), st.sampled_from(["\n", "\r\n"]))
+def test_extract_answer_block_takes_the_longest_parseable_span(lines, newline):
+    completion = newline.join(lines)
+    expected = _longest_parseable_span(completion)
+    program = interpreter.extract_answer_block(completion)
+    if expected is None:
+        assert program is None
+    else:
+        assert (program.statements, program.source_text) == expected

@@ -45,6 +45,7 @@ from conftest import (
     make_services,
     metric_requests,
     oracle_metric_rows,
+    oracle_select_examples,
     random_pool,
     random_weights,
 )
@@ -478,6 +479,20 @@ class TestSelectExamples:
         )
         picked = [r.picked_score for r in result.trace]
         assert picked == sorted(picked, reverse=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _oracle_cases(),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        st.integers(1, 14),
+    )
+    def test_result_and_trace_equal_the_plain_loop_oracle(self, case, epsilon, delta, max_chosen):
+        pool, test_question, fixtures, embedding, weights = case
+        config = SelectionConfig(weights, epsilon, delta, max_chosen)
+        services = make_services(fixtures, embedding=embedding)
+        expected = oracle_select_examples(pool, test_question, config, fixtures, embedding.embed)
+        assert select_examples(pool, test_question, config, services) == expected
 
 
 class TestInvariants:
