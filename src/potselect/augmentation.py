@@ -146,6 +146,10 @@ class ExamplePool:
         return self._by_id.get(example_id)
 
     @functools.cached_property
+    def ids(self) -> tuple[str, ...]:  # in pool order
+        return tuple(self._by_id)
+
+    @functools.cached_property
     def in_id_order(self) -> tuple[Example, ...]:
         """The examples sorted by id, on first use only."""
         return tuple(sorted(self.examples, key=lambda e: e.id))

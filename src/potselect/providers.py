@@ -279,9 +279,9 @@ class RemoteCompletionProvider:
         raise ProviderUnavailable(f"gave up after {MAX_ATTEMPTS} attempts: {last}") from last
 
 
-TOKEN_HASH_MEMO_SIZE = 4096  # distinct tokens whose hash is kept
+TOKEN_HASH_MEMO_SIZE = 4096  # distinct tokens whose bucket is kept
 EMBED_DIMENSION = 256  # buckets of the hashed bag of tokens
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 
 
 class HashEmbedding:
@@ -291,7 +291,7 @@ class HashEmbedding:
     64-bit hash (blake2b, 8-byte digest, big-endian), accumulate token counts
     into bucket ``hash % EMBED_DIMENSION``, L2-normalize.  Empty token list
     yields the all-zero vector.  Depends only on the multiset of tokens.
-    Each distinct token is hashed once while it stays among the last
+    Each distinct token's bucket is computed once while it stays among the last
     ``TOKEN_HASH_MEMO_SIZE`` distinct tokens.  One ``np.bincount`` counts the
     buckets, and integer counts convert to float64 exactly; the norm is
     ``math.sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes for a
@@ -300,12 +300,12 @@ class HashEmbedding:
 
     @staticmethod
     @functools.lru_cache(maxsize=TOKEN_HASH_MEMO_SIZE)
-    def _token_hash(token: str) -> int:
-        return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
+    def _token_bucket(token: str) -> int:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest, "big") % EMBED_DIMENSION
 
     def embed(self, text: str) -> np.ndarray:
-        token_hash = self._token_hash
-        buckets = [token_hash(t) % EMBED_DIMENSION for t in _TOKEN_SPLIT.split(text.lower()) if t]
+        buckets = list(map(self._token_bucket, _TOKEN.findall(text.lower())))
         # an intp array even when empty: np.bincount of an empty float list raises
         counts = np.bincount(np.array(buckets, dtype=np.intp), minlength=EMBED_DIMENSION)
         vector = counts.astype(np.float64)

@@ -63,7 +63,7 @@ class Weights:
             raise ValueError("at least one weight must be positive")
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=np.float64)
+        return np.array([self.relevance, self.concept, self.complexity, self.similarity], float)
 
     @classmethod
     def from_array(cls, values) -> "Weights":
@@ -239,19 +239,22 @@ def score(metrics: MetricVector, weights: Weights) -> float:
     return float(np.dot(metrics.as_array(), weights.as_array()))
 
 
-def _redundancy(vectors: list[Embedded]) -> np.ndarray:
-    """R_i = mean cosine similarity of answer i to every other chosen answer."""
-    n = len(vectors)
-    out = np.zeros(n)
-    for i in range(n):
-        out[i] = sum(embedded_cosine(vectors[i], vectors[j]) for j in range(n) if j != i) / (n - 1)
-    return out
-
-
-def _prune_index(vectors: list[Embedded], delta: float) -> tuple[int | None, np.ndarray | None]:
+def _prune_index(
+    vectors: list[Embedded], cosines: list[list[float]], delta: float
+) -> tuple[int | None, np.ndarray | None]:
+    """The stand-out most redundant of three or more answers, if any, and each one's
+    redundancy R_i, its mean cosine to every other answer, summed in ``vectors`` order.
+    ``cosines`` holds the pair cosines (the same bits in either order) of a prefix of
+    ``vectors``, row by row, and is extended in place: each pair's is taken once."""
     if len(vectors) < 3:
         return None, None
-    redundancy = _redundancy(vectors)
+    for k in range(len(cosines), len(vectors)):
+        row = [embedded_cosine(vectors[i], vectors[k]) for i in range(k)]
+        for earlier, value in zip(cosines, row):
+            earlier.append(value)
+        cosines.append(row + [math.nan])  # its own cosine, never read
+    n = len(vectors)
+    redundancy = np.array([sum(row[:i] + row[i + 1 :]) / (n - 1) for i, row in enumerate(cosines)])
     order = np.argsort(-redundancy, kind="stable")
     if redundancy[order[0]] - redundancy[order[1]] > delta:
         return int(order[0]), redundancy
@@ -265,7 +268,7 @@ def prune(chosen: list[Example], delta: float, services: Services) -> list[Examp
     symmetric and the rule can never fire.
     """
     vectors = [services.embed_with_norm(e.answer_text) for e in chosen]
-    index, _ = _prune_index(vectors, delta)
+    index, _ = _prune_index(vectors, [], delta)
     if index is None:
         return list(chosen)
     return [e for i, e in enumerate(chosen) if i != index]
@@ -345,25 +348,27 @@ def select_examples(
     """Greedy argmax selection with redundancy pruning over a candidate pool.
 
     Scores come from ``candidate_metrics`` and are fixed before the loop
-    starts, so the trace replays exactly.  Ties pick the lowest pool
-    index; pruned examples are removed permanently.  The gap test compares
-    consecutive picked scores and cannot fire on the first pick.
+    starts, so the trace replays exactly, and the picks follow one stable
+    descending sort of them: ties pick the lowest pool index.  Pruned
+    examples are removed permanently.  The gap test compares consecutive
+    picked scores and cannot fire on the first pick.  Each pair of chosen
+    answers has its cosine taken once per selection.
     """
     metrics = candidate_metrics(pool, test_question, services)
-    examples = list(pool)
+    examples = pool.examples
     # np.vecdot takes each row's product as score()'s np.dot does; @ can differ in the last ulp
-    scores = np.vecdot(metrics, config.weights.as_array()).tolist()
+    scores = np.vecdot(metrics, config.weights.as_array())
+    order = np.argsort(-scores, kind="stable").tolist()
+    scores = scores.tolist()
     embed = services.embed_with_norm
 
-    remaining = list(range(len(examples)))
-    unpicked = {example.id: value for example, value in zip(examples, scores)}
+    unpicked = dict(zip(pool.ids, scores))
     chosen: list[int] = []
+    cosines: list[list[float]] = []  # the chosen answers' pair cosines, as _prune_index keeps them
     previous = math.inf
     trace: list[IterationRecord] = []
-    while remaining and len(chosen) < config.max_chosen:
+    for best in order:
         candidate_scores = dict(unpicked)  # each record keeps its own dict
-        best = max(remaining, key=scores.__getitem__)  # the first of equal scores: lowest index
-        remaining.remove(best)
         del unpicked[examples[best].id]
         chosen.append(best)
 
@@ -375,14 +380,16 @@ def select_examples(
         else:
             previous = scores[best]
             answers = [embed(examples[i].answer_text) for i in chosen]
-            index, redundancy = _prune_index(answers, config.delta)
+            index, redundancy = _prune_index(answers, cosines, config.delta)
             if redundancy is not None:
                 redundancy_by_id = {
                     examples[chosen[k]].id: float(redundancy[k]) for k in range(len(chosen))
                 }
             if index is not None:
                 pruned_id = examples[chosen[index]].id
-                del chosen[index]
+                del chosen[index], cosines[index]
+                for row in cosines:
+                    del row[index]
         trace.append(
             IterationRecord(
                 iteration=len(trace) + 1,
@@ -394,7 +401,7 @@ def select_examples(
                 stop=stop,
             )
         )
-        if stop is not None:
+        if stop is not None or len(chosen) == config.max_chosen:
             break
     return SelectionResult(
         chosen=[(examples[i], scores[i]) for i in chosen],

@@ -189,12 +189,51 @@ class TestCheckConsistency:
         assert report.output_match is True
         assert report.verdict == "consistent"
 
+    @pytest.mark.parametrize(
+        "candidate, reference, match",
+        [
+            ("ans = 1000001", "ans = 1000000", True),  # |difference| == EPS_GATE * |reference|
+            ("ans = 1000001.0000001", "ans = 1000000", False),
+            ("ans = -1000001", "ans = -1000000", True),
+            ("ans = 1.0000009", "ans = 1", True),  # below 1 the tolerance is EPS_GATE
+            ("ans = 1.0000015", "ans = 1", False),
+            ("ans = 0.0000009", "ans = 0", True),
+            ("ans = 0.0000011", "ans = 0", False),
+        ],
+    )
+    def test_output_tolerance_is_eps_gate_times_at_least_one(self, candidate, reference, match):
+        assert augmentation.EPS_GATE == 1e-6
+        report = check_consistency(parse(candidate), parse(reference), make_services(), tau=-1.0)
+        assert report.output_match is match
+
+    def test_similarity_equal_to_tau_is_consistent(self):
+        services = make_services()
+        candidate, reference = parse("ans = 3"), parse(BOLTS_A)
+        similarity = cosine(services.embed("ans = 3"), services.embed(BOLTS_A))
+        report = check_consistency(candidate, reference, services, tau=similarity)
+        assert (report.step_similarity, report.verdict) == (similarity, "consistent")
+        above = float(np.nextafter(similarity, 2.0))
+        report = check_consistency(candidate, reference, services, tau=above)
+        assert report.verdict == "inconsistent"
+        assert report.cause == "step similarity below threshold"
+
     def test_phase_one_dominates_even_for_identical_text_apart_from_value(self):
         services = make_services()
         candidate = parse(BOLTS_A.replace("= 2", "= 4", 1))  # same shape, different value
         report = check_consistency(candidate, parse(BOLTS_A), services, tau=-1.0)
         assert report.verdict == "inconsistent"
         assert report.step_similarity is None
+
+
+class TestAugmentationConfig:
+    @pytest.mark.parametrize("tau", [-1.0, 1.0])
+    def test_tau_accepts_both_ends_of_minus_one_to_one(self, tau):
+        assert AugmentationConfig(tau=tau).tau == tau
+
+    @pytest.mark.parametrize("tau", [np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0)])
+    def test_tau_rejects_the_next_float_outside(self, tau):
+        with pytest.raises(ValueError, match=r"^tau must lie in \[-1, 1\]$"):
+            AugmentationConfig(tau=float(tau))
 
 
 class TestGeneratorOps:
@@ -453,7 +492,8 @@ class TestStage2Reference:
         log = []
         out = stage2(product, ExamplePool((child, seed)), AugmentationConfig(), make_services([]), log)
         assert out is None
-        assert [(r.stage, r.skip_reason) for r in log] == [(2, "no reference outside lineage")]
+        skip = "no reference outside lineage"
+        assert log == [AttemptRecord("S.s1.s1", 2, None, 0, False, None, skip)]
 
 
 class TestAugmentPool:
@@ -611,9 +651,11 @@ class TestAugmentPool:
             make_services(fixtures),
         )
         assert len(result.pool) == 1
-        reasons = [a.skip_reason for a in result.attempts if a.skip_reason]
-        assert "no stage-1 product" in reasons
-        assert "no stage-2 product" in reasons
+        skips = [a for a in result.attempts if a.skip_reason]
+        assert skips == [
+            AttemptRecord("bolts", stage, None, 0, False, None, f"no stage-{stage - 1} product")
+            for stage in (2, 3)
+        ]
 
     def test_provider_error_propagates_instead_of_a_rejected_attempt(self, monkeypatch):
         posts = fake_post(monkeypatch, 200, b'{"choices": []}')  # no "text" field

@@ -264,6 +264,14 @@ class TestModifyAnswer:
         with pytest.raises(NoAnswerError):
             modify_answer(parse("a = 1"), ModificationChain((("+", 1.0),)))
 
+    def test_a_statement_after_the_final_ans_may_follow_it_but_not_read_it(self):
+        chain = ModificationChain((("+", 1.0),))
+        assert execute(modify_answer(parse("ans = 2\nx = 3"), chain)) == 3.0
+        with pytest.raises(
+            UnsupportedConstructError, match="'ans' referenced after its final assignment"
+        ):
+            modify_answer(parse("ans = 2\nx = ans * 3"), chain)
+
     def test_non_finite_chained_value_propagates(self):
         program = parse("a = 1e308\nans = a")
         with pytest.raises(NonFiniteResultError):

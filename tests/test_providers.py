@@ -356,7 +356,7 @@ class TestHashEmbedding:
             vector = np.zeros(256)
             for token in re.split(r"[^a-z0-9]+", text.lower()):
                 if token:
-                    vector[HashEmbedding._token_hash.__wrapped__(token) % 256] += 1.0
+                    vector[HashEmbedding._token_bucket.__wrapped__(token)] += 1.0
             return vector / np.linalg.norm(vector)
 
         emb = HashEmbedding()
@@ -365,7 +365,7 @@ class TestHashEmbedding:
         texts.append(texts[0])  # its tokens were evicted by the second text
         for text in texts:
             assert emb.embed(text).tobytes() == uncached(text).tobytes()
-        assert HashEmbedding._token_hash.cache_info().currsize <= TOKEN_HASH_MEMO_SIZE
+        assert HashEmbedding._token_bucket.cache_info().currsize <= TOKEN_HASH_MEMO_SIZE
 
 
 class TestCosine:

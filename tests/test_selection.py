@@ -480,6 +480,29 @@ class TestSelectExamples:
         picked = [r.picked_score for r in result.trace]
         assert picked == sorted(picked, reverse=True)
 
+    def test_unbounded_run_picks_every_candidate_once_in_stable_score_order(self):
+        # complexity-only weights: each score is half the answer's line breaks, so
+        # scores tie; the answers share words unevenly, so delta = 0 prunes
+        words = ["eggs", "sold", "price", "total", "cost"]
+        pool = ExamplePool(tuple(
+            Example(f"ex{i}", f"question {i}", "\n".join(
+                [f"{words[(i + j) % 5]} = {j}" for j in range(k)] + [f"ans = {i}"]
+            ))
+            for i, k in enumerate([1, 2, 0, 2, 1, 2, 0, 1])
+        ))
+        config = SelectionConfig(Weights(0, 0, 1, 0), epsilon=0.0, delta=0.0, max_chosen=20)
+        result = select_examples(pool, "a test question", config, _metric_services())
+        assert [r.picked_id for r in result.trace] == [f"ex{i}" for i in (1, 3, 5, 0, 4, 7, 2, 6)]
+        assert [r.picked_score for r in result.trace] == [1.0] * 3 + [0.5] * 3 + [0.0] * 2
+        picked = []
+        for record in result.trace:
+            assert record.stop is None
+            assert record.candidate_scores.keys() == {e.id for e in pool} - set(picked)
+            picked.append(record.picked_id)
+        pruned = [r.pruned_id for r in result.trace if r.pruned_id]
+        assert pruned and len(set(pruned)) == len(pruned)
+        assert sorted(result.chosen_ids + pruned) == sorted(picked)
+
     @settings(max_examples=300, deadline=None)
     @given(
         _oracle_cases(),
